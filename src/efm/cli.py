@@ -22,7 +22,7 @@ from .metrics import energy_distance, energy_distance_with_null, sliced_w1
 from .model import load_weights
 from .physics import run_verification_suite
 from .training import train
-from .transport import TransportPolicy, map_batch, map_batch_fn, trace_line_t
+from .transport import TransportPolicy, map_batch, trace_line_t
 
 # Table of end-to-end experiment presets (2-D toy runs).
 PRESETS = {
@@ -105,13 +105,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EFM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -170,16 +163,20 @@ def _cmd_transport(args) -> int:
     policy = TransportPolicy(mode, direction, dtau)
     inputs = [args.config, args.infile]
     if args.weights:
+        # a network's field has no jump at the plate, so the flux-ratio
+        # stop of the theoretical policy would never fire
+        if policy.mode != "practical_stop_at_L":
+            raise EfmError("--weights transport supports only --policy practical")
         net = load_weights(args.weights)
-        result = map_batch_fn(points.points, net.as_field_fn(), cfg.plate_gap, policy)
+        field_fn = lambda pts, stream: net.forward(pts)
         inputs.append(args.weights)
     else:
         if not (args.data_pos and args.data_neg):
             raise EfmError("--exact-field transport needs --data-pos and --data-neg")
-        field = _build_exact_field(cfg, args, args.mc_subsample)
-        result = map_batch(points.points, field=field, policy=policy, seed=cfg.seed,
-                           limit_epsilon=cfg.limit_epsilon, n_workers=_n_workers())
+        field_fn = _build_exact_field(cfg, args, args.mc_subsample).evaluate
         inputs += [args.data_pos, args.data_neg]
+    result = map_batch(points.points, field_fn, policy, plate_gap=cfg.plate_gap,
+                       seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
     mapped_path = out / "mapped.csv"
     save_csv(Dataset(result.mapped[result.ok], "mapped"), mapped_path)
     outputs = [mapped_path]
@@ -201,10 +198,10 @@ def _cmd_trace_lines(args) -> int:
     cfg = _load_config(args)
     starts = load_csv(args.infile)
     if args.weights:
-        fn = load_weights(args.weights).as_field_fn()
+        fn = load_weights(args.weights).forward
         inputs = [args.config, args.infile, args.weights]
     else:
-        fn = _build_exact_field(cfg, args).as_field_fn()
+        fn = _build_exact_field(cfg, args).evaluate
         inputs = [args.config, args.infile, args.data_pos, args.data_neg]
     trajectories = []
     z0 = cfg.limit_epsilon if args.direction > 0 else -cfg.limit_epsilon
@@ -327,8 +324,8 @@ def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
     train_seconds = time.time() - train_started
 
     policy = TransportPolicy(step=cfg.plate_gap / PRESET_NFE)
-    mapped = map_batch_fn(eval_in.points, result.ema_net.as_field_fn(),
-                          cfg.plate_gap, policy)
+    mapped = map_batch(eval_in.points, lambda pts, stream: result.ema_net.forward(pts),
+                       policy, plate_gap=cfg.plate_gap, seed=seed)
     mapped_ds = Dataset(mapped.mapped[mapped.ok], "mapped")
     save_csv(mapped_ds, out / "mapped.csv")
     write_trajectories_csv(mapped.trajectories, out / "trajectories.csv")

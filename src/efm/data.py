@@ -1,8 +1,8 @@
-"""Toy distribution generators, CSV persistence, and standardization."""
+"""Toy distribution generators and CSV persistence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,25 +118,3 @@ def load_csv(path, label: str | None = None) -> Dataset:
             raise DataError(f"non-numeric cell at line {i} of {path}") from exc
     return Dataset(rows, label if label is not None else str(path))
 
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """Per-coordinate affine record for standardize/destandardize."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-
-
-def standardize(dataset: Dataset):
-    """Zero-mean unit-std per coordinate; returns (dataset, transform)."""
-    mu = dataset.points.mean(axis=0)
-    sd = dataset.points.std(axis=0)
-    if np.any(sd == 0):
-        bad = int(np.flatnonzero(sd == 0)[0])
-        raise DataError(f"zero-variance coordinate x_{bad + 1} cannot be standardized")
-    out = (dataset.points - mu) / sd
-    return Dataset(out, dataset.label), AffineTransform(mu, sd)
-
-
-def destandardize(dataset: Dataset, transform: AffineTransform) -> Dataset:
-    return Dataset(dataset.points * transform.scale + transform.shift, dataset.label)

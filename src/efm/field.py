@@ -108,13 +108,14 @@ def superposition_field(points, sources, charges, field_epsilon: float = 0.0) ->
     return out[0] if squeeze else out
 
 
-def normalize_rows(vals, log_scale=None):
+def normalize_rows(vals):
     """Unit rows plus a degeneracy mask.
 
     A row is degenerate when its direction is numerically meaningless
     (norm below TINY_FIELD_NORM in the given representation); rows whose
-    absolute magnitude underflows but arrive pre-scaled (log_scale form)
-    still carry a valid direction and are normalized normally.
+    absolute magnitude underflows but arrive pre-scaled (the `vec` of a
+    (vec, log_scale) pair) still carry a valid direction and are
+    normalized normally.
     """
     vals = np.atleast_2d(np.asarray(vals, dtype=float))
     norms = np.linalg.norm(vals, axis=1)
@@ -235,17 +236,18 @@ class EmpiricalField:
             return self._static_sources()
         if stream is None:
             raise FieldError("mc_subsample requires a random stream")
-        ext_p, w_p = self.plate_pos.extended(), self.plate_pos.weights
-        ext_n, w_n = self.plate_neg.extended(), self.plate_neg.weights
-        k_p = min(self.mc_subsample, len(ext_p))
-        k_n = min(self.mc_subsample, len(ext_n))
-        idx_p = stream.choice(len(ext_p), size=k_p, replace=False)
-        idx_n = stream.choice(len(ext_n), size=k_n, replace=False)
-        sources = np.vstack([ext_p[idx_p], ext_n[idx_n]])
-        w_p = w_p[idx_p] / w_p[idx_p].sum()
-        w_n = w_n[idx_n] / w_n[idx_n].sum()
+        ext_p, w_p = self._draw(self.plate_pos, "positive", stream)
+        ext_n, w_n = self._draw(self.plate_neg, "negative", stream)
+        sources = np.vstack([ext_p, ext_n])
         charges = np.concatenate([w_p, -w_n])
         return sources, charges, np.einsum("ij,ij->i", sources, sources)
+
+    def _draw(self, plate: PlateSet, name: str, stream):
+        idx = stream.choice(plate.n, size=min(self.mc_subsample, plate.n), replace=False)
+        total = plate.weights[idx].sum()
+        if total == 0.0:
+            raise FieldError(f"mc_subsample drew only zero-weight samples of the {name} plate")
+        return plate.extended()[idx], plate.weights[idx] / total
 
     def scaled_evaluate(self, points, stream=None):
         """(vec, log_scale) form of evaluate; see scaled_superposition."""
@@ -262,8 +264,8 @@ class EmpiricalField:
 
     def normalized(self, points, stream=None):
         """Unit-norm field rows and the mask of degenerate (vanishing) rows."""
-        vec, log_scale = self.scaled_evaluate(points, stream)
-        return normalize_rows(vec, log_scale)
+        vec, _ = self.scaled_evaluate(points, stream)
+        return normalize_rows(vec)
 
     def z_limits(self, x, plate_z: float, limit_epsilon: float, stream=None):
         """One-sided E_z limits just below and above a plate.
@@ -279,13 +281,3 @@ class EmpiricalField:
         if np.asarray(x).ndim == 1:
             return float(e_lo[0]), float(e_hi[0])
         return e_lo, e_hi
-
-    def as_field_fn(self, stream=None):
-        """Batch field callable (m, D+1) -> (m, D+1) for solvers and quadrature."""
-        return lambda pts: self.evaluate(pts, stream)
-
-
-def normalized_field(field: EmpiricalField, point, stream=None) -> np.ndarray:
-    """E/|E| at a single point; the zero vector marks a degenerate field."""
-    unit, degenerate = field.normalized(np.atleast_2d(point), stream)
-    return unit[0]

@@ -93,14 +93,6 @@ class FieldApproximator:
                 y = _act(self.activation, y)
         return y[0] if squeeze else y
 
-    def as_field_fn(self):
-        return lambda pts: self.forward(pts)
-
-
-def forward(net: FieldApproximator, point) -> np.ndarray:
-    return net.forward(point)
-
-
 def loss_and_gradient(net: FieldApproximator, points, targets):
     """Mean squared-error loss over a batch and its reverse-mode gradient.
 

@@ -272,7 +272,7 @@ def run_verification_suite(cfg, seed: int | None = None) -> list[CheckResult]:
     neg = PlateSet(stream.standard_normal((n_plate, cfg.dim_d)) + 1.0, gap, -1)
     system = EmpiricalField(pos, neg, cfg.field_epsilon)
     dim = cfg.dim_d + 1
-    field_fn = system.as_field_fn()
+    field_fn = system.evaluate
     r_pos = float(np.linalg.norm(pos.samples, axis=1).max()) + 1.0
     center_pos = np.zeros(dim)
     rep_pos = flux_through_sphere(field_fn, center_pos, min(r_pos, 0.9 * gap), 100_000,

@@ -1,20 +1,29 @@
-"""Movement along field lines: z-stepped Euler transport, an adaptive
-t-parameterized tracer with plate-crossing events, and the stochastic
-forward/backward maps built on top of them."""
+"""Movement along field lines from the positive plate (z=0) to the negative
+plate (z=plate_gap).
+
+`map_batch` is the one entry point. It takes a batch field callable
+`field_fn(pts, stream)` that maps (m, D+1) points to their (m, D+1) field.
+`EmpiricalField.evaluate` fits it unchanged; a network fits it through a
+wrapper that ignores the stream. Only a Monte Carlo field reads the stream.
+
+- practical_stop_at_L: one vectorised fixed-z-grid Euler loop over the
+  whole batch, every step evaluated with one batch stream.
+- theoretical_stochastic: `stochastic_map` per line, with a stream keyed by
+  the line's start point: flux-ratio start and stop around an adaptive
+  t-parameterized tracer with plate-crossing events (`trace_line_t`).
+"""
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .core import TransportError, seeded_stream
-from .field import TINY_FIELD_NORM, EmpiricalField
+from .field import TINY_FIELD_NORM
 
-TERMINATIONS = ("reached_target_plate", "continued_past_plate_then_returned",
-                "step_limit", "field_degenerate")
+_SUCCESS = ("reached_target_plate", "continued_past_plate_then_returned")
 
 # Relative f_z threshold below which the z-stepped update is rejected.
 DEGENERACY_RATIO = 1e-8
@@ -58,19 +67,6 @@ class TransportPolicy:
             raise TransportError("practical_stop_at_L implies forward_only")
 
 
-def euler_step(point, f, dtau: float) -> np.ndarray:
-    """One z-parameterized Euler update: x += (f_x / f_z) dtau, z += dtau."""
-    point = np.asarray(point, dtype=float)
-    f = np.asarray(f, dtype=float)
-    fz = f[-1]
-    if abs(fz) < DEGENERACY_RATIO * np.linalg.norm(f) or fz == 0.0:
-        raise TransportError("field z-component degenerate; cannot advance in z")
-    out = point.copy()
-    out[:-1] += f[:-1] / fz * dtau
-    out[-1] += dtau
-    return out
-
-
 def stop_probability(e_z_minus: float, e_z_plus: float) -> float:
     """Probability of terminating at a z=plate_gap crossing.
 
@@ -105,70 +101,6 @@ def _as_batch_fn(field_fn):
     def call(pts):
         return np.atleast_2d(np.asarray(field_fn(np.atleast_2d(pts)), dtype=float))
     return call
-
-
-def trace_line_z(start, field_fn, dtau: float, plate_gap: float) -> Trajectory:
-    """Fixed z-grid Euler trace from the source plate to z=plate_gap.
-
-    The grid lands on plate_gap exactly and consumes exactly
-    round((plate_gap - z0)/dtau) field evaluations.
-    """
-    fn = _as_batch_fn(field_fn)
-    point = np.asarray(start, dtype=float).copy()
-    z0 = point[-1]
-    span = plate_gap - z0
-    if span <= 0:
-        raise TransportError("start must lie below the target plate")
-    n = int(round(span / dtau))
-    if n < 1 or not np.isclose(n * dtau, span, rtol=1e-9, atol=1e-12):
-        raise TransportError("dtau must evenly divide the distance to the plate")
-    dz = span / n
-    points = [point.copy()]
-    for k in range(n):
-        f = fn(point)[0]
-        fz = f[-1]
-        if abs(fz) < DEGENERACY_RATIO * np.linalg.norm(f) or fz == 0.0:
-            return Trajectory(np.array(points), "field_degenerate", [], [], k + 1)
-        point[:-1] += f[:-1] / fz * dz
-        point[-1] = z0 + (k + 1) * dz
-        points.append(point.copy())
-    traj = Trajectory(np.array(points), "reached_target_plate", n_field_evals=n)
-    traj.crossings.append((len(points) - 1, plate_gap))
-    return traj
-
-
-def trace_batch_z(starts_x, field_fn, dtau: float, plate_gap: float):
-    """Vectorized practical transport for a batch of source-plate points.
-
-    Returns (history (n+1, m, D+1), terminations (m,) object array). Lines
-    hitting a degenerate f_z freeze in place and are marked.
-    """
-    starts_x = np.atleast_2d(np.asarray(starts_x, dtype=float))
-    m = len(starts_x)
-    n = int(round(plate_gap / dtau))
-    if n < 1 or not np.isclose(n * dtau, plate_gap, rtol=1e-9, atol=1e-12):
-        raise TransportError("dtau must evenly divide the distance to the plate")
-    dz = plate_gap / n
-    state = np.hstack([starts_x, np.zeros((m, 1))])
-    history = np.empty((n + 1, m, starts_x.shape[1] + 1))
-    history[0] = state
-    active = np.ones(m, dtype=bool)
-    terminations = np.array(["reached_target_plate"] * m, dtype=object)
-    for k in range(n):
-        if np.any(active):
-            f = np.atleast_2d(np.asarray(field_fn(state[active]), dtype=float))
-            norms = np.linalg.norm(f, axis=1)
-            fz = f[:, -1]
-            bad = (np.abs(fz) < DEGENERACY_RATIO * norms) | (fz == 0.0)
-            idx = np.flatnonzero(active)
-            terminations[idx[bad]] = "field_degenerate"
-            active[idx[bad]] = False
-            good = idx[~bad]
-            fg = f[~bad]
-            state[good, :-1] += fg[:, :-1] / fg[:, -1:] * dz
-            state[good, -1] = (k + 1) * dz
-        history[k + 1] = state
-    return history, terminations
 
 
 # ---------------------------------------------------------------------------
@@ -310,45 +242,81 @@ def trace_line_t(start, field_fn, direction: int = +1, *, plate_gap: float,
 
 
 # ---------------------------------------------------------------------------
-# Stochastic maps.
+# Transport of a batch.
 
-def stochastic_map(x_plus, field: EmpiricalField, policy: TransportPolicy, stream,
-                   limit_epsilon: float | None = None,
+def _euler_lines(starts_x, field_fn, dtau: float, plate_gap: float, stream) -> list:
+    """Fixed z-grid Euler, x += (f_x / f_z) dz, from z=0 to z=plate_gap.
+
+    The grid lands on plate_gap exactly in round(plate_gap/dtau) steps. A
+    line whose f_z turns degenerate stops there, keeping only the points
+    and field evaluations it used. Each line's points are a view into one
+    shared history array.
+    """
+    m, d = starts_x.shape
+    n = int(round(plate_gap / dtau))
+    if n < 1 or not np.isclose(n * dtau, plate_gap, rtol=1e-9, atol=1e-12):
+        raise TransportError("dtau must evenly divide the distance to the plate")
+    dz = plate_gap / n
+    state = np.hstack([starts_x, np.zeros((m, 1))])
+    history = np.empty((n + 1, m, d + 1))
+    history[0] = state
+    active = np.ones(m, dtype=bool)
+    evals = np.full(m, n)
+    for k in range(n):
+        idx = np.flatnonzero(active)
+        if len(idx) == 0:
+            break
+        f = np.atleast_2d(np.asarray(field_fn(state[idx], stream), dtype=float))
+        fz = f[:, -1]
+        bad = (np.abs(fz) < DEGENERACY_RATIO * np.linalg.norm(f, axis=1)) | (fz == 0.0)
+        active[idx[bad]] = False
+        evals[idx[bad]] = k + 1
+        good = ~bad
+        state[idx[good], :-1] += f[good, :-1] / fz[good, None] * dz
+        state[idx[good], -1] = (k + 1) * dz
+        history[k + 1] = state
+    return [Trajectory(history[:, i], "reached_target_plate", [(n, plate_gap)],
+                       n_field_evals=n) if active[i]
+            else Trajectory(history[:evals[i], i], "field_degenerate",
+                            n_field_evals=int(evals[i]))
+            for i in range(m)]
+
+
+def stochastic_map(x_plus, field_fn, policy: TransportPolicy, stream, *,
+                   plate_gap: float, limit_epsilon: float | None = None,
                    rtol: float = 1e-4, atol: float = 1e-4):
-    """Transport one source-plate point to the target plate.
+    """Transport one source-plate point to the target plate (theoretical mode).
 
-    practical_stop_at_L: z-stepped Euler from (x, 0), stop at the first
-    z=plate_gap arrival. theoretical_stochastic: start forward or backward
-    by the flux-ratio direction probability, trace adaptively, and at each
-    z=plate_gap crossing stop with the flux-ratio stop probability.
-    Returns (mapped x, Trajectory).
+    Start forward or backward by the flux-ratio direction probability,
+    trace adaptively, and at each z=plate_gap crossing stop with the
+    flux-ratio stop probability. The one-sided E_z limits are two rows of
+    `field_fn`, at z = plate -/+ limit_epsilon. `stream` feeds `field_fn`
+    and both draws. Returns (mapped x, Trajectory).
     """
     x_plus = np.asarray(x_plus, dtype=float)
-    gap = field.plate_gap
     if limit_epsilon is None:
-        limit_epsilon = gap * 1e-3
-    eval_stream = stream if field.mc_subsample is not None else None
-    field_fn = field.as_field_fn(eval_stream)
+        limit_epsilon = plate_gap * 1e-3
 
-    if policy.mode == "practical_stop_at_L":
-        start = np.append(x_plus, 0.0)
-        traj = trace_line_z(start, field_fn, policy.step, gap)
-        return traj.points[-1][:-1].copy(), traj
+    def line_fn(pts):
+        return field_fn(pts, stream)
 
-    e_lo, e_hi = field.z_limits(x_plus, 0.0, limit_epsilon, eval_stream)
+    def z_limits(x, plate):
+        rows = [np.append(x, plate - limit_epsilon), np.append(x, plate + limit_epsilon)]
+        e_lo, e_hi = line_fn(np.array(rows))[:, -1]
+        return e_lo, e_hi
+
+    forward = True
     if policy.direction == "bidirectional":
+        e_lo, e_hi = z_limits(x_plus, 0.0)
         forward = stream.uniform() < direction_probability(e_hi, e_lo)
-    else:
-        forward = True
     start = np.append(x_plus, limit_epsilon if forward else -limit_epsilon)
 
     def on_crossing(point, plate, going_up):
-        if plate != gap:
+        if plate != plate_gap:
             return False
-        lo, hi = field.z_limits(point[:-1], gap, limit_epsilon, eval_stream)
-        return stream.uniform() < stop_probability(lo, hi)
+        return stream.uniform() < stop_probability(*z_limits(point[:-1], plate_gap))
 
-    traj = trace_line_t(start, field_fn, +1, plate_gap=gap, rtol=rtol, atol=atol,
+    traj = trace_line_t(start, line_fn, +1, plate_gap=plate_gap, rtol=rtol, atol=atol,
                         max_steps=policy.max_steps, limit_epsilon=limit_epsilon,
                         on_crossing=on_crossing, expect_positive_ez=True)
     return traj.points[-1][:-1].copy(), traj
@@ -368,76 +336,35 @@ def _line_stream(seed: int, x) -> np.random.Generator:
     return seeded_stream(seed, f"transport/{digest}")
 
 
-def map_batch(points, *, field: EmpiricalField, policy: TransportPolicy, seed: int = 0,
-              limit_epsilon: float | None = None, n_workers: int = 1) -> MapResult:
-    """Transport a batch of source points independently through plate fields.
+def map_batch(points, field_fn, policy: TransportPolicy, *, plate_gap: float,
+              seed: int = 0, limit_epsilon: float | None = None) -> MapResult:
+    """Transport a batch of source points x (m, D) to z=plate_gap along `field_fn`.
 
-    Per-line randomness is keyed by the point's content, so results are
-    deterministic for a given seed and equivariant under reordering of the
-    batch. Per-line failures are recorded and the batch continues. For a
-    trained network use map_batch_fn instead.
+    `field_fn(pts, stream)` returns the field at an (m, D+1) batch. The
+    practical policy calls it once per z-step for all lines still moving,
+    with the stream seeded_stream(seed, "transport/batch"). The theoretical
+    policy calls it per line, with a stream keyed by that line's start
+    point, which also draws the line's direction and stops. Results are
+    deterministic for a seed and equivariant under reordering of the batch
+    up to rounding. Per-line failures are recorded and the batch continues.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise TransportError("empty batch")
-    m, d = points.shape
-    success = ("reached_target_plate", "continued_past_plate_then_returned")
-
-    gap = field.plate_gap
-    if policy.mode == "practical_stop_at_L" and field.mc_subsample is None:
-        history, terms = trace_batch_z(points, field.as_field_fn(), policy.step, gap)
-        return _batch_result_from_history(history, terms, gap, success)
-
-    trajectories: list = [None] * m
-    mapped = np.full((m, d), np.nan)
-
-    def run(i):
-        stream = _line_stream(seed, points[i])
-        return stochastic_map(points[i], field, policy, stream, limit_epsilon)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, range(m)))
+    if policy.mode == "practical_stop_at_L":
+        trajectories = _euler_lines(points, field_fn, policy.step, plate_gap,
+                                    seeded_stream(seed, "transport/batch"))
     else:
-        results = [run(i) for i in range(m)]
+        trajectories = [stochastic_map(x, field_fn, policy, _line_stream(seed, x),
+                                       plate_gap=plate_gap, limit_epsilon=limit_epsilon)[1]
+                        for x in points]
+    mapped = np.full(points.shape, np.nan)
+    ok = np.zeros(len(points), dtype=bool)
     failures = []
-    ok = np.zeros(m, dtype=bool)
-    for i, (x_out, traj) in enumerate(results):
-        trajectories[i] = traj
-        if traj.termination in success:
-            mapped[i] = x_out
+    for i, traj in enumerate(trajectories):
+        if traj.termination in _SUCCESS:
+            mapped[i] = traj.points[-1, :-1]
             ok[i] = True
         else:
             failures.append((i, traj.termination))
-    return MapResult(mapped, ok, trajectories, failures)
-
-
-def map_batch_fn(points, field_fn, plate_gap: float, policy: TransportPolicy) -> MapResult:
-    """Practical-mode transport against a batch field callable (a network)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) == 0:
-        raise TransportError("empty batch")
-    if policy.mode != "practical_stop_at_L":
-        raise TransportError("a bare field_fn only supports practical transport")
-    history, terms = trace_batch_z(points, field_fn, policy.step, plate_gap)
-    success = ("reached_target_plate", "continued_past_plate_then_returned")
-    return _batch_result_from_history(history, terms, plate_gap, success)
-
-
-def _batch_result_from_history(history, terms, plate_gap, success) -> MapResult:
-    n_steps, m, _ = history.shape
-    trajectories = []
-    mapped = np.full((m, history.shape[2] - 1), np.nan)
-    ok = np.zeros(m, dtype=bool)
-    failures = []
-    for i in range(m):
-        term = str(terms[i])
-        traj = Trajectory(history[:, i, :].copy(), term, n_field_evals=n_steps - 1)
-        if term in success:
-            traj.crossings.append((n_steps - 1, plate_gap))
-            mapped[i] = history[-1, i, :-1]
-            ok[i] = True
-        else:
-            failures.append((i, term))
-        trajectories.append(traj)
     return MapResult(mapped, ok, trajectories, failures)

@@ -91,6 +91,19 @@ class TestPipeline:
         header = (tr_out / "trajectories.csv").read_text().splitlines()[0]
         assert header == "line_id,step,z,x_1,x_2,termination"
 
+    def test_weights_theoretical_transport_rejected(self, tmp_path, toy_config_file,
+                                                    plates, capsys):
+        pos, neg = plates
+        train_out = tmp_path / "train"
+        assert run("train", "--config", toy_config_file, "--data-pos", pos,
+                   "--data-neg", neg, "--steps", 1, "--batch-size", 32,
+                   "--hidden", "8", "--out", train_out) == 0
+        code = run("transport", "--weights", train_out / "weights_ema.json",
+                   "--config", toy_config_file, "--policy", "theoretical",
+                   "--in", pos, "--out", tmp_path / "tr")
+        assert code == 1
+        assert "--policy practical" in capsys.readouterr().err
+
     def test_exact_field_transport(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
         out = tmp_path / "ex"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from efm.core import seeded_stream
-from efm.data import (DataError, Dataset, destandardize, gen_gaussian,
-                      gen_swiss_roll, gen_two_gaussians, load_csv, save_csv,
-                      standardize, swiss_roll_curve,
+from efm.data import (DataError, gen_gaussian, gen_swiss_roll,
+                      gen_two_gaussians, load_csv, save_csv, swiss_roll_curve,
                       SWISS_ROLL_SCALE, SWISS_ROLL_THETA_MAX, SWISS_ROLL_THETA_MIN)
 
 
@@ -101,22 +100,3 @@ class TestCsv:
         with pytest.raises(DataError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
-
-class TestStandardize:
-    def test_round_trip_identity(self):
-        ds = gen_gaussian(256, 2, mean=[3.0, -1.0], cov_diag=[2.0, 5.0],
-                          stream=seeded_stream(10, "z"))
-        std_ds, tf = standardize(ds)
-        back = destandardize(std_ds, tf)
-        np.testing.assert_allclose(back.points, ds.points, rtol=1e-12)
-
-    def test_standardized_stats_exact(self):
-        ds = gen_gaussian(256, 2, mean=[3.0, -1.0], stream=seeded_stream(11, "z"))
-        std_ds, _ = standardize(ds)
-        np.testing.assert_allclose(std_ds.points.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(std_ds.points.std(axis=0), 1.0, rtol=1e-12)
-
-    def test_constant_column_rejected(self):
-        pts = np.column_stack([np.ones(10), np.arange(10.0)])
-        with pytest.raises(DataError, match="zero-variance coordinate x_1"):
-            standardize(Dataset(pts))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from efm.core import seeded_stream
 from efm.field import (EmpiricalField, FieldError, PlateSet, normalize_rows,
-                       normalized_field, point_charge_field, sphere_surface_area,
-                       superposition_field)
+                       point_charge_field, sphere_surface_area, superposition_field)
 
 
 def two_point_capacitor(gap=6.0, field_epsilon=0.0):
@@ -98,6 +97,14 @@ class TestEvaluate:
         with pytest.raises(FieldError, match="stream"):
             field.evaluate(np.array([0.0, 1.0]))
 
+    def test_mc_subsample_zero_weight_draw_rejected(self):
+        # a one-row draw of a zero-weight sample has no charge to renormalize
+        field = EmpiricalField(PlateSet(np.arange(4.0)[:, None], 0.0, +1,
+                                        np.array([1.0, 0.0, 0.0, 0.0])),
+                               PlateSet(np.ones((4, 1)), 2.0, -1), mc_subsample=1)
+        with pytest.raises(FieldError, match="zero-weight samples of the positive plate"):
+            field.evaluate(np.array([0.5, 1.0]), seeded_stream(0, "x"))
+
     def test_mc_subsample_full_size_matches_exact(self):
         stream = seeded_stream(2, "mc")
         pos = stream.standard_normal((8, 1))
@@ -153,11 +160,6 @@ class TestNormalized:
         assert degenerate[0]
         np.testing.assert_array_equal(unit[0], np.zeros(3))
 
-    def test_single_point_wrapper(self):
-        field = two_point_capacitor()
-        v = normalized_field(field, np.array([0.5, 2.0]))
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-
 
 class TestZLimits:
     def test_symmetric_capacitor_signs_near_positive_plate(self):
@@ -209,7 +211,7 @@ class TestHighDimensionalStability:
         pt[0] = 1e6  # 1e6**64 overflows float64 in the naive power
         from efm.field import scaled_superposition
         vec, log_scale = scaled_superposition(pt[None], sources, charges)
-        unit, degenerate = normalize_rows(vec, log_scale)
+        unit, degenerate = normalize_rows(vec)
         assert not degenerate[0]
         np.testing.assert_allclose(unit[0, 0], 1.0, rtol=1e-12)
 

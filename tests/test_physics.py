@@ -64,14 +64,14 @@ class TestFluxThroughBox:
     def test_empty_space_between_plates(self):
         field = EmpiricalField(PlateSet(np.zeros((1, 1)), 0.0, +1),
                                PlateSet(np.zeros((1, 1)), 6.0, -1))
-        rep = flux_through_box(field.as_field_fn(), [0.5, 2.0], [1.5, 4.0], 400)
+        rep = flux_through_box(field.evaluate, [0.5, 2.0], [1.5, 4.0], 400)
         assert rep.estimate == pytest.approx(0.0, abs=1e-3)
 
     def test_box_around_positive_plate(self):
         stream = seeded_stream(4, "box")
         field = EmpiricalField(PlateSet(stream.uniform(-1, 1, (128, 1)), 0.0, +1),
                                PlateSet(stream.uniform(-1, 1, (128, 1)), 8.0, -1))
-        rep = flux_through_box(field.as_field_fn(), [-4.0, -2.0], [4.0, 2.0], 3000,
+        rep = flux_through_box(field.evaluate, [-4.0, -2.0], [4.0, 2.0], 3000,
                                target=1.0)
         assert rep.estimate == pytest.approx(1.0, rel=0.02)
 
@@ -95,7 +95,7 @@ class TestCirculation:
         field = EmpiricalField(PlateSet(np.zeros((1, 1)), 0.0, +1),
                                PlateSet(np.zeros((1, 1)), 6.0, -1))
         loop = self.circle(np.array([0.0, 3.0]), 1.0, 512)
-        assert abs(circulation(field.as_field_fn(), loop)) < 1e-6
+        assert abs(circulation(field.evaluate, loop)) < 1e-6
 
     def test_refinement_shrinks_residual(self):
         # oracle: comparing two quadrature resolutions of the same loop

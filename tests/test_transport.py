@@ -7,16 +7,28 @@ from hypothesis import strategies as st
 
 from efm.core import TransportError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
-from efm.transport import (TransportPolicy, direction_probability, euler_step,
-                           map_batch, map_batch_fn, stochastic_map,
-                           stop_probability, trace_batch_z, trace_line_t,
-                           trace_line_z)
+from efm.transport import (TransportPolicy, _line_stream, direction_probability,
+                           map_batch, stochastic_map, stop_probability,
+                           trace_line_t)
 
 
-def uniform_up_field(pts):
+def constant_field(*components):
+    def fn(pts, stream=None):
+        return np.tile(np.asarray(components, dtype=float), (len(np.atleast_2d(pts)), 1))
+    return fn
+
+
+def uniform_up_field(pts, stream=None):
     pts = np.atleast_2d(pts)
     out = np.zeros_like(pts)
     out[:, -1] = 1.0
+    return out
+
+
+def sideways(pts, stream=None):
+    pts = np.atleast_2d(pts)
+    out = np.zeros_like(pts)
+    out[:, 0] = 1.0
     return out
 
 
@@ -27,17 +39,23 @@ def two_point_capacitor(a=0.0, b=0.0, gap=6.0, dim=1, eps=1e-4):
 
 
 class TestEulerStep:
+    """One z-grid Euler step: map_batch with plate_gap equal to the step."""
+
     def test_unit_slope(self):
-        out = euler_step(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.5)
-        np.testing.assert_allclose(out, [0.5, 0.5])
+        res = map_batch([[0.0]], constant_field(1.0, 1.0), TransportPolicy(step=0.5),
+                        plate_gap=0.5)
+        np.testing.assert_allclose(res.trajectories[0].points[-1], [0.5, 0.5])
 
     def test_pure_z_advance(self):
-        out = euler_step(np.array([0.3, 1.0]), np.array([0.0, 1.0]), 0.25)
-        np.testing.assert_allclose(out, [0.3, 1.25])
+        res = map_batch([[0.3]], constant_field(0.0, 1.0), TransportPolicy(step=0.25),
+                        plate_gap=0.25)
+        np.testing.assert_allclose(res.trajectories[0].points[-1], [0.3, 0.25])
 
     def test_degenerate_rejected(self):
-        with pytest.raises(TransportError, match="degenerate"):
-            euler_step(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.1)
+        res = map_batch([[0.0]], constant_field(1.0, 0.0), TransportPolicy(step=0.1),
+                        plate_gap=0.1)
+        assert res.failures == [(0, "field_degenerate")]
+        assert np.isnan(res.mapped).all()
 
 
 class TestStopProbability:
@@ -77,8 +95,12 @@ class TestDirectionProbability:
 
 
 class TestTraceLineZ:
+    """Practical transport: map_batch's fixed z-grid Euler loop."""
+
     def test_uniform_field_straight_line(self):
-        traj = trace_line_z(np.array([0.7, -0.2, 0.0]), uniform_up_field, 0.3, 6.0)
+        res = map_batch([[0.7, -0.2]], uniform_up_field, TransportPolicy(step=0.3),
+                        plate_gap=6.0)
+        traj = res.trajectories[0]
         assert traj.termination == "reached_target_plate"
         np.testing.assert_allclose(traj.points[-1], [0.7, -0.2, 6.0], atol=1e-12)
         assert len(traj.points) == 21
@@ -86,34 +108,40 @@ class TestTraceLineZ:
     def test_exact_field_eval_count(self):
         calls = []
 
-        def counting(pts):
+        def counting(pts, stream):
             calls.append(len(np.atleast_2d(pts)))
             return uniform_up_field(pts)
 
-        trace_line_z(np.array([0.0, 0.0]), counting, 0.3, 6.0)
+        res = map_batch([[0.0]], counting, TransportPolicy(step=0.3), plate_gap=6.0)
         assert sum(calls) == 20  # L / dtau evaluations exactly
+        assert res.trajectories[0].n_field_evals == 20
 
     def test_two_charge_symmetry_axis(self):
         field = two_point_capacitor(0.0, 0.0, 6.0, dim=2)
-        start = np.array([0.0, 0.0, 0.0])
-        traj = trace_line_z(start, field.as_field_fn(), 0.3, 6.0)
-        np.testing.assert_allclose(traj.points[:, :2], 0.0, atol=1e-12)
+        res = map_batch([[0.0, 0.0]], field.evaluate, TransportPolicy(step=0.3),
+                        plate_gap=6.0)
+        np.testing.assert_allclose(res.trajectories[0].points[:, :2], 0.0, atol=1e-12)
 
     def test_bad_dtau_rejected(self):
         with pytest.raises(TransportError, match="evenly divide"):
-            trace_line_z(np.array([0.0, 0.0]), uniform_up_field, 0.7, 6.0)
+            map_batch([[0.0]], uniform_up_field, TransportPolicy(step=0.7), plate_gap=6.0)
 
     def test_first_order_convergence(self):
         # oracle: Richardson comparison against a dtau/64 reference. The
         # trace runs mid-gap (smooth field, away from the terminal charge
-        # whose basin would swallow the endpoint error).
+        # whose basin would swallow the endpoint error): z=1..3 of a gap-4
+        # capacitor, shifted down to z=0..2.
         field = two_point_capacitor(0.0, 1.0, 4.0, dim=1)
-        fn = field.as_field_fn()
-        start = np.array([-0.35, 1.0])  # off the straight inter-charge line
-        span = 3.0 - 1.0
+
+        def shifted(pts, stream):
+            return field.evaluate(pts + [0.0, 1.0])
+
+        span = 2.0
 
         def endpoint(dtau):
-            return trace_line_z(start, fn, dtau, 3.0).points[-1][0]
+            # off the straight inter-charge line
+            res = map_batch([[-0.35]], shifted, TransportPolicy(step=dtau), plate_gap=span)
+            return res.mapped[0, 0]
 
         ref = endpoint(span / 1280)
         err1 = abs(endpoint(span / 20) - ref)
@@ -123,13 +151,14 @@ class TestTraceLineZ:
 
     def test_batch_matches_per_line(self):
         field = two_point_capacitor(0.0, 1.0, 6.0, dim=2)
-        fn = field.as_field_fn()
         starts = np.array([[0.1, 0.0], [0.4, -0.3], [-0.2, 0.2]])
-        history, terms = trace_batch_z(starts, fn, 0.3, 6.0)
+        policy = TransportPolicy(step=0.3)
+        batch = map_batch(starts, field.evaluate, policy, plate_gap=6.0)
         for i, x in enumerate(starts):
-            traj = trace_line_z(np.append(x, 0.0), fn, 0.3, 6.0)
-            np.testing.assert_allclose(history[:, i, :], traj.points, rtol=1e-12)
-            assert terms[i] == traj.termination
+            one = map_batch(x[None], field.evaluate, policy, plate_gap=6.0).trajectories[0]
+            np.testing.assert_allclose(batch.trajectories[i].points, one.points,
+                                       rtol=1e-12)
+            assert batch.trajectories[i].termination == one.termination
 
 
 class TestTraceLineT:
@@ -145,7 +174,7 @@ class TestTraceLineT:
         # oracle: forward-then-backward integration must return to the start;
         # the tracer's event plane serves as the turn-around marker
         field = two_point_capacitor(0.0, 1.5, 6.0, dim=1)
-        fn = field.as_field_fn()
+        fn = field.evaluate
         start = np.array([0.3, 0.5])
         fwd = trace_line_t(start, fn, +1, plate_gap=3.0)
         mid = fwd.points[-1]
@@ -161,12 +190,6 @@ class TestTraceLineT:
 
     def test_step_limit(self):
         # lateral field never reaches the plate
-        def sideways(pts):
-            pts = np.atleast_2d(pts)
-            out = np.zeros_like(pts)
-            out[:, 0] = 1.0
-            return out
-
         traj = trace_line_t(np.array([0.0, 3.0]), sideways, +1, plate_gap=6.0,
                             max_steps=50)
         assert traj.termination == "step_limit"
@@ -175,7 +198,7 @@ class TestTraceLineT:
         # no closed loops: the polyline never returns near an earlier point
         # after having moved away
         field = two_point_capacitor(-0.5, 0.5, 6.0, dim=1)
-        traj = trace_line_t(np.array([-0.5, 0.01]), field.as_field_fn(), +1,
+        traj = trace_line_t(np.array([-0.5, 0.01]), field.evaluate, +1,
                             plate_gap=6.0)
         pts = traj.points
         assert traj.termination == "reached_target_plate"
@@ -194,18 +217,16 @@ class TestStochasticMap:
         # the straight segment between the two charges is itself a field
         # line, so the z-stepped scheme follows it exactly
         field = two_point_capacitor(a=0.0, b=2.0, gap=6.0)
-        policy = TransportPolicy(step=0.05)
-        x, traj = stochastic_map(np.array([0.0]), field, policy,
-                                 seeded_stream(0, "t"))
-        assert traj.termination == "reached_target_plate"
-        assert x[0] == pytest.approx(2.0, abs=1e-6)
+        res = map_batch([[0.0]], field.evaluate, TransportPolicy(step=0.05), plate_gap=6.0)
+        assert res.trajectories[0].termination == "reached_target_plate"
+        assert res.mapped[0, 0] == pytest.approx(2.0, abs=1e-6)
 
     def test_two_point_system_theoretical(self):
         field = two_point_capacitor(a=0.0, b=2.0, gap=6.0)
         policy = TransportPolicy("theoretical_stochastic", "bidirectional", 0.05)
         for k in range(4):
-            x, traj = stochastic_map(np.array([0.05]), field, policy,
-                                     seeded_stream(k, "t"))
+            x, traj = stochastic_map(np.array([0.05]), field.evaluate, policy,
+                                     seeded_stream(k, "t"), plate_gap=6.0)
             assert traj.termination in ("reached_target_plate",
                                         "continued_past_plate_then_returned")
             assert x[0] == pytest.approx(2.0, abs=0.05)
@@ -224,7 +245,8 @@ class TestStochasticMap:
         multi = 0
         for k in range(12):
             x0 = np.array([stream.normal() * 0.3])
-            _, traj = stochastic_map(x0, field, policy, seeded_stream(k, "line"))
+            _, traj = stochastic_map(x0, field.evaluate, policy, seeded_stream(k, "line"),
+                                     plate_gap=6.0)
             far_crossings = [c for c in traj.crossings if c[1] == 6.0]
             if len(far_crossings) >= 2:
                 multi += 1
@@ -238,36 +260,53 @@ class TestStochasticMap:
 class TestMapBatch:
     def test_batch_of_one_matches_single_call(self):
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
-        policy = TransportPolicy(step=0.1)
-        res = map_batch(np.array([[0.2]]), field=field, policy=policy, seed=3)
-        x, _ = stochastic_map(np.array([0.2]), field, policy, seeded_stream(3, "x"))
+        policy = TransportPolicy("theoretical_stochastic", "bidirectional", 0.1)
+        x0 = np.array([0.2])
+        res = map_batch(x0[None], field.evaluate, policy, plate_gap=6.0, seed=3)
+        x, _ = stochastic_map(x0, field.evaluate, policy, _line_stream(3, x0),
+                              plate_gap=6.0)
         np.testing.assert_allclose(res.mapped[0], x, rtol=1e-12)
 
     def test_permutation_equivariance(self):
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
         policy = TransportPolicy("theoretical_stochastic", "bidirectional", 0.1)
         pts = seeded_stream(4, "pts").standard_normal((6, 1)) * 0.2
-        fwd = map_batch(pts, field=field, policy=policy, seed=7)
+        fwd = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=7)
         perm = np.array([3, 1, 5, 0, 2, 4])
-        back = map_batch(pts[perm], field=field, policy=policy, seed=7)
+        back = map_batch(pts[perm], field.evaluate, policy, plate_gap=6.0, seed=7)
         np.testing.assert_allclose(back.mapped, fwd.mapped[perm], rtol=1e-12)
 
+    def test_monte_carlo_field_practical(self):
+        # one plate subsample per z-step for the whole batch: fixed by the
+        # seed, and the same for any order of the batch
+        stream = seeded_stream(5, "mc")
+        pos = PlateSet(stream.standard_normal((64, 2)), 0.0, +1)
+        neg = PlateSet(stream.standard_normal((64, 2)) * 0.5 + 1.0, 6.0, -1)
+        field = EmpiricalField(pos, neg, 1e-4, mc_subsample=16)
+        pts = stream.standard_normal((8, 2)) * 0.5
+        policy = TransportPolicy(step=0.3)
+        first = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=2)
+        again = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=2)
+        other = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=3)
+        np.testing.assert_array_equal(again.mapped, first.mapped)
+        assert not np.allclose(other.mapped, first.mapped)
+        perm = np.array([5, 2, 7, 0, 3, 6, 1, 4])
+        back = map_batch(pts[perm], field.evaluate, policy, plate_gap=6.0, seed=2)
+        np.testing.assert_allclose(back.mapped, first.mapped[perm], rtol=1e-12, atol=1e-12)
+        assert all(t.termination == "reached_target_plate" for t in first.trajectories)
+
     def test_network_batch_transport(self):
-        res = map_batch_fn(np.array([[0.1], [0.5]]), uniform_up_field, 6.0,
-                           TransportPolicy(step=0.3))
+        res = map_batch(np.array([[0.1], [0.5]]), uniform_up_field,
+                        TransportPolicy(step=0.3), plate_gap=6.0)
         assert res.ok.all()
         np.testing.assert_allclose(res.mapped, [[0.1], [0.5]], atol=1e-12)
         assert all(t.n_field_evals == 20 for t in res.trajectories)
 
     def test_failures_recorded_batch_continues(self):
-        def sideways(pts):
-            pts = np.atleast_2d(pts)
-            out = np.zeros_like(pts)
-            out[:, 0] = 1.0
-            return out
-
-        res = map_batch_fn(np.array([[0.1], [0.5]]), sideways, 6.0,
-                           TransportPolicy(step=0.3))
+        res = map_batch(np.array([[0.1], [0.5]]), sideways, TransportPolicy(step=0.3),
+                        plate_gap=6.0)
         assert not res.ok.any()
         assert len(res.failures) == 2
         assert res.failures[0][1] == "field_degenerate"
+        assert [t.n_field_evals for t in res.trajectories] == [1, 1]
+        assert [len(t.points) for t in res.trajectories] == [1, 1]
