@@ -1,12 +1,80 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from efm.core import DataError, seeded_stream
-from efm.metrics import (energy_distance, energy_distance_with_null,
-                         permutation_null, sliced_w1)
+from efm.metrics import (NULL_QUANTILES, _energy_statistics, energy_distance,
+                         energy_distance_with_null, permutation_null, sliced_w1)
+
+
+def _pairwise_mean_reference(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).mean()
+
+
+def _energy_reference(a, b):
+    """Three-mean energy distance and its tolerance scale.
+
+    Returns (max(2 E|a-b| - E|a-a'| - E|b-b'|, 0), 2 E|a-b| + E|a-a'| + E|b-b'|);
+    the pooled kernel must agree to 1e-12 times the scale.
+    """
+    ab = _pairwise_mean_reference(a, b)
+    aa = _pairwise_mean_reference(a, a)
+    bb = _pairwise_mean_reference(b, b)
+    return max(2.0 * ab - aa - bb, 0.0), 2.0 * ab + aa + bb
 
 
 class TestEnergyDistance:
+    @pytest.mark.parametrize("dim", [1, 2, 33])
+    def test_matches_three_mean_reference(self, dim):
+        stream = seeded_stream(30 + dim, "e")
+        a = stream.standard_normal((70, dim))
+        b = stream.standard_normal((45, dim)) * 1.3 + 0.2
+        ref, scale = _energy_reference(a, b)
+        assert abs(energy_distance(a, b).statistic - ref) <= 1e-12 * scale
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DataError, match="empty"):
+            energy_distance(np.zeros((0, 2)), np.ones((3, 2)))
+
+    def test_nan_point_rejected(self):
+        a = seeded_stream(21, "e").standard_normal((8, 2))
+        a[3, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            energy_distance(a, np.zeros((4, 2)))
+
+    def test_null_without_stream_rejected(self):
+        with pytest.raises(DataError, match="stream"):
+            energy_distance_with_null(np.zeros((4, 2)), np.ones((4, 2)))
+
+    def test_null_uses_the_statistic_subsample(self):
+        stream = seeded_stream(22, "e")
+        a = stream.standard_normal((5000, 1))
+        b = stream.standard_normal((100, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = energy_distance_with_null(a, b, 50, seeded_stream(23, "perm"))
+        assert [w.category for w in caught] == [UserWarning]
+        assert rep.n_a == 4096
+        assert np.isfinite(list(rep.null_quantiles.values())).all()
+
+    @pytest.mark.parametrize("n_side,dim,n_perm", [(2000, 33, 50), (100, 2, 20000)])
+    def test_memory_bounded(self, n_side, dim, n_perm):
+        # (2000, 33, 50) spans several distance row blocks; (100, 2, 20000)
+        # spans several label-column chunks
+        stream = seeded_stream(24, "e")
+        a = stream.standard_normal((n_side, dim))
+        b = stream.standard_normal((n_side, dim))
+        tracemalloc.start()
+        try:
+            energy_distance_with_null(a, b, n_perm, seeded_stream(25, "perm"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+
     def test_identical_multisets_zero(self):
         pts = seeded_stream(0, "e").standard_normal((64, 2))
         assert energy_distance(pts, pts.copy()).statistic == pytest.approx(0.0, abs=1e-12)
@@ -72,6 +140,10 @@ class TestSlicedW1:
         assert rep.statistic == pytest.approx(
             wasserstein_distance(a[:, 0], b[:, 0]), rel=1e-9)
 
+    def test_without_stream_rejected(self):
+        with pytest.raises(DataError, match="stream"):
+            sliced_w1(np.zeros((4, 2)), np.ones((4, 2)))
+
     def test_rotation_invariance_of_both_datasets(self):
         stream = seeded_stream(13, "s")
         a = stream.standard_normal((200, 2))
@@ -84,19 +156,37 @@ class TestSlicedW1:
 
 
 class TestPermutationNull:
+    def test_matches_per_permutation_reference(self):
+        stream = seeded_stream(26, "p")
+        a = stream.standard_normal((30, 3))
+        b = stream.standard_normal((45, 3)) + 0.4
+        pool = np.vstack([a, b])
+        ref_stream = seeded_stream(27, "perm")
+        refs, scales = [], []
+        for _ in range(60):
+            perm = ref_stream.permutation(len(pool))
+            ref, scale = _energy_reference(pool[perm[:30]], pool[perm[30:]])
+            refs.append(ref)
+            scales.append(scale)
+        expected = np.quantile(refs, NULL_QUANTILES)
+        new_stream = seeded_stream(27, "perm")
+        q = permutation_null(a, b, _energy_statistics, 60, new_stream)
+        assert np.abs(np.array(list(q.values())) - expected).max() <= 1e-12 * max(scales)
+        assert new_stream.random() == ref_stream.random()
+
     def test_deterministic_given_seed(self):
         stream = seeded_stream(16, "p")
         a = stream.standard_normal((32, 2))
         b = stream.standard_normal((32, 2))
-        fn = lambda x, y: energy_distance(x, y).statistic
-        q1 = permutation_null(a, b, fn, 60, seeded_stream(17, "perm"))
-        q2 = permutation_null(a, b, fn, 60, seeded_stream(17, "perm"))
+        q1 = permutation_null(a, b, _energy_statistics, 60, seeded_stream(17, "perm"))
+        q2 = permutation_null(a, b, _energy_statistics, 60, seeded_stream(17, "perm"))
         assert q1 == q2
 
     def test_constant_statistic_degenerate(self):
         a = np.zeros((16, 1))
         b = np.zeros((16, 1))
-        q = permutation_null(a, b, lambda x, y: 3.14, 50, seeded_stream(18, "perm"))
+        q = permutation_null(a, b, lambda pool, labels: np.full(labels.shape[1], 3.14),
+                             50, seeded_stream(18, "perm"))
         assert set(q.values()) == {3.14}
 
     def test_min_permutations_enforced(self):
@@ -107,12 +197,11 @@ class TestPermutationNull:
     def test_coverage_calibration(self):
         # oracle: repeated same-distribution draws fall under the 95%
         # quantile about 95% of the time (checked loosely over 40 reps)
-        fn = lambda x, y: energy_distance(x, y).statistic
         hits = 0
         for k in range(40):
             stream = seeded_stream(k, "cov")
             a = stream.standard_normal((48, 1))
             b = stream.standard_normal((48, 1))
-            q = permutation_null(a, b, fn, 99, seeded_stream(k, "cov-perm"))
-            hits += fn(a, b) < q["95%"]
+            q = permutation_null(a, b, _energy_statistics, 99, seeded_stream(k, "cov-perm"))
+            hits += energy_distance(a, b).statistic < q["95%"]
         assert hits >= 32  # binomial(40, 0.95) has P(X < 32) ~ 2e-5
