@@ -122,10 +122,3 @@ def seeded_stream(seed: int, substream_label: str) -> np.random.Generator:
     digest = hashlib.sha256(substream_label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "little") for i in (0, 4, 8, 12)]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
-
-
-def require_finite(name: str, arr) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise EfmError(f"{name} must be finite")
-    return arr

@@ -16,9 +16,10 @@ from .core import FieldError
 # Norms below this are treated as a vanishing field when normalizing.
 TINY_FIELD_NORM = 1e-30
 
-# Above this ambient dimension the inverse-power law is accumulated in
-# log-magnitude/direction form: r**d leaves float range long before the
-# normalized field direction stops being meaningful.
+# Above this ambient dimension the inverse-power weights c / r**d are formed
+# in log space with per-row shifts: r**d leaves float range long before the
+# normalized field direction stops being meaningful. At or below it the plain
+# powers stay in range and are cheaper to form.
 LOG_ACCUMULATION_DIM = 32
 
 _PAIR_BLOCK = 4_000_000  # max pairwise entries materialized at once
@@ -53,11 +54,18 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
                          sources_sq=None):
     """Direct-sum field of many charges, split as (vec, log_scale).
 
-    The true field is vec * exp(log_scale)[:, None]. For ambient dimension
-    <= LOG_ACCUMULATION_DIM the plain sum is returned with log_scale = 0;
-    above it, per-row log shifts keep the direction representable even when
-    the magnitude under- or overflows. `sources_sq` may carry precomputed
-    row norms of `sources` for hot loops.
+    The true field is vec * exp(log_scale)[:, None]. Every dimension uses
+    one identity: with per-pair weights w_ij = c_j / r_ij^d,
+    sum_j w_ij (p_i - s_j) = p_i * sum_j w_ij - (W @ S)_i, two BLAS-friendly
+    terms. For ambient dimension <= LOG_ACCUMULATION_DIM the weights are the
+    plain powers and log_scale = 0. Above it only the weights change: they
+    are formed in log space and shifted by their row maximum, which is
+    returned as log_scale, so the direction stays representable even when
+    the magnitude under- or overflows. Every float temporary is a
+    (rows, n) float64 block of at most _PAIR_BLOCK entries, whatever the
+    dimension. `sources_sq` may carry precomputed row norms of `sources`
+    for hot loops. With field_epsilon == 0 an evaluation point on a charge
+    raises FieldError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -79,24 +87,21 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
         # can push tiny values slightly negative, so clamp at zero
         r2 = np.einsum("ij,ij->i", blk, blk)[:, None] + s_sq[None, :] - 2.0 * (blk @ sources.T)
         np.maximum(r2, 0.0, out=r2)
+        if eps2 == 0.0 and not r2.all():
+            raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
         r2 += eps2
         if d > LOG_ACCUMULATION_DIM:
-            diff = blk[:, None, :] - sources[None, :, :]
             with np.errstate(divide="ignore"):
-                logw = np.log(np.abs(charges))[None, :] - 0.5 * (d - 1) * np.log(r2)
+                logw = np.log(np.abs(charges))[None, :] - (0.5 * d) * np.log(r2)
             shift = np.max(logw, axis=1)
             shift[~np.isfinite(shift)] = 0.0
             w = np.sign(charges)[None, :] * np.exp(logw - shift[:, None])
-            udiff = diff / np.sqrt(r2)[:, :, None]
-            vec[i0:i1] = inv_area * np.einsum("ij,ijk->ik", w, udiff)
             log_scale[i0:i1] = shift
+        elif d % 2 == 0:
+            w = charges[None, :] / r2 ** (d // 2)
         else:
-            # sum_i c_i (p - s_i) = p * rowsum(C) - C @ S, all BLAS-friendly
-            if d % 2 == 0:
-                w = charges[None, :] / r2 ** (d // 2)
-            else:
-                w = charges[None, :] / (r2 ** (d // 2) * np.sqrt(r2))
-            vec[i0:i1] = inv_area * (blk * w.sum(axis=1)[:, None] - w @ sources)
+            w = charges[None, :] / (r2 ** (d // 2) * np.sqrt(r2))
+        vec[i0:i1] = inv_area * (blk * w.sum(axis=1)[:, None] - w @ sources)
     return vec, log_scale
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from .core import EfmError, seeded_stream
-from .field import EmpiricalField, sphere_surface_area
+from .field import _PAIR_BLOCK, EmpiricalField, sphere_surface_area
 
 
 @dataclass
@@ -169,11 +170,10 @@ def gaussian_kde_density(samples, weights, bandwidth: float, eval_points) -> np.
     d = samples.shape[1]
     norm = (2 * np.pi * bandwidth ** 2) ** (-0.5 * d)
     out = np.empty(len(pts))
-    block = max(1, 4_000_000 // max(len(samples), 1))
+    block = max(1, _PAIR_BLOCK // max(len(samples), 1))
     for i0 in range(0, len(pts), block):
         i1 = min(i0 + block, len(pts))
-        diff = pts[i0:i1, None, :] - samples[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        r2 = cdist(pts[i0:i1], samples, "sqeuclidean")
         out[i0:i1] = norm * (np.exp(-0.5 * r2 / bandwidth ** 2) @ weights)
     return out
 

@@ -39,6 +39,17 @@ class TestDispatch:
         assert "missing.csv" in capsys.readouterr().err
 
 
+class TestVerifyPhysics:
+    def test_every_check_passes(self, tmp_path, toy_config_file):
+        # the electrostatics suite is the field's ground truth
+        out = tmp_path / "vp"
+        assert run("verify-physics", "--config", toy_config_file, "--out", out) == 0
+        report = json.loads((out / "physics_report.json").read_text())
+        assert report
+        failed = [c["check_name"] for c in report if not c["pass"]]
+        assert failed == []
+
+
 class TestGenerateData:
     def test_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "out"

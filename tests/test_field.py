@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from efm.core import seeded_stream
 from efm.field import (EmpiricalField, FieldError, PlateSet, normalize_rows,
-                       point_charge_field, sphere_surface_area, superposition_field)
+                       point_charge_field, scaled_superposition, sphere_surface_area,
+                       superposition_field)
 
 
 def two_point_capacitor(gap=6.0, field_epsilon=0.0):
@@ -89,6 +91,17 @@ class TestEvaluate:
         eu = superposition_field(pts, np.hstack([union, np.zeros((32, 1))]),
                                  np.full(32, 1.0 / 32))
         np.testing.assert_allclose(eu, 0.5 * (ea + eb), rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_point_on_charge_without_regularizer_rejected(self, dim):
+        # small integer coordinates make the quadratic-expansion r2 exactly 0
+        samples = np.arange(2.0 * (dim - 1)).reshape(2, dim - 1) % 3
+        sources = np.hstack([samples, np.zeros((2, 1))])
+        with pytest.raises(FieldError, match="coincides with a charge"):
+            superposition_field(sources[:1], sources, np.array([1.0, -1.0]), 0.0)
+        field = EmpiricalField(PlateSet(samples, 0.0, +1), PlateSet(samples, 2.0, -1), 0.0)
+        with pytest.raises(FieldError, match="coincides with a charge"):
+            field.evaluate(sources[0])
 
     def test_mc_subsample_needs_stream(self):
         field = EmpiricalField(PlateSet(np.zeros((4, 1)), 0.0, +1),
@@ -192,16 +205,34 @@ class TestZLimits:
 
 
 class TestHighDimensionalStability:
-    def test_log_accumulation_matches_direct_at_moderate_distance(self):
-        dim = 40
+    @pytest.mark.parametrize("field_epsilon", [0.0, 1e-4])
+    @pytest.mark.parametrize("dim", [32, 33, 40, 129])
+    def test_log_accumulation_matches_direct_at_moderate_distance(self, dim, field_epsilon):
+        # dim 32 is the last plain-power dimension, 33 the first log-space one
         stream = seeded_stream(4, "highd")
         sources = stream.standard_normal((6, dim)) * 0.1
-        charges = np.full(6, 1.0 / 6)
+        charges = np.array([0.5, 0.3, 0.2, -0.6, -0.25, -0.15])
         pts = stream.standard_normal((3, dim))
-        got = superposition_field(pts, sources, charges)
+        got = superposition_field(pts, sources, charges, field_epsilon)
         # direct reference accumulated per charge in float64
-        ref = sum(point_charge_field(pts, sources[i], charges[i]) for i in range(6))
+        ref = sum(point_charge_field(pts, sources[i], charges[i], field_epsilon)
+                  for i in range(6))
         np.testing.assert_allclose(got, ref, rtol=1e-10)
+
+    def test_kernel_memory_does_not_grow_with_dimension(self):
+        # every temporary is (rows, n): 64 x 2048 float64 is 1 MiB each,
+        # where a (rows, n, D+1) temporary at D+1=129 would be 128 MiB
+        stream = seeded_stream(5, "highd-memory")
+        sources = stream.standard_normal((2048, 129))
+        charges = np.full(2048, 1.0 / 2048)
+        pts = stream.standard_normal((64, 129))
+        tracemalloc.start()
+        try:
+            scaled_superposition(pts, sources, charges, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_far_field_direction_survives_underflow(self):
         dim = 64
@@ -209,7 +240,6 @@ class TestHighDimensionalStability:
         charges = np.array([1.0])
         pt = np.zeros(dim)
         pt[0] = 1e6  # 1e6**64 overflows float64 in the naive power
-        from efm.field import scaled_superposition
         vec, log_scale = scaled_superposition(pt[None], sources, charges)
         unit, degenerate = normalize_rows(vec)
         assert not degenerate[0]
