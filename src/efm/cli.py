@@ -1,5 +1,22 @@
-"""Command-line pipeline: generation, training, transport, verification, and
-preset end-to-end experiment runs with file-based interchange."""
+"""Command-line pipeline with file-based interchange.
+
+Each stage of the method exists once; the subcommands and
+`run_experiment_preset` both call it:
+
+- `_field_source`: `--weights`, or the exact field of `--data-pos`/`--data-neg`
+  (Monte Carlo when `--mc-subsample` is set), as a batch callable
+  `field_fn(pts, stream=None)` plus the files it read;
+- `efm.training.train`, which writes `TRAIN_OUTPUTS`;
+- `_transport`: `map_batch`, then `mapped.csv` and, if asked, `trajectories.csv`;
+- `_evaluate`: energy distance (with a permutation null when `n_perm` > 0)
+  and sliced W1, from a stream the caller passes in.
+
+A subcommand body returns a `_Run`. `_recorded` times it, creates its output
+directory and writes `manifest.json`: `subcommand`, `config`, `seed`, `inputs`
+(path -> SHA-256), `outputs`, `duration_seconds`. `transport` adds `nfe`,
+`policy` and `n_failed` to `config`; `run-preset` adds `n_steps`, `nfe` and
+`train_seconds`. `dispatch` prints the run's report; domain errors exit 1.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +57,11 @@ PRESET_NFE = 20
 PRESET_SWISS_NOISE = 0.05
 PRESET_TWO_GAUSS_SEPARATION = 8.0
 PRESET_SELF_DISTANCE_PAIRS = 9
+# The files train(..., out_dir=out) writes into out.
+TRAIN_OUTPUTS = ("weights.json", "weights_ema.json", "loss_curve.csv")
+# --policy name -> TransportPolicy (mode, direction).
+POLICIES = {"practical": ("practical_stop_at_L", "forward_only"),
+            "theoretical": ("theoretical_stochastic", "bidirectional")}
 
 
 def _sha256_file(path) -> str:
@@ -64,9 +86,7 @@ def write_manifest(out_dir, subcommand: str, config: dict | None, seed,
     }
     path = out_dir / "manifest.json"
     tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(manifest, tmp)
     os.replace(tmp, path)
     return path
 
@@ -99,18 +119,82 @@ def _load_config(args) -> CapacitorConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+@dataclasses.dataclass
+class _Run:
+    """A finished subcommand: its manifest fields, report and exit code."""
+
+    subcommand: str
+    config: dict | None
+    seed: int | None
+    inputs: list
+    outputs: list
+    report: object  # printed as is when a str, else as indented JSON
+    code: int = 0
+
+
+def _recorded(body):
+    """Wrap `body(out, ...) -> _Run`: create the directory `out` first and
+    write its manifest.json after; with `out` None, do neither."""
+    def run(out, *args) -> _Run:
+        started = time.time()
+        if out is not None:
+            out = Path(out)
+            out.mkdir(parents=True, exist_ok=True)
+        rec = body(out, *args)
+        if out is not None:
+            write_manifest(out, rec.subcommand, rec.config, rec.seed, rec.inputs,
+                           rec.outputs, started)
+        return rec
+    return run
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Pipeline stages, and the subcommands built from them.
 
-def _cmd_generate_data(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def _field_source(cfg, args):
+    """(field_fn(pts, stream=None), input paths) of `--weights` or, without
+    it, of the exact field of `--data-pos`/`--data-neg`."""
+    weights = getattr(args, "weights", None)
+    mc_subsample = getattr(args, "mc_subsample", None)
+    if weights:
+        if mc_subsample is not None:
+            raise EfmError("--mc-subsample applies to the exact field, not to --weights")
+        net = load_weights(weights)
+        return (lambda pts, stream=None: net.forward(pts)), [weights]
+    if not (args.data_pos and args.data_neg):
+        raise EfmError("the field needs --weights, or --data-pos and --data-neg")
+    pos = load_csv(args.data_pos)
+    neg = load_csv(args.data_neg)
+    field = EmpiricalField(PlateSet(pos.points, 0.0, +1),
+                           PlateSet(neg.points, cfg.plate_gap, -1),
+                           cfg.field_epsilon, mc_subsample)
+    return field.evaluate, [args.data_pos, args.data_neg]
+
+
+def _transport(out, cfg, points, field_fn, policy: str, nfe: int, dump_trajectories: bool):
+    """Move `points` along `field_fn` under the named policy with z-steps of
+    plate_gap / nfe; write mapped.csv and, if asked, trajectories.csv.
+    Returns (MapResult, mapped Dataset, output paths)."""
+    result = map_batch(points, field_fn, TransportPolicy(*POLICIES[policy], cfg.plate_gap / nfe),
+                       plate_gap=cfg.plate_gap, seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
+    mapped = Dataset(result.mapped[result.ok], "mapped")
+    outputs = [out / "mapped.csv"]
+    save_csv(mapped, outputs[0])
+    if dump_trajectories:
+        outputs.append(out / "trajectories.csv")
+        write_trajectories_csv(result.trajectories, outputs[1])
+    return result, mapped, outputs
+
+
+def _evaluate(a, b, n_perm: int, n_projections: int, stream) -> dict:
+    """Energy distance (with an n_perm permutation null if n_perm > 0) and sliced W1."""
+    rep = energy_distance_with_null(a, b, n_perm, stream) if n_perm else energy_distance(a, b)
+    return {"energy_distance": rep.to_dict(),
+            "sliced_w1": sliced_w1(a, b, n_projections, stream).to_dict()}
+
+
+@_recorded
+def _cmd_generate_data(out, args) -> _Run:
     stream = seeded_stream(args.seed, f"generate-data/{args.kind}")
     if args.kind == "gaussian":
         ds = gen_gaussian(args.n, args.dim, args.mean, args.std ** 2, stream)
@@ -121,14 +205,12 @@ def _cmd_generate_data(args) -> int:
     path = out / "data.csv"
     save_csv(ds, path)
     resolved = {k: v for k, v in vars(args).items() if k != "handler"}
-    write_manifest(out, "generate-data", resolved, args.seed, [], [path], started)
-    print(f"wrote {path} ({ds.n} x {ds.dim})")
-    return 0
+    return _Run("generate-data", resolved, args.seed, [], [path],
+                f"wrote {path} ({ds.n} x {ds.dim})")
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+@_recorded
+def _cmd_train(out, args) -> _Run:
     cfg = _load_config(args)
     pos = load_csv(args.data_pos)
     neg = load_csv(args.data_neg)
@@ -137,92 +219,47 @@ def _cmd_train(args) -> int:
           learning_rate=args.lr, weight_decay=args.weight_decay,
           ema_decay=args.ema_decay, hidden_dims=hidden, activation=args.activation,
           mc_subsample=args.mc_subsample, out_dir=out, seed=cfg.seed)
-    outputs = [out / "weights.json", out / "weights_ema.json", out / "loss_curve.csv"]
-    write_manifest(out, "train", cfg.to_dict(), cfg.seed,
-                   [args.config, args.data_pos, args.data_neg], outputs, started)
-    print(f"trained {args.steps} steps -> {out}")
-    return 0
+    return _Run("train", cfg.to_dict(), cfg.seed, [args.config, args.data_pos, args.data_neg],
+                [out / n for n in TRAIN_OUTPUTS], f"trained {args.steps} steps -> {out}")
 
 
-def _build_exact_field(cfg, args, mc_subsample=None) -> EmpiricalField:
-    pos = load_csv(args.data_pos)
-    neg = load_csv(args.data_neg)
-    return EmpiricalField(PlateSet(pos.points, 0.0, +1),
-                          PlateSet(neg.points, cfg.plate_gap, -1),
-                          cfg.field_epsilon, mc_subsample)
-
-
-def _cmd_transport(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+@_recorded
+def _cmd_transport(out, args) -> _Run:
     cfg = _load_config(args)
     points = load_csv(args.infile)
-    dtau = cfg.plate_gap / args.nfe
-    mode = "practical_stop_at_L" if args.policy == "practical" else "theoretical_stochastic"
-    direction = "forward_only" if args.policy == "practical" else "bidirectional"
-    policy = TransportPolicy(mode, direction, dtau)
-    inputs = [args.config, args.infile]
-    if args.weights:
-        # a network's field has no jump at the plate, so the flux-ratio
-        # stop of the theoretical policy would never fire
-        if policy.mode != "practical_stop_at_L":
-            raise EfmError("--weights transport supports only --policy practical")
-        net = load_weights(args.weights)
-        field_fn = lambda pts, stream: net.forward(pts)
-        inputs.append(args.weights)
-    else:
-        if not (args.data_pos and args.data_neg):
-            raise EfmError("--exact-field transport needs --data-pos and --data-neg")
-        field_fn = _build_exact_field(cfg, args, args.mc_subsample).evaluate
-        inputs += [args.data_pos, args.data_neg]
-    result = map_batch(points.points, field_fn, policy, plate_gap=cfg.plate_gap,
-                       seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
-    mapped_path = out / "mapped.csv"
-    save_csv(Dataset(result.mapped[result.ok], "mapped"), mapped_path)
-    outputs = [mapped_path]
-    if args.dump_trajectories:
-        traj_path = out / "trajectories.csv"
-        write_trajectories_csv(result.trajectories, traj_path)
-        outputs.append(traj_path)
-    write_manifest(out, "transport",
-                   cfg.to_dict() | {"nfe": args.nfe, "policy": args.policy,
-                                    "n_failed": len(result.failures)},
-                   cfg.seed, inputs, outputs, started)
-    print(f"mapped {int(result.ok.sum())}/{len(result.ok)} points -> {mapped_path}")
-    return 0
+    # a network's field has no jump at the plate, so the flux-ratio
+    # stop of the theoretical policy would never fire
+    if args.weights and args.policy != "practical":
+        raise EfmError("--weights transport supports only --policy practical")
+    field_fn, field_inputs = _field_source(cfg, args)
+    result, mapped, outputs = _transport(out, cfg, points.points, field_fn, args.policy,
+                                         args.nfe, args.dump_trajectories)
+    config = cfg.to_dict() | {"nfe": args.nfe, "policy": args.policy,
+                              "n_failed": len(result.failures)}
+    return _Run("transport", config, cfg.seed, [args.config, args.infile, *field_inputs],
+                outputs, f"mapped {mapped.n}/{len(result.ok)} points -> {outputs[0]}")
 
 
-def _cmd_trace_lines(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+@_recorded
+def _cmd_trace_lines(out, args) -> _Run:
     cfg = _load_config(args)
     starts = load_csv(args.infile)
-    if args.weights:
-        fn = load_weights(args.weights).forward
-        inputs = [args.config, args.infile, args.weights]
-    else:
-        fn = _build_exact_field(cfg, args).evaluate
-        inputs = [args.config, args.infile, args.data_pos, args.data_neg]
-    trajectories = []
-    z0 = cfg.limit_epsilon if args.direction > 0 else -cfg.limit_epsilon
-    for x in starts.points:
-        start = np.append(x, z0)
-        trajectories.append(trace_line_t(start, fn, +1 if args.direction > 0 else -1,
-                                         plate_gap=cfg.plate_gap,
-                                         limit_epsilon=cfg.limit_epsilon))
+    field_fn, field_inputs = _field_source(cfg, args)
+    z0 = args.direction * cfg.limit_epsilon
+    trajectories = [trace_line_t(np.append(x, z0), field_fn, args.direction,
+                                 plate_gap=cfg.plate_gap, limit_epsilon=cfg.limit_epsilon)
+                    for x in starts.points]
     traj_path = out / "trajectories.csv"
     write_trajectories_csv(trajectories, traj_path)
-    write_manifest(out, "trace-lines", cfg.to_dict(), cfg.seed, inputs,
-                   [traj_path], started)
-    print(f"traced {len(trajectories)} lines -> {traj_path}")
-    return 0
+    return _Run("trace-lines", cfg.to_dict(), cfg.seed,
+                [args.config, args.infile, *field_inputs], [traj_path],
+                f"traced {len(trajectories)} lines -> {traj_path}")
 
 
-def _cmd_field_grid(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+@_recorded
+def _cmd_field_grid(out, args) -> _Run:
     cfg = _load_config(args)
-    field = _build_exact_field(cfg, args)
+    field_fn, field_inputs = _field_source(cfg, args)
     lo = np.array([float(v) for v in args.grid_min.split(",")])
     hi = np.array([float(v) for v in args.grid_max.split(",")])
     shape = [int(v) for v in args.grid_shape.split(",")]
@@ -231,7 +268,7 @@ def _cmd_field_grid(args) -> int:
     axes = [np.linspace(a, b, k) for a, b, k in zip(lo, hi, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = field.evaluate(pts)
+    vals = field_fn(pts)
     norms = np.linalg.norm(vals, axis=1)
     grid_path = out / "grid.csv"
     d = cfg.dim_d
@@ -242,63 +279,37 @@ def _cmd_field_grid(args) -> int:
         for p, v, nv in zip(pts, vals, norms):
             row = list(p) + list(v) + [nv]
             fh.write(",".join("%.17g" % u for u in row) + "\n")
-    write_manifest(out, "field-grid", cfg.to_dict(), cfg.seed,
-                   [args.config, args.data_pos, args.data_neg], [grid_path], started)
-    print(f"wrote {grid_path} ({len(pts)} points)")
-    return 0
+    return _Run("field-grid", cfg.to_dict(), cfg.seed, [args.config, *field_inputs],
+                [grid_path], f"wrote {grid_path} ({len(pts)} points)")
 
 
-def _cmd_verify_physics(args) -> int:
-    started = time.time()
+@_recorded
+def _cmd_verify_physics(out, args) -> _Run:
     cfg = _load_config(args)
     checks = run_verification_suite(cfg, cfg.seed)
     report = [c.to_dict() for c in checks]
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        out = _out_dir(args)
-        path = out / "physics_report.json"
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        write_manifest(out, "verify-physics", cfg.to_dict(), cfg.seed,
-                       [args.config], [path], started)
-    return 0 if all(c.passed for c in checks) else 1
+    outputs = []
+    if out is not None:
+        outputs.append(out / "physics_report.json")
+        _dump_json(report, outputs[0])
+    return _Run("verify-physics", cfg.to_dict(), cfg.seed, [args.config], outputs, report,
+                0 if all(c.passed for c in checks) else 1)
 
 
-def _cmd_evaluate(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+@_recorded
+def _cmd_evaluate(out, args) -> _Run:
     a = load_csv(args.a)
     b = load_csv(args.b)
-    stream = seeded_stream(args.seed, "evaluate")
-    if args.n_perm:
-        rep = energy_distance_with_null(a, b, args.n_perm, stream)
-    else:
-        rep = energy_distance(a, b)
-    sw = sliced_w1(a, b, args.sliced_projections, stream)
-    payload = {"energy_distance": rep.to_dict(), "sliced_w1": sw.to_dict()}
+    payload = _evaluate(a, b, args.n_perm, args.sliced_projections,
+                        seeded_stream(args.seed, "evaluate"))
     path = out / "metrics.json"
     _dump_json(payload, path)
-    write_manifest(out, "evaluate", None, args.seed, [args.a, args.b], [path], started)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _Run("evaluate", None, args.seed, [args.a, args.b], [path], payload)
 
 
-def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
-                          volume_mode: str = "interpolant") -> dict:
-    """End-to-end toy run: generate, train, transport, evaluate.
-
-    Hyperparameters are the pinned 2-D toy settings (batch 1024, lr 2e-3,
-    no weight decay, sigma 1e-3, 20 transport evaluations); swissroll_L30
-    widens the plate gap to 30. Returns the metrics dict; artifacts land
-    in out_dir.
-    """
-    if name not in PRESETS:
-        raise EfmError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    started = time.time()
+@_recorded
+def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
     spec = PRESETS[name]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = CapacitorConfig(dim_d=2, plate_gap=spec["plate_gap"],
                           noise_sigma=PRESET_SIGMA, volume_mode=volume_mode, seed=seed)
     validate_config(cfg)
@@ -312,57 +323,53 @@ def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
     neg_train = target_sample(PRESET_N_TRAIN, seeded_stream(seed, "preset/neg"))
     eval_in = gen_gaussian(PRESET_N_MAP, 2, stream=seeded_stream(seed, "preset/eval_in"))
     holdout = target_sample(PRESET_N_MAP, seeded_stream(seed, "preset/holdout"))
-    save_csv(pos_train, out / "data_pos.csv")
-    save_csv(neg_train, out / "data_neg.csv")
-    save_csv(eval_in, out / "inputs.csv")
-    save_csv(holdout, out / "target_holdout.csv")
+    outputs = [out / f"{n}.csv" for n in ("data_pos", "data_neg", "inputs", "target_holdout")]
+    for ds, path in zip((pos_train, neg_train, eval_in, holdout), outputs):
+        save_csv(ds, path)
 
     train_started = time.time()
-    result = train(cfg, pos_train.points, neg_train.points, n_steps=spec["n_steps"],
-                   batch_size=PRESET_BATCH, learning_rate=PRESET_LR,
-                   weight_decay=PRESET_WEIGHT_DECAY, out_dir=out, seed=seed)
+    trained = train(cfg, pos_train.points, neg_train.points, n_steps=spec["n_steps"],
+                    batch_size=PRESET_BATCH, learning_rate=PRESET_LR,
+                    weight_decay=PRESET_WEIGHT_DECAY, out_dir=out, seed=seed)
     train_seconds = time.time() - train_started
+    outputs += [out / n for n in TRAIN_OUTPUTS]
 
-    policy = TransportPolicy(step=cfg.plate_gap / PRESET_NFE)
-    mapped = map_batch(eval_in.points, lambda pts, stream: result.ema_net.forward(pts),
-                       policy, plate_gap=cfg.plate_gap, seed=seed)
-    mapped_ds = Dataset(mapped.mapped[mapped.ok], "mapped")
-    save_csv(mapped_ds, out / "mapped.csv")
-    write_trajectories_csv(mapped.trajectories, out / "trajectories.csv")
+    result, mapped, transport_outputs = _transport(
+        out, cfg, eval_in.points, lambda pts, stream: trained.ema_net.forward(pts),
+        "practical", PRESET_NFE, True)
+    outputs += transport_outputs
 
-    stream = seeded_stream(seed, "preset/metrics")
-    rep = energy_distance_with_null(mapped_ds, holdout, 200, stream)
-    sw = sliced_w1(mapped_ds, holdout, 64, stream)
     self_stream = seeded_stream(seed, "preset/self_distance")
     self_ds = [energy_distance(target_sample(PRESET_N_MAP, self_stream),
                                target_sample(PRESET_N_MAP, self_stream)).statistic
                for _ in range(PRESET_SELF_DISTANCE_PAIRS)]
-    metrics_payload = {
+    payload = {
         "preset": name,
         "volume_mode": volume_mode,
-        "energy_distance": rep.to_dict(),
-        "sliced_w1": sw.to_dict(),
+        **_evaluate(mapped, holdout, 200, 64, seeded_stream(seed, "preset/metrics")),
         "target_self_median": float(np.median(self_ds)),
-        "n_mapped": int(mapped.ok.sum()),
-        "n_failed": len(mapped.failures),
+        "n_mapped": mapped.n,
+        "n_failed": len(result.failures),
     }
-    _dump_json(metrics_payload, out / "metrics.json")
-    write_manifest(out, f"run-preset/{name}",
-                   cfg.to_dict() | {"n_steps": spec["n_steps"], "nfe": PRESET_NFE,
-                                    "train_seconds": train_seconds},
-                   seed, [],
-                   [out / n for n in ("data_pos.csv", "data_neg.csv", "inputs.csv",
-                                      "target_holdout.csv", "weights.json",
-                                      "weights_ema.json", "loss_curve.csv",
-                                      "mapped.csv", "trajectories.csv", "metrics.json")],
-                   started)
-    return metrics_payload
+    outputs.append(out / "metrics.json")
+    _dump_json(payload, outputs[-1])
+    config = cfg.to_dict() | {"n_steps": spec["n_steps"], "nfe": PRESET_NFE,
+                              "train_seconds": train_seconds}
+    return _Run(f"run-preset/{name}", config, seed, [], outputs, payload)
 
 
-def _cmd_run_preset(args) -> int:
-    payload = run_experiment_preset(args.name, args.seed, args.out, args.volume_mode)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
+                          volume_mode: str = "interpolant") -> dict:
+    """End-to-end toy run: generate, train, transport, evaluate.
+
+    Hyperparameters are the pinned 2-D toy settings (batch 1024, lr 2e-3,
+    no weight decay, sigma 1e-3, 20 transport evaluations); swissroll_L30
+    widens the plate gap to 30. Returns the metrics dict; artifacts land
+    in out_dir.
+    """
+    if name not in PRESETS:
+        raise EfmError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    return _run_preset(out_dir, name, seed, volume_mode).report
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Electrostatic field transport between sample distributions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate-data", help="sample a toy distribution to CSV")
+    def command(name, help, handler, *, config=True, seed=None, out_required=True):
+        """A subparser with the --config, --seed and --out its stage takes."""
+        sp = sub.add_parser(name, help=help)
+        if config:
+            sp.add_argument("--config", required=True)
+        sp.add_argument("--seed", type=int, default=seed)
+        sp.add_argument("--out", required=out_required)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    g = command("generate-data", "sample a toy distribution to CSV", _cmd_generate_data,
+                config=False, seed=0)
     g.add_argument("--kind", required=True,
                    choices=["gaussian", "swiss_roll", "two_gaussians"])
     g.add_argument("--n", type=int, required=True)
@@ -383,12 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--std", type=float, default=1.0)
     g.add_argument("--noise-std", type=float, default=0.0)
     g.add_argument("--separation", type=float, default=8.0)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(handler=_cmd_generate_data)
 
-    t = sub.add_parser("train", help="fit the normalized-field network")
-    t.add_argument("--config", required=True)
+    t = command("train", "fit the normalized-field network", _cmd_train)
     t.add_argument("--data-pos", required=True)
     t.add_argument("--data-neg", required=True)
     t.add_argument("--steps", type=int, required=True)
@@ -399,70 +413,49 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--hidden", default="128,128,128")
     t.add_argument("--activation", default="smooth_relu", choices=["tanh", "smooth_relu"])
     t.add_argument("--mc-subsample", type=int, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--out", required=True)
-    t.set_defaults(handler=_cmd_train)
 
-    tr = sub.add_parser("transport", help="move samples along field lines")
+    tr = command("transport", "move samples along field lines", _cmd_transport)
     src = tr.add_mutually_exclusive_group(required=True)
     src.add_argument("--weights")
     src.add_argument("--exact-field", action="store_true")
-    tr.add_argument("--config", required=True)
     tr.add_argument("--data-pos")
     tr.add_argument("--data-neg")
-    tr.add_argument("--policy", choices=["practical", "theoretical"], default="practical")
+    tr.add_argument("--policy", choices=list(POLICIES), default="practical")
     tr.add_argument("--nfe", type=int, default=20)
     tr.add_argument("--in", dest="infile", required=True)
     tr.add_argument("--mc-subsample", type=int, default=None)
     tr.add_argument("--dump-trajectories", action="store_true")
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--out", required=True)
-    tr.set_defaults(handler=_cmd_transport)
 
-    tl = sub.add_parser("trace-lines", help="adaptive field-line tracing")
-    tl.add_argument("--config", required=True)
+    tl = command("trace-lines", "adaptive field-line tracing", _cmd_trace_lines)
     tl.add_argument("--data-pos")
     tl.add_argument("--data-neg")
     tl.add_argument("--weights")
     tl.add_argument("--in", dest="infile", required=True)
     tl.add_argument("--direction", type=int, choices=[1, -1], default=1)
-    tl.add_argument("--seed", type=int, default=None)
-    tl.add_argument("--out", required=True)
-    tl.set_defaults(handler=_cmd_trace_lines)
 
-    fg = sub.add_parser("field-grid", help="evaluate the exact field on a grid")
-    fg.add_argument("--config", required=True)
+    fg = command("field-grid", "evaluate the exact field on a grid", _cmd_field_grid)
     fg.add_argument("--data-pos", required=True)
     fg.add_argument("--data-neg", required=True)
     fg.add_argument("--grid-min", required=True)
     fg.add_argument("--grid-max", required=True)
     fg.add_argument("--grid-shape", required=True)
-    fg.add_argument("--seed", type=int, default=None)
-    fg.add_argument("--out", required=True)
-    fg.set_defaults(handler=_cmd_field_grid)
 
-    vp = sub.add_parser("verify-physics", help="run the electrostatics check suite")
-    vp.add_argument("--config", required=True)
-    vp.add_argument("--seed", type=int, default=None)
-    vp.add_argument("--out", default=None)
-    vp.set_defaults(handler=_cmd_verify_physics)
+    command("verify-physics", "run the electrostatics check suite", _cmd_verify_physics,
+            out_required=False)
 
-    ev = sub.add_parser("evaluate", help="two-sample distances between CSVs")
+    ev = command("evaluate", "two-sample distances between CSVs", _cmd_evaluate,
+                 config=False, seed=0)
     ev.add_argument("--a", required=True)
     ev.add_argument("--b", required=True)
     ev.add_argument("--sliced-projections", type=int, default=64)
     ev.add_argument("--n-perm", type=int, default=200)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--out", required=True)
-    ev.set_defaults(handler=_cmd_evaluate)
 
-    rp = sub.add_parser("run-preset", help="end-to-end toy experiment")
+    rp = command("run-preset", "end-to-end toy experiment",
+                 lambda out, a: _run_preset(out, a.name, a.seed, a.volume_mode),
+                 config=False, seed=0)
     rp.add_argument("--name", required=True, choices=sorted(PRESETS))
-    rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--volume-mode", choices=["interpolant", "cube_mesh"],
                     default="interpolant")
-    rp.add_argument("--out", required=True)
-    rp.set_defaults(handler=_cmd_run_preset)
 
     return p
 
@@ -474,10 +467,13 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args) or 0
+        run = args.handler(args.out, args)
     except (EfmError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report = run.report
+    print(report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True))
+    return run.code
 
 
 def main() -> None:

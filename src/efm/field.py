@@ -64,8 +64,8 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     the magnitude under- or overflows. Every float temporary is a
     (rows, n) float64 block of at most _PAIR_BLOCK entries, whatever the
     dimension. `sources_sq` may carry precomputed row norms of `sources`
-    for hot loops. With field_epsilon == 0 an evaluation point on a charge
-    raises FieldError.
+    for hot loops. With field_epsilon == 0 an evaluation point on a charge,
+    up to rounding, raises FieldError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -83,11 +83,13 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     for i0 in range(0, m, block):
         i1 = min(i0 + block, m)
         blk = points[i0:i1]
+        blk_sq = np.einsum("ij,ij->i", blk, blk)[:, None]
         # pairwise squared distances via the quadratic expansion; rounding
         # can push tiny values slightly negative, so clamp at zero
-        r2 = np.einsum("ij,ij->i", blk, blk)[:, None] + s_sq[None, :] - 2.0 * (blk @ sources.T)
+        r2 = blk_sq + s_sq[None, :] - 2.0 * (blk @ sources.T)
         np.maximum(r2, 0.0, out=r2)
-        if eps2 == 0.0 and not r2.all():
+        # an r2 within the expansion's rounding error of 0 is a point on a charge
+        if eps2 == 0.0 and np.any(r2 <= 4.0 * np.finfo(float).eps * (blk_sq + s_sq[None, :])):
             raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
         r2 += eps2
         if d > LOG_ACCUMULATION_DIM:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -156,8 +157,7 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
           batch_size: int = 1024, learning_rate: float = 2e-3,
           weight_decay: float = 0.0, ema_decay: float = 0.99,
           hidden_dims=DEFAULT_HIDDEN_DIMS, activation: str = DEFAULT_ACTIVATION,
-          mc_subsample: int | None = None, out_dir=None, seed: int | None = None,
-          sampler: TrainingVolumeSampler | None = None) -> TrainResult:
+          mc_subsample: int | None = None, out_dir=None, seed: int | None = None) -> TrainResult:
     """Fit the normalized-field network on a two-plate system.
 
     data_pos / data_neg are (n, D) sample arrays for the positive and
@@ -172,11 +172,10 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
     if pos.dim != cfg.dim_d:
         raise EfmError(f"data dimension {pos.dim} does not match dim_d {cfg.dim_d}")
     field = EmpiricalField(pos, neg, cfg.field_epsilon, mc_subsample)
-    if sampler is None:
-        if cfg.volume_mode == "cube_mesh":
-            sampler = TrainingVolumeSampler.from_plates(cfg, field)
-        else:
-            sampler = TrainingVolumeSampler("interpolant", cfg)
+    if cfg.volume_mode == "cube_mesh":
+        sampler = TrainingVolumeSampler.from_plates(cfg, field)
+    else:
+        sampler = TrainingVolumeSampler("interpolant", cfg)
 
     dim = cfg.dim_d + 1
     net = FieldApproximator.init_random([dim, *hidden_dims, dim], activation,
@@ -193,7 +192,6 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
 
     ema_net = ema_apply(ema)
     if out_dir is not None:
-        from pathlib import Path
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_weights(net, out / "weights.json", created_from_seed=seed)

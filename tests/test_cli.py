@@ -1,9 +1,11 @@
 import json
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from efm import cli
 from efm.cli import dispatch
 from efm.core import CapacitorConfig
 from efm.data import load_csv
@@ -115,6 +117,20 @@ class TestPipeline:
         assert code == 1
         assert "--policy practical" in capsys.readouterr().err
 
+    def test_weights_with_mc_subsample_rejected(self, tmp_path, toy_config_file, plates,
+                                                capsys):
+        # --mc-subsample draws charges of the exact field; a network has none
+        pos, neg = plates
+        train_out = tmp_path / "train"
+        assert run("train", "--config", toy_config_file, "--data-pos", pos,
+                   "--data-neg", neg, "--steps", 1, "--batch-size", 32,
+                   "--hidden", "8", "--out", train_out) == 0
+        code = run("transport", "--weights", train_out / "weights_ema.json",
+                   "--mc-subsample", 16, "--config", toy_config_file,
+                   "--in", pos, "--out", tmp_path / "tr")
+        assert code == 1
+        assert "error: --mc-subsample applies to the exact field" in capsys.readouterr().err
+
     def test_exact_field_transport(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
         out = tmp_path / "ex"
@@ -141,6 +157,16 @@ class TestPipeline:
         text = (out / "trajectories.csv").read_text()
         assert "reached_target_plate" in text
 
+    def test_trace_lines_without_field_source_rejected(self, tmp_path, toy_config_file,
+                                                       plates, capsys):
+        pos, _ = plates
+        code = run("trace-lines", "--config", toy_config_file, "--in", pos,
+                   "--out", tmp_path / "tl")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: the field needs --weights, or --data-pos and --data-neg" in err
+        assert "Traceback" not in err
+
     def test_evaluate(self, tmp_path, plates):
         pos, neg = plates
         out = tmp_path / "ev"
@@ -166,3 +192,36 @@ class TestPipeline:
             "--data-pos", pos, "--data-neg", neg, "--nfe", 10,
             "--in", pos, "--out", tmp_path / "mut")
         assert pos.read_bytes() == before
+
+
+class TestRunPreset:
+    def test_matches_train_then_transport(self, tmp_path, monkeypatch):
+        # a 20-step preset at toy sizes; the full presets take minutes
+        monkeypatch.setitem(cli.PRESETS, "tiny",
+                            dict(target="two_gaussians", plate_gap=6.0, n_steps=20))
+        monkeypatch.setattr(cli, "PRESET_N_TRAIN", 256)
+        monkeypatch.setattr(cli, "PRESET_N_MAP", 128)
+        monkeypatch.setattr(cli, "PRESET_BATCH", 128)
+        out = tmp_path / "preset"
+        payload = cli.run_experiment_preset("tiny", seed=0, out_dir=out)
+
+        assert json.loads((out / "metrics.json").read_text()) == payload
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == "run-preset/tiny"
+        assert len(manifest["outputs"]) == 10
+        assert all(Path(p).exists() for p in manifest["outputs"])
+
+        config = tmp_path / "cfg.json"
+        CapacitorConfig(dim_d=2, plate_gap=6.0, noise_sigma=cli.PRESET_SIGMA,
+                        seed=0).to_json_file(config)
+        assert run("train", "--config", config, "--data-pos", out / "data_pos.csv",
+                   "--data-neg", out / "data_neg.csv", "--steps", 20,
+                   "--batch-size", 128, "--lr", cli.PRESET_LR,
+                   "--weight-decay", cli.PRESET_WEIGHT_DECAY, "--out", tmp_path / "train") == 0
+        assert run("transport", "--weights", tmp_path / "train" / "weights_ema.json",
+                   "--config", config, "--nfe", cli.PRESET_NFE, "--in", out / "inputs.csv",
+                   "--dump-trajectories", "--out", tmp_path / "tr") == 0
+        for got, want in ((tmp_path / "train" / "weights_ema.json", out / "weights_ema.json"),
+                          (tmp_path / "tr" / "mapped.csv", out / "mapped.csv"),
+                          (tmp_path / "tr" / "trajectories.csv", out / "trajectories.csv")):
+            assert got.read_bytes() == want.read_bytes()

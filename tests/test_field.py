@@ -94,11 +94,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("dim", [3, 40])
     def test_point_on_charge_without_regularizer_rejected(self, dim):
-        # small integer coordinates make the quadratic-expansion r2 exactly 0
+        # small integer coordinates make the quadratic-expansion r2 exactly 0;
+        # standard-normal ones leave a rounding residue (1.1e-16 at dim 3)
         samples = np.arange(2.0 * (dim - 1)).reshape(2, dim - 1) % 3
         sources = np.hstack([samples, np.zeros((2, 1))])
-        with pytest.raises(FieldError, match="coincides with a charge"):
-            superposition_field(sources[:1], sources, np.array([1.0, -1.0]), 0.0)
+        rounded = np.random.default_rng(0).standard_normal((2, dim))
+        for s in (sources, rounded):
+            with pytest.raises(FieldError, match="coincides with a charge"):
+                superposition_field(s[:1], s, np.array([1.0, -1.0]), 0.0)
         field = EmpiricalField(PlateSet(samples, 0.0, +1), PlateSet(samples, 2.0, -1), 0.0)
         with pytest.raises(FieldError, match="coincides with a charge"):
             field.evaluate(sources[0])
