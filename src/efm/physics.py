@@ -13,7 +13,8 @@ from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from .core import EfmError, seeded_stream
-from .field import _PAIR_BLOCK, EmpiricalField, sphere_surface_area
+from .field import (_PAIR_BLOCK, EmpiricalField, PlateSet, sphere_surface_area,
+                    superposition_field)
 
 
 @dataclass
@@ -234,6 +235,52 @@ def _check(name, estimate, target, tol, **details) -> CheckResult:
                        bool(abs(estimate - target) <= tol), details)
 
 
+def plate_system(cfg, seed: int) -> EmpiricalField:
+    """512-charge Gaussian plates, N(0, s^2 I) at z=0 and N(s 1, s^2 I) at
+    z=plate_gap, in the configured dimension.
+
+    A uniform-sphere flux estimate in d = D+1 dimensions has a variance
+    that grows like exp(d t^2), t = (charge distance) / (sphere radius).
+    The spread s = min(1, sqrt(6 / (D (D+1)))) is 1 at D <= 2 and shrinks
+    the plate radius s sqrt(D) like 1/sqrt(D+1) beyond, so the enclosure
+    checks keep their D=2 variance at any D.
+    """
+    d = cfg.dim_d
+    spread = min(1.0, np.sqrt(6.0 / (d * (d + 1))))
+    stream = seeded_stream(seed, "verify/plates")
+    pos = PlateSet(spread * stream.standard_normal((512, d)), 0.0, +1)
+    neg = PlateSet(spread * (stream.standard_normal((512, d)) + 1.0), cfg.plate_gap, -1)
+    return EmpiricalField(pos, neg, cfg.field_epsilon)
+
+
+def plate_enclosure_checks(system: EmpiricalField, seed: int,
+                           n_mc: int = 100_000) -> list[CheckResult]:
+    """Gauss's law for the positive plate alone (flux 1) and for both plates
+    (flux 0), each through a sphere of n_mc Monte Carlo points.
+
+    The positive-plate sphere is centred at the origin with radius
+    sqrt(d_in d_out), d_in and d_out the distances of the farthest positive
+    and the nearest negative charge, so both clear it by the same factor.
+    The neutral-pair sphere is centred between the plates with a radius of
+    (2 gap + 6) sqrt((D+1) / 3), which keeps (D+1) t^2 at its D=2 value.
+    """
+    gap = system.plate_gap
+    dim = system.dim + 1
+    d_in = float(np.linalg.norm(system.plate_pos.samples, axis=1).max())  # plate at z=0
+    d_out = float(np.sqrt(np.min(np.sum(system.plate_neg.samples ** 2, axis=1)) + gap ** 2))
+    rep_pos = flux_through_sphere(system.evaluate, np.zeros(dim), np.sqrt(d_in * d_out),
+                                  n_mc, seeded_stream(seed, "verify/plates/pos"), target=1.0)
+    center_both = np.zeros(dim)
+    center_both[-1] = gap / 2
+    r_both = (2.0 * gap + 6.0) * max(1.0, np.sqrt(dim / 3.0))
+    rep_both = flux_through_sphere(system.evaluate, center_both, r_both, n_mc,
+                                   seeded_stream(seed, "verify/plates/both"), target=0.0)
+    return [_check("gauss_positive_plate", rep_pos.estimate, 1.0, 0.02,
+                   std_error=rep_pos.std_error),
+            _check("gauss_neutral_pair", rep_both.estimate, 0.0, 0.02 * abs(rep_pos.estimate),
+                   std_error=rep_both.std_error)]
+
+
 def run_verification_suite(cfg, seed: int | None = None) -> list[CheckResult]:
     """Run the full diagnostic suite on a synthetic two-plate system.
 
@@ -241,8 +288,6 @@ def run_verification_suite(cfg, seed: int | None = None) -> list[CheckResult]:
     circulation around random loops, partial-surface flux against the
     solid-angle closed form, and the plate jump vs density check.
     """
-    from .field import PlateSet, superposition_field  # local names used below
-
     if seed is None:
         seed = cfg.seed
     checks: list[CheckResult] = []
@@ -266,27 +311,10 @@ def run_verification_suite(cfg, seed: int | None = None) -> list[CheckResult]:
                              std_error=rep.std_error))
 
     # Two-plate enclosures in the augmented dimension of the configured system.
-    stream = seeded_stream(seed, "verify/plates")
-    n_plate = 512
-    pos = PlateSet(stream.standard_normal((n_plate, cfg.dim_d)), 0.0, +1)
-    neg = PlateSet(stream.standard_normal((n_plate, cfg.dim_d)) + 1.0, gap, -1)
-    system = EmpiricalField(pos, neg, cfg.field_epsilon)
+    system = plate_system(cfg, seed)
     dim = cfg.dim_d + 1
     field_fn = system.evaluate
-    r_pos = float(np.linalg.norm(pos.samples, axis=1).max()) + 1.0
-    center_pos = np.zeros(dim)
-    rep_pos = flux_through_sphere(field_fn, center_pos, min(r_pos, 0.9 * gap), 100_000,
-                                  seeded_stream(seed, "verify/plates/pos"), target=1.0)
-    checks.append(_check("gauss_positive_plate", rep_pos.estimate, 1.0, 0.02,
-                         std_error=rep_pos.std_error))
-    center_both = np.zeros(dim)
-    center_both[-1] = gap / 2
-    r_both = 2.0 * gap + 6.0
-    rep_both = flux_through_sphere(field_fn, center_both, r_both, 100_000,
-                                   seeded_stream(seed, "verify/plates/both"), target=0.0)
-    tol_both = 0.02 * abs(rep_pos.estimate)
-    checks.append(_check("gauss_neutral_pair", rep_both.estimate, 0.0, tol_both,
-                         std_error=rep_both.std_error))
+    checks.extend(plate_enclosure_checks(system, seed))
 
     # Circulation around random loops for the plate system.
     stream = seeded_stream(seed, "verify/circulation")

@@ -28,6 +28,12 @@ _SUCCESS = ("reached_target_plate", "continued_past_plate_then_returned")
 # Relative f_z threshold below which the z-stepped update is rejected.
 DEGENERACY_RATIO = 1e-8
 
+# An adaptive line ends as "left_domain" once |x - start| exceeds this many
+# times (plate_gap + |start|). Exact-field lines on the swiss-roll preset
+# reach at most about 300 times; a runaway net-driven line would otherwise
+# grow until it overflows.
+DOMAIN_RADIUS_FACTOR = 1e4
+
 
 @dataclass
 class Trajectory:
@@ -151,10 +157,11 @@ def trace_line_t(start, field_fn, direction: int = +1, *, plate_gap: float,
     Crossings of z=0 and z=plate_gap are located on each accepted step by
     sign change plus Hermite-interpolant bisection and reported to
     `on_crossing(point, plate, going_up) -> bool` (True = stop there).
-    By default the line stops at its first z=plate_gap arrival. Double
-    crossings of one plane inside a single accepted step are not detected;
-    step sizes near the plates are small enough in practice that this
-    never matters at the solver tolerance.
+    By default the line stops at its first z=plate_gap arrival. A line
+    farther than DOMAIN_RADIUS_FACTOR * (plate_gap + |start|) from its start
+    ends as "left_domain". Double crossings of one plane inside a single
+    accepted step are not detected; step sizes near the plates are small
+    enough in practice that this never matters at the solver tolerance.
     """
     fn = _as_batch_fn(field_fn)
     if limit_epsilon is None:
@@ -164,7 +171,8 @@ def trace_line_t(start, field_fn, direction: int = +1, *, plate_gap: float,
             return plate == plate_gap
 
     y = np.asarray(start, dtype=float).copy()
-    dim = len(y)
+    origin = y.copy()
+    max_travel = DOMAIN_RADIUS_FACTOR * (plate_gap + np.linalg.norm(origin))
     evals = 0
 
     def g(p):
@@ -236,6 +244,8 @@ def trace_line_t(start, field_fn, direction: int = +1, *, plate_gap: float,
         y = y5
         k_start = k_end
         points.append(y.copy())
+        if np.linalg.norm(y - origin) > max_travel:
+            return Trajectory(np.array(points), "left_domain", crossings, flags, evals)
         h *= min(5.0, 0.9 * max(ratio, 1e-10) ** -0.2)
 
     return Trajectory(np.array(points), "step_limit", crossings, flags, evals)

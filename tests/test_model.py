@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from efm.core import WeightFormatError, seeded_stream
-from efm.model import (EmaState, FieldApproximator, OptimizerState, ema_apply,
-                       ema_update, load_weights, loss_and_gradient, optimizer_step,
-                       save_weights)
+from efm.model import (EmaState, FieldApproximator, OptimizerState, _act, _act_deriv,
+                       ema_apply, ema_update, load_weights, loss_and_gradient,
+                       optimizer_step, save_weights)
 
 
 def scalar_forward(net, x):
@@ -54,6 +55,29 @@ def flatten_grads(grads):
     return np.concatenate([g.ravel() for g in gw + gb])
 
 
+class TestSoftplus:
+    GRID = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                           [0.0, 1e-300, -1e-300, 1e300, -1e300],
+                           np.linspace(37.0, 41.0, 4001)])
+
+    def test_within_4_ulp_of_logaddexp(self):
+        a = self.GRID.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _act("smooth_relu", a)
+        ref = np.logaddexp(0.0, self.GRID)
+        np.testing.assert_array_equal(a, self.GRID)  # input untouched
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_derivative_from_output_is_logistic(self):
+        a = self.GRID[np.abs(self.GRID) < 700]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _act_deriv("smooth_relu", _act("smooth_relu", a))
+        ref = np.exp(-np.logaddexp(0.0, -a))
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 class TestForward:
     def test_zero_net_maps_to_zero(self):
         net = FieldApproximator([3, 5, 3])
@@ -82,6 +106,16 @@ class TestForward:
         batch = net.forward(xs)
         rows = np.stack([net.forward(x) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-14)
+
+    @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
+    def test_input_left_unmodified(self, activation):
+        net = FieldApproximator.init_random([3, 8, 8, 3], activation,
+                                            seeded_stream(6, "init"))
+        batch = seeded_stream(7, "pts").standard_normal((4, 3))
+        for xs in (batch, np.array([0.3, -1.0, 2.0])):
+            before = xs.copy()
+            net.forward(xs)
+            np.testing.assert_array_equal(xs, before)
 
     def test_finite_on_huge_inputs(self):
         for activation in ("tanh", "smooth_relu"):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from efm.core import EfmError, seeded_stream
+from efm.core import CapacitorConfig, EfmError, seeded_stream
 from efm.field import EmpiricalField, PlateSet, superposition_field
 from efm.physics import (CapSpec, FluxReport, cap_solid_angle, circulation,
                          flux_through_box, flux_through_sphere, gaussian_kde_density,
-                         plate_jump_residual, silverman_bandwidth, solid_angle_flux)
+                         plate_enclosure_checks, plate_jump_residual, plate_system,
+                         silverman_bandwidth, solid_angle_flux)
 
 
 def point_fn(source, q, dim):
@@ -58,6 +59,31 @@ class TestFluxThroughSphere:
         assert rep.relative_error == pytest.approx(0.1)
         rep = FluxReport.build(0.3, 0.0, 10)
         assert rep.relative_error == pytest.approx(0.3)  # max(|target|, 1) floor
+
+
+class TestPlateEnclosure:
+    def test_plate_checks_pass_at_dim_32(self):
+        # D+1 = 33 runs the kernel's log-accumulation branch; the sphere must
+        # hold every positive charge and no negative one at this D too. At a
+        # third of the suite's sample count the neutral pair's standard
+        # error is about 0.003, against its 0.02 tolerance.
+        system = plate_system(CapacitorConfig(dim_d=32, plate_gap=6.0), seed=0)
+        pos_r = np.linalg.norm(system.plate_pos.samples, axis=1).max()
+        neg_r = np.sqrt(np.min(np.sum(system.plate_neg.samples ** 2, axis=1)) + 36.0)
+        assert pos_r < neg_r
+        checks = plate_enclosure_checks(system, seed=0, n_mc=33_000)
+        assert [c.check_name for c in checks] == ["gauss_positive_plate",
+                                                  "gauss_neutral_pair"]
+        assert [c.check_name for c in checks if not c.passed] == []
+
+    def test_plates_unchanged_at_dim_2(self):
+        # the spread factor is exactly 1 up to D=2
+        system = plate_system(CapacitorConfig(dim_d=2, plate_gap=6.0), seed=3)
+        stream = seeded_stream(3, "verify/plates")
+        np.testing.assert_array_equal(system.plate_pos.samples,
+                                      stream.standard_normal((512, 2)))
+        np.testing.assert_array_equal(system.plate_neg.samples,
+                                      stream.standard_normal((512, 2)) + 1.0)
 
 
 class TestFluxThroughBox:

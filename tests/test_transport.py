@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from efm.core import TransportError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
-from efm.transport import (TransportPolicy, _line_stream, direction_probability,
-                           map_batch, stochastic_map, stop_probability,
-                           trace_line_t)
+from efm.model import FieldApproximator
+from efm.transport import (DOMAIN_RADIUS_FACTOR, TransportPolicy, _line_stream,
+                           direction_probability, map_batch, stochastic_map,
+                           stop_probability, trace_line_t)
 
 
 def constant_field(*components):
@@ -188,11 +189,28 @@ class TestTraceLineT:
         traj = trace_line_t(np.array([0.0, 0.5]), zero_fn, +1, plate_gap=6.0)
         assert traj.termination == "field_degenerate"
 
-    def test_step_limit(self):
-        # lateral field never reaches the plate
+    def test_runaway_line_leaves_domain(self):
+        # a lateral field never reaches the plate, and its error-free steps
+        # grow 5x each, so the line leaves the domain long before max_steps
         traj = trace_line_t(np.array([0.0, 3.0]), sideways, +1, plate_gap=6.0,
                             max_steps=50)
+        assert traj.termination == "left_domain"
+        assert np.all(np.isfinite(traj.points))
+        assert np.linalg.norm(traj.points[-1] - [0.0, 3.0]) > DOMAIN_RADIUS_FACTOR * 9.0
+        assert traj.n_field_evals <= 1 + 6 * 12
+
+    def test_step_limit(self):
+        # f = (-(z - 3), x) circles (0, 3) at radius 1: bounded, never at a plate
+        def circulating(pts, stream=None):
+            pts = np.atleast_2d(pts)
+            return np.stack([3.0 - pts[:, 1], pts[:, 0]], axis=1)
+
+        traj = trace_line_t(np.array([1.0, 3.0]), circulating, +1, plate_gap=6.0,
+                            max_steps=50)
         assert traj.termination == "step_limit"
+        assert traj.n_field_evals <= 1 + 6 * 50
+        radii = np.linalg.norm(traj.points - [0.0, 3.0], axis=1)
+        np.testing.assert_allclose(radii, 1.0, atol=1e-2)
 
     def test_no_revisiting_on_exact_field(self):
         # no closed loops: the polyline never returns near an earlier point
@@ -301,6 +319,19 @@ class TestMapBatch:
         assert res.ok.all()
         np.testing.assert_allclose(res.mapped, [[0.1], [0.5]], atol=1e-12)
         assert all(t.n_field_evals == 20 for t in res.trajectories)
+
+    def test_untrained_net_lines_leave_domain_without_overflow(self):
+        # an untrained net's field grows with |x|; its lines must end typed
+        # instead of running on until the arithmetic overflows
+        net = FieldApproximator.init_random([3, 32, 32, 3], "smooth_relu",
+                                            seeded_stream(0, "weak"))
+        pts = seeded_stream(1, "weak-pts").standard_normal((4, 2))
+        policy = TransportPolicy("theoretical_stochastic", "forward_only", 0.1,
+                                 max_steps=2000)
+        res = map_batch(pts, lambda p, stream: net.forward(p), policy, plate_gap=6.0)
+        assert [f[1] for f in res.failures] == ["left_domain"] * 4
+        assert np.isnan(res.mapped).all()
+        assert all(t.n_field_evals < 1000 for t in res.trajectories)
 
     def test_failures_recorded_batch_continues(self):
         res = map_batch(np.array([[0.1], [0.5]]), sideways, TransportPolicy(step=0.3),
