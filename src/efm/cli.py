@@ -245,9 +245,8 @@ def _cmd_trace_lines(out, args) -> _Run:
     cfg = _load_config(args)
     starts = load_csv(args.infile)
     field_fn, field_inputs = _field_source(cfg, args)
-    z0 = args.direction * cfg.limit_epsilon
-    trajectories = [trace_line_t(np.append(x, z0), field_fn, args.direction,
-                                 plate_gap=cfg.plate_gap, limit_epsilon=cfg.limit_epsilon)
+    trajectories = [trace_line_t(np.append(x, cfg.limit_epsilon), field_fn,
+                                 plate_gap=cfg.plate_gap)
                     for x in starts.points]
     traj_path = out / "trajectories.csv"
     write_trajectories_csv(trajectories, traj_path)
@@ -431,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     tl.add_argument("--data-neg")
     tl.add_argument("--weights")
     tl.add_argument("--in", dest="infile", required=True)
-    tl.add_argument("--direction", type=int, choices=[1, -1], default=1)
 
     fg = command("field-grid", "evaluate the exact field on a grid", _cmd_field_grid)
     fg.add_argument("--data-pos", required=True)

@@ -115,6 +115,16 @@ def superposition_field(points, sources, charges, field_epsilon: float = 0.0) ->
     return out[0] if squeeze else out
 
 
+def one_sided_ez(field_fn, x, plate_z: float, eps: float):
+    """One-sided E_z limits at m points x (m, D) of a plate at z=plate_z:
+    (E_z at z=plate_z - eps, E_z at z=plate_z + eps), two length-m arrays
+    from one call of the batch callable `field_fn` on 2m rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    z = np.repeat([plate_z - eps, plate_z + eps], len(x))[:, None]
+    ez = field_fn(np.hstack([np.vstack([x, x]), z]))[:, -1]
+    return ez[:len(x)], ez[len(x):]
+
+
 def normalize_rows(vals):
     """Unit rows plus a degeneracy mask.
 
@@ -273,18 +283,3 @@ class EmpiricalField:
         """Unit-norm field rows and the mask of degenerate (vanishing) rows."""
         vec, _ = self.scaled_evaluate(points, stream)
         return normalize_rows(vec)
-
-    def z_limits(self, x, plate_z: float, limit_epsilon: float, stream=None):
-        """One-sided E_z limits just below and above a plate.
-
-        Returns (E_z at z=plate_z - eps, E_z at z=plate_z + eps); batch
-        inputs give arrays.
-        """
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        zs_lo = np.full((len(x2), 1), plate_z - limit_epsilon)
-        zs_hi = np.full((len(x2), 1), plate_z + limit_epsilon)
-        e_lo = self.evaluate(np.hstack([x2, zs_lo]), stream)[:, -1]
-        e_hi = self.evaluate(np.hstack([x2, zs_hi]), stream)[:, -1]
-        if np.asarray(x).ndim == 1:
-            return float(e_lo[0]), float(e_hi[0])
-        return e_lo, e_hi

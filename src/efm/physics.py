@@ -13,8 +13,8 @@ from scipy.spatial.distance import cdist
 from scipy.special import betainc
 
 from .core import EfmError, seeded_stream
-from .field import (_PAIR_BLOCK, EmpiricalField, PlateSet, sphere_surface_area,
-                    superposition_field)
+from .field import (_PAIR_BLOCK, EmpiricalField, PlateSet, one_sided_ez,
+                    sphere_surface_area, superposition_field)
 
 
 @dataclass
@@ -203,7 +203,7 @@ def plate_jump_residual(field: EmpiricalField, eval_points, kde_bandwidth: float
         kde_bandwidth = silverman_bandwidth(field.plate_pos.samples)
     if kde_bandwidth <= 0:
         raise EfmError("kde_bandwidth must be positive")
-    e_lo, e_hi = field.z_limits(pts, 0.0, limit_epsilon, stream)
+    e_lo, e_hi = one_sided_ez(lambda p: field.evaluate(p, stream), pts, 0.0, limit_epsilon)
     dens = gaussian_kde_density(field.plate_pos.samples, field.plate_pos.weights,
                                 kde_bandwidth, pts)
     jumps = e_hi - e_lo

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from efm.core import seeded_stream
 from efm.field import (EmpiricalField, FieldError, PlateSet, normalize_rows,
-                       point_charge_field, scaled_superposition, sphere_surface_area,
-                       superposition_field)
+                       one_sided_ez, point_charge_field, scaled_superposition,
+                       sphere_surface_area, superposition_field)
 
 
 def two_point_capacitor(gap=6.0, field_epsilon=0.0):
@@ -178,6 +178,8 @@ class TestNormalized:
 
 
 class TestZLimits:
+    """One-sided E_z limits at a plate (`one_sided_ez`)."""
+
     def test_symmetric_capacitor_signs_near_positive_plate(self):
         # oracle: direct summation; field points away from the positive
         # plate on both sides of it
@@ -185,13 +187,13 @@ class TestZLimits:
         pos = stream.standard_normal((256, 1)) * 0.5
         neg = stream.standard_normal((256, 1)) * 0.5
         field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 6.0, -1), 1e-6)
-        e_lo, e_hi = field.z_limits(np.array([0.0]), 0.0, 5e-3)
+        e_lo, e_hi = one_sided_ez(field.evaluate, np.array([0.0]), 0.0, 5e-3)
         assert e_hi > 0
         assert e_lo < 0
 
     def test_far_point_continuous(self):
         field = two_point_capacitor()
-        e_lo, e_hi = field.z_limits(np.array([50.0]), 0.0, 1e-3)
+        e_lo, e_hi = one_sided_ez(field.evaluate, np.array([50.0]), 0.0, 1e-3)
         assert e_hi == pytest.approx(e_lo, rel=1e-3)
 
     def test_single_charge_jump_positive_and_stable(self):
@@ -201,10 +203,29 @@ class TestZLimits:
         field = EmpiricalField(pos, neg, 0.0)
         jumps = []
         for eps in (1e-2, 1e-3, 1e-4):
-            e_lo, e_hi = field.z_limits(np.array([0.0]), 0.0, eps)
+            e_lo, e_hi = one_sided_ez(field.evaluate, np.array([0.0]), 0.0, eps)
             assert e_hi - e_lo > 0
             jumps.append((e_hi - e_lo) * eps)  # atomic charge: jump ~ 1/(pi eps)
         np.testing.assert_allclose(jumps, 1 / math.pi, rtol=1e-3)
+
+    def test_one_call_matches_evaluate_row_by_row(self):
+        stream = seeded_stream(5, "zlim")
+        field = EmpiricalField(PlateSet(stream.standard_normal((64, 2)), 0.0, +1),
+                               PlateSet(stream.standard_normal((64, 2)), 6.0, -1), 1e-4)
+        x = stream.standard_normal((5, 2))
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return field.evaluate(pts)
+
+        e_lo, e_hi = one_sided_ez(counting, x, 6.0, 1e-3)
+        assert calls == [10]
+        for i in range(5):
+            assert e_lo[i] == pytest.approx(field.evaluate(np.append(x[i], 6.0 - 1e-3))[-1],
+                                            rel=1e-12)
+            assert e_hi[i] == pytest.approx(field.evaluate(np.append(x[i], 6.0 + 1e-3))[-1],
+                                            rel=1e-12)
 
 
 class TestHighDimensionalStability:

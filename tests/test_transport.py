@@ -164,8 +164,7 @@ class TestTraceLineZ:
 
 class TestTraceLineT:
     def test_uniform_field_stops_at_plate(self):
-        traj = trace_line_t(np.array([0.5, 0.001]), uniform_up_field, +1,
-                            plate_gap=6.0)
+        traj = trace_line_t(np.array([0.5, 0.001]), uniform_up_field, plate_gap=6.0)
         assert traj.termination == "reached_target_plate"
         assert traj.points[-1][-1] == pytest.approx(6.0, abs=1e-9)
         assert traj.points[-1][0] == pytest.approx(0.5, abs=1e-9)
@@ -173,26 +172,27 @@ class TestTraceLineT:
 
     def test_round_trip_retraces(self):
         # oracle: forward-then-backward integration must return to the start;
-        # the tracer's event plane serves as the turn-around marker
+        # the tracer's event plane serves as the turn-around marker, and the
+        # negated field runs the line backward
         field = two_point_capacitor(0.0, 1.5, 6.0, dim=1)
         fn = field.evaluate
         start = np.array([0.3, 0.5])
-        fwd = trace_line_t(start, fn, +1, plate_gap=3.0)
+        fwd = trace_line_t(start, fn, plate_gap=3.0)
         mid = fwd.points[-1]
         assert mid[-1] == pytest.approx(3.0, abs=1e-9)
-        back = trace_line_t(mid, fn, -1, plate_gap=0.5)
+        back = trace_line_t(mid, lambda p: -fn(p), plate_gap=0.5)
         end = back.points[-1]
         assert np.linalg.norm(end - start) < 10 * 1e-4
 
     def test_degenerate_field_flagged(self):
         zero_fn = lambda pts: np.zeros_like(np.atleast_2d(pts))
-        traj = trace_line_t(np.array([0.0, 0.5]), zero_fn, +1, plate_gap=6.0)
+        traj = trace_line_t(np.array([0.0, 0.5]), zero_fn, plate_gap=6.0)
         assert traj.termination == "field_degenerate"
 
     def test_runaway_line_leaves_domain(self):
         # a lateral field never reaches the plate, and its error-free steps
         # grow 5x each, so the line leaves the domain long before max_steps
-        traj = trace_line_t(np.array([0.0, 3.0]), sideways, +1, plate_gap=6.0,
+        traj = trace_line_t(np.array([0.0, 3.0]), sideways, plate_gap=6.0,
                             max_steps=50)
         assert traj.termination == "left_domain"
         assert np.all(np.isfinite(traj.points))
@@ -205,7 +205,7 @@ class TestTraceLineT:
             pts = np.atleast_2d(pts)
             return np.stack([3.0 - pts[:, 1], pts[:, 0]], axis=1)
 
-        traj = trace_line_t(np.array([1.0, 3.0]), circulating, +1, plate_gap=6.0,
+        traj = trace_line_t(np.array([1.0, 3.0]), circulating, plate_gap=6.0,
                             max_steps=50)
         assert traj.termination == "step_limit"
         assert traj.n_field_evals <= 1 + 6 * 50
@@ -216,8 +216,7 @@ class TestTraceLineT:
         # no closed loops: the polyline never returns near an earlier point
         # after having moved away
         field = two_point_capacitor(-0.5, 0.5, 6.0, dim=1)
-        traj = trace_line_t(np.array([-0.5, 0.01]), field.evaluate, +1,
-                            plate_gap=6.0)
+        traj = trace_line_t(np.array([-0.5, 0.01]), field.evaluate, plate_gap=6.0)
         pts = traj.points
         assert traj.termination == "reached_target_plate"
         for i in range(len(pts)):
@@ -330,6 +329,18 @@ class TestMapBatch:
                                  max_steps=2000)
         res = map_batch(pts, lambda p, stream: net.forward(p), policy, plate_gap=6.0)
         assert [f[1] for f in res.failures] == ["left_domain"] * 4
+        assert np.isnan(res.mapped).all()
+        assert all(t.n_field_evals < 1000 for t in res.trajectories)
+
+    def test_lines_stalled_at_a_net_sink_end_early(self):
+        # a weak net's lines converge to a sink above the target plate and
+        # creep there; they must end typed instead of spending max_steps
+        net = FieldApproximator.init_random([3, 16, 16, 3], "smooth_relu",
+                                            seeded_stream(0, "weak"))
+        pts = seeded_stream(1, "weak-pts").standard_normal((4, 2))
+        policy = TransportPolicy("theoretical_stochastic", "forward_only", 0.1)
+        res = map_batch(pts, lambda p, stream: net.forward(p), policy, plate_gap=6.0)
+        assert [f[1] for f in res.failures] == ["stalled"] * 4
         assert np.isnan(res.mapped).all()
         assert all(t.n_field_evals < 1000 for t in res.trajectories)
 
