@@ -6,7 +6,7 @@ from .data import Dataset, gen_gaussian, gen_swiss_roll, gen_two_gaussians
 from .field import EmpiricalField, PlateSet, point_charge_field, sphere_surface_area
 from .metrics import DistanceReport, energy_distance, permutation_null, sliced_w1
 from .model import FieldApproximator, load_weights, save_weights
-from .training import TrainingVolumeSampler, train
+from .training import train
 from .transport import (TransportPolicy, Trajectory, direction_probability,
                         map_batch, stochastic_map, stop_probability, trace_line_t)
 
@@ -16,7 +16,7 @@ __all__ = [
     "EmpiricalField", "PlateSet", "point_charge_field", "sphere_surface_area",
     "DistanceReport", "energy_distance", "permutation_null", "sliced_w1",
     "FieldApproximator", "load_weights", "save_weights",
-    "TrainingVolumeSampler", "train",
+    "train",
     "TransportPolicy", "Trajectory", "direction_probability", "map_batch",
     "stochastic_map", "stop_probability", "trace_line_t",
 ]

@@ -31,14 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CapacitorConfig, EfmError, seeded_stream, validate_config
+from .core import VOLUME_MODES, CapacitorConfig, EfmError, seeded_stream, validate_config
 from .data import (Dataset, gen_gaussian, gen_swiss_roll, gen_two_gaussians,
                    load_csv, save_csv)
 from .field import EmpiricalField, PlateSet
 from .metrics import energy_distance, energy_distance_with_null, sliced_w1
 from .model import load_weights
 from .physics import run_verification_suite
-from .training import train
+from .training import DEFAULT_HIDDEN_DIMS, train
 from .transport import TransportPolicy, map_batch, trace_line_t
 
 # Table of end-to-end experiment presets (2-D toy runs).
@@ -214,10 +214,9 @@ def _cmd_train(out, args) -> _Run:
     cfg = _load_config(args)
     pos = load_csv(args.data_pos)
     neg = load_csv(args.data_neg)
-    hidden = tuple(int(h) for h in args.hidden.split(",")) if args.hidden else (128, 128, 128)
     train(cfg, pos.points, neg.points, n_steps=args.steps, batch_size=args.batch_size,
           learning_rate=args.lr, weight_decay=args.weight_decay,
-          ema_decay=args.ema_decay, hidden_dims=hidden, activation=args.activation,
+          ema_decay=args.ema_decay, hidden_dims=args.hidden, activation=args.activation,
           mc_subsample=args.mc_subsample, out_dir=out, seed=cfg.seed)
     return _Run("train", cfg.to_dict(), cfg.seed, [args.config, args.data_pos, args.data_neg],
                 [out / n for n in TRAIN_OUTPUTS], f"trained {args.steps} steps -> {out}")
@@ -259,9 +258,7 @@ def _cmd_trace_lines(out, args) -> _Run:
 def _cmd_field_grid(out, args) -> _Run:
     cfg = _load_config(args)
     field_fn, field_inputs = _field_source(cfg, args)
-    lo = np.array([float(v) for v in args.grid_min.split(",")])
-    hi = np.array([float(v) for v in args.grid_max.split(",")])
-    shape = [int(v) for v in args.grid_shape.split(",")]
+    lo, hi, shape = args.grid_min, args.grid_max, args.grid_shape
     if not (len(lo) == len(hi) == len(shape) == cfg.dim_d + 1):
         raise EfmError("grid specs must have D+1 entries")
     axes = [np.linspace(a, b, k) for a, b, k in zip(lo, hi, shape)]
@@ -374,6 +371,29 @@ def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
 # ---------------------------------------------------------------------------
 # Parser and dispatch.
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}: {text!r}")
+        return value
+    return parse
+
+
+def _comma_list(parse_one):
+    """argparse type: comma-separated values, each read by parse_one."""
+    def parse(text):
+        try:
+            return tuple(parse_one(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated list: {text!r}") from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="efm",
@@ -404,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     t = command("train", "fit the normalized-field network", _cmd_train)
     t.add_argument("--data-pos", required=True)
     t.add_argument("--data-neg", required=True)
-    t.add_argument("--steps", type=int, required=True)
+    t.add_argument("--steps", type=_int_at_least(0), required=True)
     t.add_argument("--batch-size", type=int, default=1024)
     t.add_argument("--lr", type=float, default=2e-3)
     t.add_argument("--weight-decay", type=float, default=0.0)
     t.add_argument("--ema-decay", type=float, default=0.99)
-    t.add_argument("--hidden", default="128,128,128")
+    t.add_argument("--hidden", type=_comma_list(_int_at_least(1)), default=DEFAULT_HIDDEN_DIMS)
     t.add_argument("--activation", default="smooth_relu", choices=["tanh", "smooth_relu"])
     t.add_argument("--mc-subsample", type=int, default=None)
 
@@ -420,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data-pos")
     tr.add_argument("--data-neg")
     tr.add_argument("--policy", choices=list(POLICIES), default="practical")
-    tr.add_argument("--nfe", type=int, default=20)
+    tr.add_argument("--nfe", type=_int_at_least(1), default=20)
     tr.add_argument("--in", dest="infile", required=True)
     tr.add_argument("--mc-subsample", type=int, default=None)
     tr.add_argument("--dump-trajectories", action="store_true")
@@ -434,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     fg = command("field-grid", "evaluate the exact field on a grid", _cmd_field_grid)
     fg.add_argument("--data-pos", required=True)
     fg.add_argument("--data-neg", required=True)
-    fg.add_argument("--grid-min", required=True)
-    fg.add_argument("--grid-max", required=True)
-    fg.add_argument("--grid-shape", required=True)
+    fg.add_argument("--grid-min", type=_comma_list(float), required=True)
+    fg.add_argument("--grid-max", type=_comma_list(float), required=True)
+    fg.add_argument("--grid-shape", type=_comma_list(_int_at_least(1)), required=True)
 
     command("verify-physics", "run the electrostatics check suite", _cmd_verify_physics,
             out_required=False)
@@ -452,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                  lambda out, a: _run_preset(out, a.name, a.seed, a.volume_mode),
                  config=False, seed=0)
     rp.add_argument("--name", required=True, choices=sorted(PRESETS))
-    rp.add_argument("--volume-mode", choices=["interpolant", "cube_mesh"],
-                    default="interpolant")
+    rp.add_argument("--volume-mode", choices=VOLUME_MODES, default="interpolant")
 
     return p
 

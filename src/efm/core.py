@@ -35,6 +35,8 @@ class WeightFormatError(EfmError):
 
 NOISE_MEAN_MODES = ("per_coordinate_L_half", "zero")
 VOLUME_MODES = ("interpolant", "cube_mesh")
+# Default one-sided-limit offset at a plate, as a fraction of plate_gap.
+LIMIT_EPSILON_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,9 @@ class CapacitorConfig:
 
     dim_d is the data dimension D; plates live in the (D+1)-dimensional
     augmented space at z=0 (positive) and z=plate_gap (negative).
-    limit_epsilon defaults to plate_gap * 1e-3: small enough to act as a
-    one-sided limit at a plate, large enough to stay clear of the
-    field_epsilon regularization scale.
+    limit_epsilon defaults to plate_gap * LIMIT_EPSILON_FRACTION: small
+    enough to act as a one-sided limit at a plate, large enough to stay
+    clear of the field_epsilon regularization scale.
     """
 
     dim_d: int
@@ -61,7 +63,7 @@ class CapacitorConfig:
         if self.limit_epsilon is None:
             gap = self.plate_gap
             if isinstance(gap, (int, float)) and np.isfinite(gap) and gap > 0:
-                object.__setattr__(self, "limit_epsilon", float(gap) * 1e-3)
+                object.__setattr__(self, "limit_epsilon", float(gap) * LIMIT_EPSILON_FRACTION)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

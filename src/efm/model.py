@@ -46,7 +46,9 @@ def _act_deriv(name, y):
 
 class FieldApproximator:
     """Plain MLP mapping R^(D+1) -> R^(D+1): affine-activation chain with an
-    affine final layer. Weights are (fan_in, fan_out) float64 matrices."""
+    affine final layer. Every parameter lives in the float64 vector `params`;
+    `weights[i]` ((fan_in, fan_out) matrices) and `biases[i]` are views into
+    it, so assign through them (`w[...] = ...`), never rebind them."""
 
     def __init__(self, layer_dims, activation="smooth_relu", weights=None, biases=None):
         layer_dims = [int(d) for d in layer_dims]
@@ -58,38 +60,40 @@ class FieldApproximator:
             raise EfmError(f"activation must be one of {ACTIVATIONS}")
         self.layer_dims = layer_dims
         self.activation = activation
-        if weights is None:
-            self.weights = [np.zeros((a, b)) for a, b in zip(layer_dims[:-1], layer_dims[1:])]
-            self.biases = [np.zeros(b) for b in layer_dims[1:]]
-        else:
-            self.weights = [np.asarray(w, dtype=float) for w in weights]
-            self.biases = [np.asarray(b, dtype=float) for b in biases]
-            self._check_shapes()
-
-    def _check_shapes(self):
-        expect = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
-        got_w = [w.shape for w in self.weights]
-        got_b = [b.shape for b in self.biases]
-        if got_w != expect or got_b != [(b,) for _, b in expect]:
-            raise WeightFormatError("parameter shapes do not chain with layer_dims")
-        for arr in self.weights + self.biases:
-            if not np.all(np.isfinite(arr)):
+        self.params = np.zeros(sum((a + 1) * b for a, b in zip(layer_dims[:-1], layer_dims[1:])))
+        self.weights, self.biases = self.layers(self.params)
+        if weights is not None:
+            given = [np.asarray(a, dtype=float) for a in [*weights, *biases]]
+            views = self.weights + self.biases
+            if (len(weights) != len(self.weights)
+                    or [a.shape for a in given] != [v.shape for v in views]):
+                raise WeightFormatError("parameter shapes do not chain with layer_dims")
+            for view, a in zip(views, given):
+                view[...] = a
+            if not np.all(np.isfinite(self.params)):
                 raise EfmError("parameters must be finite")
+
+    def layers(self, flat):
+        """(weights, biases): per-layer views into `flat`, laid out like `params`."""
+        weights, biases, k = [], [], 0
+        for a, b in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            weights.append(flat[k:k + a * b].reshape(a, b))
+            biases.append(flat[k + a * b:k + (a + 1) * b])
+            k += (a + 1) * b
+        return weights, biases
 
     @classmethod
     def init_random(cls, layer_dims, activation, stream) -> "FieldApproximator":
         """Uniform init scaled by 1/sqrt(fan_in), deterministic given the stream."""
         net = cls(layer_dims, activation)
-        for i, (a, b) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            bound = 1.0 / np.sqrt(a)
-            net.weights[i] = stream.uniform(-bound, bound, size=(a, b))
-            net.biases[i] = stream.uniform(-bound, bound, size=b)
+        for w, b in zip(net.weights, net.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = stream.uniform(-bound, bound, size=w.shape)
+            b[...] = stream.uniform(-bound, bound, size=b.shape)
         return net
 
     def copy(self) -> "FieldApproximator":
-        return FieldApproximator(self.layer_dims, self.activation,
-                                 [w.copy() for w in self.weights],
-                                 [b.copy() for b in self.biases])
+        return FieldApproximator(self.layer_dims, self.activation, self.weights, self.biases)
 
     def forward(self, x) -> np.ndarray:
         """Network output for one point (d,) or a batch (n, d)."""
@@ -111,7 +115,7 @@ def loss_and_gradient(net: FieldApproximator, points, targets):
     """Mean squared-error loss over a batch and its reverse-mode gradient.
 
     loss = mean_i || f(x_i) - t_i ||^2 (sum over components, mean over the
-    batch). Returns (loss, (weight_grads, bias_grads)).
+    batch). Returns (loss, grad), with grad laid out like net.params.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -134,73 +138,66 @@ def loss_and_gradient(net: FieldApproximator, points, targets):
     resid = y - t
     loss = float(np.einsum("ij,ij->", resid, resid) / n)
 
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = net.layers(grad)
     delta = 2.0 * resid / n
     for i in range(last, -1, -1):
-        grad_w[i] = post[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(post[i].T, delta, out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
             delta = delta @ net.weights[i].T
             delta *= _act_deriv(net.activation, post[i])
-    return loss, (grad_w, grad_b)
+    return loss, grad
+
+
+# Adam moment decays and denominator guard (Kingma & Ba, arXiv 1412.6980).
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment optimizer state with decoupled weight decay."""
+    """Adaptive-moment optimizer state with decoupled weight decay; each
+    moment is one vector laid out like the net's params."""
 
     learning_rate: float
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
+    weight_decay: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
-    first_moment: tuple | None = None
-    second_moment: tuple | None = None
 
     @classmethod
-    def for_net(cls, net, learning_rate, weight_decay=0.0, **kw) -> "OptimizerState":
-        zeros_w = [np.zeros_like(w) for w in net.weights]
-        zeros_b = [np.zeros_like(b) for b in net.biases]
+    def for_net(cls, net, learning_rate, weight_decay=0.0) -> "OptimizerState":
         return cls(learning_rate, weight_decay,
-                   first_moment=([z.copy() for z in zeros_w], [z.copy() for z in zeros_b]),
-                   second_moment=(zeros_w, zeros_b), **kw)
+                   np.zeros_like(net.params), np.zeros_like(net.params))
 
 
-def optimizer_step(net: FieldApproximator, grads, state: OptimizerState):
+def optimizer_step(net: FieldApproximator, grad, state: OptimizerState):
     """One bias-corrected moment update; mutates net and state in place."""
-    grad_w, grad_b = grads
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for kind in (0, 1):
-        params = net.weights if kind == 0 else net.biases
-        gs = grad_w if kind == 0 else grad_b
-        ms = state.first_moment[kind]
-        vs = state.second_moment[kind]
-        for p, g, m, v in zip(params, gs, ms, vs):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            step = (m / c1) / (np.sqrt(v / c2) + state.eps_opt)
-            if state.weight_decay:
-                step = step + state.weight_decay * p
-            p -= state.learning_rate * step
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
+    m, v = state.first_moment, state.second_moment
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    step = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    if state.weight_decay:
+        step = step + state.weight_decay * net.params
+    net.params -= state.learning_rate * step
     return net, state
 
 
 @dataclass
 class EmaState:
-    """Exponential moving average of the network parameters."""
+    """Exponential moving average of the network parameters, kept as a
+    shadow network."""
 
     decay: float
-    shadow_weights: list
-    shadow_biases: list
-    layer_dims: list
-    activation: str
+    shadow: FieldApproximator
 
     def __post_init__(self):
         if not (0.0 <= self.decay < 1.0):
@@ -208,26 +205,19 @@ class EmaState:
 
     @classmethod
     def from_net(cls, net: FieldApproximator, decay: float) -> "EmaState":
-        return cls(decay, [w.copy() for w in net.weights], [b.copy() for b in net.biases],
-                   list(net.layer_dims), net.activation)
+        return cls(decay, net.copy())
 
 
 def ema_update(ema: EmaState, net: FieldApproximator) -> EmaState:
     """shadow <- decay * shadow + (1 - decay) * current, in place."""
-    for shadow, cur in zip(ema.shadow_weights, net.weights):
-        shadow *= ema.decay
-        shadow += (1.0 - ema.decay) * cur
-    for shadow, cur in zip(ema.shadow_biases, net.biases):
-        shadow *= ema.decay
-        shadow += (1.0 - ema.decay) * cur
+    ema.shadow.params *= ema.decay
+    ema.shadow.params += (1.0 - ema.decay) * net.params
     return ema
 
 
 def ema_apply(ema: EmaState) -> FieldApproximator:
     """Materialize the shadow parameters as a fresh network."""
-    return FieldApproximator(ema.layer_dims, ema.activation,
-                             [w.copy() for w in ema.shadow_weights],
-                             [b.copy() for b in ema.shadow_biases])
+    return ema.shadow.copy()
 
 
 def _encode(arr: np.ndarray) -> str:

@@ -187,18 +187,16 @@ class PlateJump:
     residual: float
 
 
-def plate_jump_residual(field: EmpiricalField, eval_points, kde_bandwidth: float | None = None,
-                        limit_epsilon: float | None = None, stream=None) -> list[PlateJump]:
+def plate_jump_residual(field: EmpiricalField, eval_points, limit_epsilon: float,
+                        kde_bandwidth: float | None = None, stream=None) -> list[PlateJump]:
     """Compare the E_z jump across the positive plate with the plate density.
 
     For points inside the positive plate's support, the one-sided limit
-    difference E_z(+eps) - E_z(-eps) should recover the local charge
-    density; the report pairs each jump with a Gaussian-KDE estimate of
-    that density and their residual.
+    difference E_z(+limit_epsilon) - E_z(-limit_epsilon) should recover the
+    local charge density; the report pairs each jump with a Gaussian-KDE
+    estimate of that density and their residual.
     """
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if limit_epsilon is None:
-        limit_epsilon = field.plate_gap * 1e-3
     if kde_bandwidth is None:
         kde_bandwidth = silverman_bandwidth(field.plate_pos.samples)
     if kde_bandwidth <= 0:

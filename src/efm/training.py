@@ -15,43 +15,8 @@ from .model import (EmaState, FieldApproximator, OptimizerState, ema_apply,
 
 DEFAULT_HIDDEN_DIMS = (128, 128, 128)
 DEFAULT_ACTIVATION = "smooth_relu"
-
-
-@dataclass(frozen=True)
-class TrainingVolumeSampler:
-    """Where training points come from: plate interpolation or a uniform box."""
-
-    mode: str
-    cfg: CapacitorConfig
-    cube_lo: np.ndarray | None = None
-    cube_hi: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("interpolant", "cube_mesh"):
-            raise EfmError(f"unknown training-volume mode {self.mode!r}")
-        if self.mode == "cube_mesh":
-            if self.cube_lo is None or self.cube_hi is None:
-                raise EfmError("cube_mesh mode requires cube bounds")
-            lo = np.asarray(self.cube_lo, dtype=float)
-            hi = np.asarray(self.cube_hi, dtype=float)
-            if lo.shape != (self.cfg.dim_d + 1,) or hi.shape != lo.shape:
-                raise EfmError("cube bounds must have length D+1")
-            if not np.all(hi > lo):
-                raise EfmError("cube bounds must satisfy lo < hi")
-            if lo[-1] < 0.0 or hi[-1] > self.cfg.plate_gap:
-                raise EfmError("cube z-range must lie within [0, plate_gap]")
-            object.__setattr__(self, "cube_lo", lo)
-            object.__setattr__(self, "cube_hi", hi)
-        elif self.cube_lo is not None or self.cube_hi is not None:
-            raise EfmError("cube bounds only apply to cube_mesh mode")
-
-    @classmethod
-    def from_plates(cls, cfg, field: EmpiricalField, margin: float = 1.0):
-        """Cube bounds spanning both plates' samples plus a margin, z in [0, L]."""
-        all_x = np.vstack([field.plate_pos.samples, field.plate_neg.samples])
-        lo = np.append(all_x.min(axis=0) - margin, 0.0)
-        hi = np.append(all_x.max(axis=0) + margin, cfg.plate_gap)
-        return cls("cube_mesh", cfg, lo, hi)
+# cube_mesh draws from the plates' bounding box widened by this much per axis.
+CUBE_MARGIN = 1.0
 
 
 def sample_noise(cfg: CapacitorConfig, stream, n: int | None = None) -> np.ndarray:
@@ -90,21 +55,17 @@ def sample_interpolant(x_plus, x_minus, t, noise, plate_gap: float) -> np.ndarra
     return out[0] if np.asarray(t).ndim == 0 else out
 
 
-def sample_cube_mesh(sampler: TrainingVolumeSampler, n: int, stream) -> np.ndarray:
-    """n points uniform over the sampler's box."""
-    if sampler.mode != "cube_mesh":
-        raise EfmError("sampler is not in cube_mesh mode")
-    if n == 0:
-        return np.empty((0, sampler.cfg.dim_d + 1))
-    return stream.uniform(sampler.cube_lo, sampler.cube_hi,
-                          size=(int(n), sampler.cfg.dim_d + 1))
-
-
-def draw_training_points(field: EmpiricalField, sampler: TrainingVolumeSampler,
+def draw_training_points(field: EmpiricalField, cfg: CapacitorConfig,
                          batch_size: int, stream) -> np.ndarray:
-    cfg = sampler.cfg
-    if sampler.mode == "cube_mesh":
-        return sample_cube_mesh(sampler, batch_size, stream)
+    """A batch of training points from the volume `cfg.volume_mode` names:
+    uniform over both plates' sample box +/- CUBE_MARGIN with z in
+    [0, plate_gap] ("cube_mesh"), or noisy plate interpolants ("interpolant")."""
+    if cfg.volume_mode == "cube_mesh":
+        pos, neg = field.plate_pos.samples, field.plate_neg.samples
+        lo = np.minimum(pos.min(axis=0), neg.min(axis=0)) - CUBE_MARGIN
+        hi = np.maximum(pos.max(axis=0), neg.max(axis=0)) + CUBE_MARGIN
+        return stream.uniform(np.append(lo, 0.0), np.append(hi, cfg.plate_gap),
+                              size=(batch_size, cfg.dim_d + 1))
     idx_p = stream.choice(field.plate_pos.n, size=batch_size, p=field.plate_pos.weights)
     idx_n = stream.choice(field.plate_neg.n, size=batch_size, p=field.plate_neg.weights)
     x_plus = field.plate_pos.extended()[idx_p]
@@ -115,8 +76,7 @@ def draw_training_points(field: EmpiricalField, sampler: TrainingVolumeSampler,
 
 
 def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
-                  field: EmpiricalField, batch_size: int,
-                  sampler: TrainingVolumeSampler, stream):
+                  field: EmpiricalField, batch_size: int, cfg: CapacitorConfig, stream):
     """One optimization step against normalized exact-field targets.
 
     Degenerate (vanishing-field) points are dropped from the batch and
@@ -124,7 +84,7 @@ def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaSta
     """
     if batch_size < 1:
         raise EfmError("batch_size must be >= 1")
-    points = draw_training_points(field, sampler, batch_size, stream)
+    points = draw_training_points(field, cfg, batch_size, stream)
     if not np.all(np.isfinite(points)):
         raise EfmError("training produced non-finite points")
     targets, degenerate = field.normalized(points, stream)
@@ -132,8 +92,8 @@ def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaSta
     n_dropped = int(degenerate.sum())
     if not np.any(keep):
         raise EfmError("batch entirely degenerate: no usable field targets")
-    loss, grads = loss_and_gradient(net, points[keep], targets[keep])
-    optimizer_step(net, grads, optimizer)
+    loss, grad = loss_and_gradient(net, points[keep], targets[keep])
+    optimizer_step(net, grad, optimizer)
     ema_update(ema, net)
     return loss, n_dropped
 
@@ -172,10 +132,6 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
     if pos.dim != cfg.dim_d:
         raise EfmError(f"data dimension {pos.dim} does not match dim_d {cfg.dim_d}")
     field = EmpiricalField(pos, neg, cfg.field_epsilon, mc_subsample)
-    if cfg.volume_mode == "cube_mesh":
-        sampler = TrainingVolumeSampler.from_plates(cfg, field)
-    else:
-        sampler = TrainingVolumeSampler("interpolant", cfg)
 
     dim = cfg.dim_d + 1
     net = FieldApproximator.init_random([dim, *hidden_dims, dim], activation,
@@ -186,8 +142,8 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
     loop_stream = seeded_stream(seed, "train/loop")
     curve = []
     for step in range(int(n_steps)):
-        loss, dropped = training_step(net, optimizer, ema, field, batch_size,
-                                      sampler, loop_stream)
+        loss, dropped = training_step(net, optimizer, ema, field, batch_size, cfg,
+                                      loop_stream)
         curve.append((step, loss, dropped))
 
     ema_net = ema_apply(ema)

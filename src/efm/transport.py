@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import TransportError, seeded_stream
+from .core import LIMIT_EPSILON_FRACTION, TransportError, seeded_stream
 from .field import TINY_FIELD_NORM, one_sided_ez
 
 _SUCCESS = ("reached_target_plate", "continued_past_plate_then_returned")
@@ -156,7 +156,7 @@ def trace_line_t(start, field_fn, *, plate_gap: float, max_steps: int = 20_000,
 
     Crossings of z=0 and z=plate_gap are located on each accepted step by
     sign change plus Hermite-interpolant bisection and reported to
-    `on_crossing(point, plate, going_up) -> bool` (True = stop there).
+    `on_crossing(point, plate) -> bool` (True = stop there).
     By default the line stops at its first z=plate_gap arrival. A line
     farther than DOMAIN_RADIUS_FACTOR * (plate_gap + |start|) from its start
     ends as "left_domain", and one that stops moving (STALL_WINDOW) as
@@ -165,7 +165,7 @@ def trace_line_t(start, field_fn, *, plate_gap: float, max_steps: int = 20_000,
     practice that this never matters at the solver tolerance.
     """
     if on_crossing is None:
-        def on_crossing(point, plate, going_up):
+        def on_crossing(point, plate):
             return plate == plate_gap
 
     y = origin = np.array(start, dtype=float)
@@ -223,8 +223,7 @@ def trace_line_t(start, field_fn, *, plate_gap: float, max_steps: int = 20_000,
             y_ev[-1] = plate
             points.append(y_ev)
             crossings.append((len(points) - 1, plate))
-            going_up = y5[-1] > y[-1]
-            if on_crossing(y_ev, plate, going_up):
+            if on_crossing(y_ev, plate):
                 term = ("reached_target_plate" if plate == plate_gap and plate_hits == 0
                         else "continued_past_plate_then_returned")
                 return Trajectory(np.array(points), term, crossings, evals)
@@ -300,7 +299,7 @@ def stochastic_map(x_plus, field_fn, policy: TransportPolicy, stream, *,
     """
     x_plus = np.asarray(x_plus, dtype=float)
     if limit_epsilon is None:
-        limit_epsilon = plate_gap * 1e-3
+        limit_epsilon = plate_gap * LIMIT_EPSILON_FRACTION
 
     def line_fn(pts):
         return field_fn(pts, stream)
@@ -311,7 +310,7 @@ def stochastic_map(x_plus, field_fn, policy: TransportPolicy, stream, *,
         forward = stream.uniform() < direction_probability(e_hi, e_lo)
     start = np.append(x_plus, limit_epsilon if forward else -limit_epsilon)
 
-    def on_crossing(point, plate, going_up):
+    def on_crossing(point, plate):
         if plate != plate_gap:
             return False
         (e_lo,), (e_hi,) = one_sided_ez(line_fn, point[:-1], plate_gap, limit_epsilon)

@@ -9,6 +9,7 @@ from efm import cli
 from efm.cli import dispatch
 from efm.core import CapacitorConfig
 from efm.data import load_csv
+from efm.model import FieldApproximator, save_weights
 
 
 @pytest.fixture
@@ -138,6 +139,31 @@ class TestPipeline:
                    "--data-pos", pos, "--data-neg", neg, "--policy", "practical",
                    "--nfe", 10, "--in", pos, "--out", out) == 0
         assert (out / "mapped.csv").exists()
+
+    @pytest.mark.parametrize("bad", [
+        ("train", "--hidden", "8,x"),
+        ("train", "--steps", "-2"),
+        ("transport", "--nfe", "0"),
+        ("field-grid", "--grid-min", "0,0,x"),
+        ("field-grid", "--grid-shape", "2,2,0"),
+    ])
+    def test_malformed_number_is_usage_error(self, tmp_path, toy_config_file, plates,
+                                             capsys, bad):
+        pos, neg = plates
+        weights = tmp_path / "w.json"
+        save_weights(FieldApproximator([3, 3]), weights)
+        common = ["--config", toy_config_file, "--out", tmp_path / "out"]
+        valid = {
+            "train": ["--data-pos", pos, "--data-neg", neg, "--steps", 1, "--hidden", 8],
+            "transport": ["--weights", weights, "--in", pos],
+            "field-grid": ["--data-pos", pos, "--data-neg", neg, "--grid-min", "0,0,1",
+                           "--grid-max", "1,1,2", "--grid-shape", "2,2,2"],
+        }
+        command, *override = bad
+        assert run(command, *common, *valid[command], *override) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "usage:" in err
+        assert not (tmp_path / "out").exists()
 
     def test_field_grid(self, tmp_path, toy_config_file, plates):
         pos, neg = plates

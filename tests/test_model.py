@@ -31,17 +31,13 @@ def scalar_forward(net, x):
 
 
 def finite_difference_grads(net, points, targets, h=1e-4):
-    """Independent oracle: central differences on every parameter."""
+    """Independent oracle: central differences on every entry of params."""
     def loss_of(flat):
-        k = 0
         probe = net.copy()
-        for arrs in (probe.weights, probe.biases):
-            for a in arrs:
-                a[...] = flat[k:k + a.size].reshape(a.shape)
-                k += a.size
+        probe.params[...] = flat
         return loss_and_gradient(probe, points, targets)[0]
 
-    flat0 = np.concatenate([a.ravel() for a in net.weights + net.biases])
+    flat0 = net.params.copy()
     grad = np.empty_like(flat0)
     for k in range(len(flat0)):
         up = flat0.copy(); up[k] += h
@@ -50,9 +46,39 @@ def finite_difference_grads(net, points, targets, h=1e-4):
     return grad
 
 
-def flatten_grads(grads):
-    gw, gb = grads
-    return np.concatenate([g.ravel() for g in gw + gb])
+def reference_optimizer_steps(arrays, grads, learning_rate, weight_decay,
+                              beta1=0.9, beta2=0.999, eps_opt=1e-8):
+    """The per-array Adam loop that optimizer_step replaced: `arrays` is a
+    list of parameter arrays, updated in place, and `grads` one list of
+    matching gradient arrays per step."""
+    ms = [np.zeros_like(p) for p in arrays]
+    vs = [np.zeros_like(p) for p in arrays]
+    for t, gs in enumerate(grads, start=1):
+        c1 = 1.0 - beta1 ** t
+        c2 = 1.0 - beta2 ** t
+        for p, g, m, v in zip(arrays, gs, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            step = (m / c1) / (np.sqrt(v / c2) + eps_opt)
+            if weight_decay:
+                step = step + weight_decay * p
+            p -= learning_rate * step
+    return ms, vs
+
+
+def reference_ema_update(shadows, currents, decay):
+    """The per-array EMA loop that ema_update replaced."""
+    for shadow, cur in zip(shadows, currents):
+        shadow *= decay
+        shadow += (1.0 - decay) * cur
+
+
+def split(net, flat):
+    """`flat` cut into net's per-layer arrays: all weights, then all biases."""
+    weights, biases = net.layers(flat)
+    return weights + biases
 
 
 class TestSoftplus:
@@ -134,9 +160,9 @@ class TestLossAndGradient:
     def test_perfect_prediction_zero_loss_zero_grad(self):
         net = FieldApproximator([2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
         pts = np.array([[0.1, 0.2], [0.5, -0.5]])
-        loss, grads = loss_and_gradient(net, pts, pts)
+        loss, grad = loss_and_gradient(net, pts, pts)
         assert loss == 0.0
-        assert all(np.all(g == 0) for g in grads[0] + grads[1])
+        assert np.all(grad == 0)
 
     def test_zero_net_unit_target(self):
         net = FieldApproximator([3, 3])
@@ -157,8 +183,7 @@ class TestLossAndGradient:
         pts = stream.standard_normal((6, dims[0]))
         tgt = stream.standard_normal((6, dims[0]))
         tgt /= np.linalg.norm(tgt, axis=1, keepdims=True)
-        _, grads = loss_and_gradient(net, pts, tgt)
-        analytic = flatten_grads(grads)
+        _, analytic = loss_and_gradient(net, pts, tgt)
         numeric = finite_difference_grads(net, pts, tgt)
         denom = max(np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-7
@@ -169,9 +194,7 @@ class TestOptimizer:
         net = FieldApproximator.init_random([2, 3, 2], "tanh", seeded_stream(5, "i"))
         before = [w.copy() for w in net.weights]
         state = OptimizerState.for_net(net, learning_rate=0.1)
-        zeros = ([np.zeros_like(w) for w in net.weights],
-                 [np.zeros_like(b) for b in net.biases])
-        optimizer_step(net, zeros, state)
+        optimizer_step(net, np.zeros_like(net.params), state)
         for b, w in zip(before, net.weights):
             np.testing.assert_array_equal(b, w)
         assert state.step_count == 1
@@ -181,8 +204,8 @@ class TestOptimizer:
         net = FieldApproximator([1, 1], weights=[np.array([[1.0]])],
                                 biases=[np.zeros(1)])
         state = OptimizerState.for_net(net, learning_rate=0.1)
-        _, grads = loss_and_gradient(net, np.ones((1, 1)), np.zeros((1, 1)))
-        optimizer_step(net, grads, state)
+        _, grad = loss_and_gradient(net, np.ones((1, 1)), np.zeros((1, 1)))
+        optimizer_step(net, grad, state)
         assert net.weights[0][0, 0] < 1.0
 
     def test_linear_regression_reaches_least_squares(self):
@@ -195,16 +218,15 @@ class TestOptimizer:
         net = FieldApproximator([2, 2])
         state = OptimizerState.for_net(net, learning_rate=0.05)
         for _ in range(200):
-            loss, grads = loss_and_gradient(net, X, Y)
-            optimizer_step(net, grads, state)
+            loss, grad = loss_and_gradient(net, X, Y)
+            optimizer_step(net, grad, state)
         assert loss < 1e-3
         np.testing.assert_allclose(net.weights[0], w_star, atol=0.05)
 
     def test_decoupled_weight_decay_shrinks_params(self):
         net = FieldApproximator([1, 1], weights=[np.array([[2.0]])], biases=[np.zeros(1)])
         state = OptimizerState.for_net(net, learning_rate=0.01, weight_decay=0.5)
-        zeros = ([np.zeros((1, 1))], [np.zeros(1)])
-        optimizer_step(net, zeros, state)
+        optimizer_step(net, np.zeros(2), state)
         assert 0 < net.weights[0][0, 0] < 2.0
 
 
@@ -213,7 +235,7 @@ class TestEma:
         net = FieldApproximator.init_random([2, 3, 2], "tanh", seeded_stream(7, "i"))
         ema = EmaState.from_net(FieldApproximator([2, 3, 2]), 0.0)
         ema_update(ema, net)
-        for s, w in zip(ema.shadow_weights, net.weights):
+        for s, w in zip(ema.shadow.weights, net.weights):
             np.testing.assert_array_equal(s, w)
 
     def test_constant_net_geometric_convergence(self):
@@ -222,7 +244,7 @@ class TestEma:
         gaps = []
         for _ in range(5):
             ema_update(ema, net)
-            gaps.append(abs(ema.shadow_weights[0][0, 0] - 1.0))
+            gaps.append(abs(ema.shadow.weights[0][0, 0] - 1.0))
         np.testing.assert_allclose(gaps, [0.5 ** k for k in range(1, 6)], rtol=1e-12)
 
     def test_two_value_blend_hand_computed(self):
@@ -230,9 +252,9 @@ class TestEma:
         net = FieldApproximator([1, 1], weights=[np.array([[1.0]])], biases=[np.zeros(1)])
         ema = EmaState.from_net(FieldApproximator([1, 1]), 0.99)
         ema_update(ema, net)
-        assert ema.shadow_weights[0][0, 0] == pytest.approx(0.01)
+        assert ema.shadow.weights[0][0, 0] == pytest.approx(0.01)
         ema_update(ema, net)
-        assert ema.shadow_weights[0][0, 0] == pytest.approx(0.99 * 0.01 + 0.01)
+        assert ema.shadow.weights[0][0, 0] == pytest.approx(0.99 * 0.01 + 0.01)
 
     def test_apply_never_mutates_live_net(self):
         net = FieldApproximator.init_random([2, 4, 2], "smooth_relu",
@@ -286,3 +308,68 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(WeightFormatError, match="version"):
             load_weights(path)
+
+
+class TestParams:
+    def assert_views_of_params(self, net):
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, net.params)
+        x = np.array([0.3, -0.7, 1.1])
+        before = net.forward(x)
+        net.params += 0.25
+        assert not np.array_equal(net.forward(x), before)
+
+    def test_layers_are_views_after_every_constructor(self, tmp_path):
+        net = FieldApproximator.init_random([3, 5, 4, 3], "smooth_relu",
+                                            seeded_stream(20, "i"))
+        save_weights(net, tmp_path / "w.json")
+        ema = EmaState.from_net(net, 0.9)
+        for made in (net, load_weights(tmp_path / "w.json"), net.copy(), ema_apply(ema)):
+            self.assert_views_of_params(made)
+
+    def test_copies_own_their_params(self):
+        net = FieldApproximator.init_random([3, 4, 3], "tanh", seeded_stream(21, "i"))
+        ema = EmaState.from_net(net, 0.9)
+        for made in (net.copy(), ema_apply(ema), ema.shadow):
+            assert not np.shares_memory(made.params, net.params)
+        assert not np.shares_memory(ema_apply(ema).params, ema.shadow.params)
+
+    def test_constructor_copies_given_arrays(self):
+        w, b = np.eye(2), np.zeros(2)
+        net = FieldApproximator([2, 2], weights=[w], biases=[b])
+        net.params += 1.0
+        np.testing.assert_array_equal(w, np.eye(2))
+        np.testing.assert_array_equal(b, np.zeros(2))
+
+
+class TestFlatMatchesPerArrayLoops:
+    def test_three_optimizer_steps_bit_identical(self):
+        net = FieldApproximator.init_random([3, 8, 8, 3], "smooth_relu",
+                                            seeded_stream(24, "i"))
+        ref = [a.copy() for a in net.weights + net.biases]
+        stream = seeded_stream(25, "g")
+        grads = [stream.standard_normal(net.params.shape) for _ in range(3)]
+        state = OptimizerState.for_net(net, learning_rate=0.01, weight_decay=0.5)
+        for g in grads:
+            optimizer_step(net, g, state)
+        ms, vs = reference_optimizer_steps(
+            ref, [split(net, g) for g in grads], 0.01, 0.5)
+        assert state.step_count == 3
+        for got, want in zip(net.weights + net.biases, ref):
+            np.testing.assert_array_equal(got, want)
+        for flat, arrays in ((state.first_moment, ms), (state.second_moment, vs)):
+            for got, want in zip(split(net, flat), arrays):
+                np.testing.assert_array_equal(got, want)
+
+    def test_three_ema_updates_bit_identical(self):
+        net = FieldApproximator.init_random([3, 8, 3], "smooth_relu",
+                                            seeded_stream(26, "i"))
+        ema = EmaState.from_net(net, 0.97)
+        ref = [a.copy() for a in net.weights + net.biases]
+        stream = seeded_stream(27, "p")
+        for _ in range(3):
+            net.params += stream.standard_normal(net.params.shape)
+            ema_update(ema, net)
+            reference_ema_update(ref, net.weights + net.biases, 0.97)
+        for got, want in zip(ema.shadow.weights + ema.shadow.biases, ref):
+            np.testing.assert_array_equal(got, want)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from efm.core import CapacitorConfig, EfmError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
 from efm.model import EmaState, FieldApproximator, OptimizerState
-from efm.training import (TrainingVolumeSampler, draw_training_points,
-                          sample_cube_mesh, sample_interpolant, sample_noise,
-                          train, training_step)
+from efm.training import (CUBE_MARGIN, draw_training_points, sample_interpolant,
+                          sample_noise, train, training_step)
 
 
 def toy_config(**kw):
@@ -80,70 +79,62 @@ class TestSampleInterpolant:
 
 
 class TestCubeMesh:
-    def sampler(self):
-        cfg = toy_config()
-        return TrainingVolumeSampler("cube_mesh", cfg,
-                                     np.array([-2.0, -2.0, 0.0]),
-                                     np.array([2.0, 2.0, 6.0]))
+    CFG = toy_config(volume_mode="cube_mesh")
+    # both plates' samples span [-1, 1]^2, so the box is that +/- CUBE_MARGIN
+    LO = np.array([-1.0 - CUBE_MARGIN, -1.0 - CUBE_MARGIN, 0.0])
+    HI = np.array([1.0 + CUBE_MARGIN, 1.0 + CUBE_MARGIN, 6.0])
+
+    def draw(self, n, stream):
+        s = seeded_stream(3, "plates")
+        pos = np.vstack([[-1.0, 1.0], s.uniform(-1.0, 1.0, (30, 2))])
+        neg = np.vstack([[1.0, -1.0], s.uniform(-1.0, 1.0, (30, 2))])
+        field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 6.0, -1), 1e-4)
+        return draw_training_points(field, self.CFG, n, stream)
 
     def test_all_points_inside(self):
-        s = self.sampler()
-        pts = sample_cube_mesh(s, 500, seeded_stream(4, "c"))
-        assert np.all(pts >= s.cube_lo) and np.all(pts <= s.cube_hi)
+        pts = self.draw(500, seeded_stream(4, "c"))
+        assert np.all(pts >= self.LO) and np.all(pts <= self.HI)
+        # and the margin is used: the draws reach the box's faces
+        assert np.all(pts.min(axis=0) < self.LO + 0.1)
+        assert np.all(pts.max(axis=0) > self.HI - 0.1)
 
     def test_mean_near_center(self):
         # oracle: sample statistics of the uniform distribution
-        s = self.sampler()
-        pts = sample_cube_mesh(s, 50_000, seeded_stream(5, "c"))
+        pts = self.draw(50_000, seeded_stream(5, "c"))
         np.testing.assert_allclose(pts.mean(axis=0), [0.0, 0.0, 3.0], atol=0.05)
 
     def test_zero_count_empty(self):
-        assert sample_cube_mesh(self.sampler(), 0, seeded_stream(6, "c")).shape == (0, 3)
-
-    def test_wrong_mode_rejected(self):
-        s = TrainingVolumeSampler("interpolant", toy_config())
-        with pytest.raises(EfmError, match="cube_mesh"):
-            sample_cube_mesh(s, 5, seeded_stream(7, "c"))
-
-    def test_bounds_validation(self):
-        cfg = toy_config()
-        with pytest.raises(EfmError, match="cube bounds"):
-            TrainingVolumeSampler("cube_mesh", cfg)
-        with pytest.raises(EfmError, match="z-range"):
-            TrainingVolumeSampler("cube_mesh", cfg,
-                                  np.array([0.0, 0.0, -1.0]), np.array([1.0, 1.0, 6.0]))
+        assert self.draw(0, seeded_stream(6, "c")).shape == (0, 3)
 
 
 class TestTrainingStep:
     def setup_step(self, lr=1e-3):
         cfg = toy_config()
         field = small_field(seeded_stream(8, "f"))
-        sampler = TrainingVolumeSampler("interpolant", cfg)
         net = FieldApproximator.init_random([3, 16, 3], "smooth_relu",
                                             seeded_stream(9, "i"))
         opt = OptimizerState.for_net(net, learning_rate=lr)
         ema = EmaState.from_net(net, 0.99)
-        return cfg, field, sampler, net, opt, ema
+        return cfg, field, net, opt, ema
 
     def test_first_loss_finite_positive(self):
-        _, field, sampler, net, opt, ema = self.setup_step()
-        loss, dropped = training_step(net, opt, ema, field, 64, sampler,
+        cfg, field, net, opt, ema = self.setup_step()
+        loss, dropped = training_step(net, opt, ema, field, 64, cfg,
                                       seeded_stream(10, "s"))
         assert np.isfinite(loss) and loss > 0
         assert dropped == 0
 
     def test_zero_learning_rate_freezes_params(self):
-        _, field, sampler, net, opt, ema = self.setup_step(lr=0.0)
+        cfg, field, net, opt, ema = self.setup_step(lr=0.0)
         before = [w.copy() for w in net.weights]
-        training_step(net, opt, ema, field, 64, sampler, seeded_stream(11, "s"))
+        training_step(net, opt, ema, field, 64, cfg, seeded_stream(11, "s"))
         for b, w in zip(before, net.weights):
             np.testing.assert_array_equal(b, w)
 
     def test_training_points_stay_finite(self):
         cfg = toy_config()
         field = small_field(seeded_stream(12, "f"))
-        sampler = TrainingVolumeSampler("interpolant", cfg)
-        pts = draw_training_points(field, sampler, 256, seeded_stream(13, "s"))
+        pts = draw_training_points(field, cfg, 256, seeded_stream(13, "s"))
         assert np.all(np.isfinite(pts))
         assert pts.shape == (256, 3)
 
