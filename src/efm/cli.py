@@ -7,15 +7,19 @@ Each stage of the method exists once; the subcommands and
   (Monte Carlo when `--mc-subsample` is set), as a batch callable
   `field_fn(pts, stream=None)` plus the files it read;
 - `efm.training.train`, which writes `TRAIN_OUTPUTS`;
-- `_transport`: `map_batch`, then `mapped.csv` and, if asked, `trajectories.csv`;
+- `_transport`: `map_batch` under one of its policies, then `mapped.csv`
+  and, if asked, `trajectories.csv`. `transport --policy` picks "practical"
+  (z-Euler with `--nfe` steps) or "theoretical" (flux-ratio start and stop);
+  `trace-lines` is the "adaptive" policy with its trajectories written;
 - `_evaluate`: energy distance (with a permutation null when `n_perm` > 0)
   and sliced W1, from a stream the caller passes in.
 
 A subcommand body returns a `_Run`. `_recorded` times it, creates its output
 directory and writes `manifest.json`: `subcommand`, `config`, `seed`, `inputs`
 (path -> SHA-256), `outputs`, `duration_seconds`. `transport` adds `nfe`,
-`policy` and `n_failed` to `config`; `run-preset` adds `n_steps`, `nfe` and
-`train_seconds`. `dispatch` prints the run's report; domain errors exit 1.
+`policy` and `n_failed` to `config`, `trace-lines` adds `n_failed`; `run-preset`
+adds `n_steps`, `nfe` and `train_seconds`. `dispatch` prints the run's report;
+domain and OS errors exit 1.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .metrics import energy_distance, energy_distance_with_null, sliced_w1
 from .model import load_weights
 from .physics import run_verification_suite
 from .training import DEFAULT_HIDDEN_DIMS, train
-from .transport import TransportPolicy, map_batch, trace_line_t
+from .transport import map_batch
 
 # Table of end-to-end experiment presets (2-D toy runs).
 PRESETS = {
@@ -59,9 +63,6 @@ PRESET_TWO_GAUSS_SEPARATION = 8.0
 PRESET_SELF_DISTANCE_PAIRS = 9
 # The files train(..., out_dir=out) writes into out.
 TRAIN_OUTPUTS = ("weights.json", "weights_ema.json", "loss_curve.csv")
-# --policy name -> TransportPolicy (mode, direction).
-POLICIES = {"practical": ("practical_stop_at_L", "forward_only"),
-            "theoretical": ("theoretical_stochastic", "bidirectional")}
 
 
 def _sha256_file(path) -> str:
@@ -151,6 +152,11 @@ def _recorded(body):
 # ---------------------------------------------------------------------------
 # Pipeline stages, and the subcommands built from them.
 
+def _check_dim(cfg, dim: int, what: str) -> None:
+    if dim != cfg.dim_d:
+        raise EfmError(f"{what} has dimension {dim} but the config's dim_d is {cfg.dim_d}")
+
+
 def _field_source(cfg, args):
     """(field_fn(pts, stream=None), input paths) of `--weights` or, without
     it, of the exact field of `--data-pos`/`--data-neg`."""
@@ -159,7 +165,11 @@ def _field_source(cfg, args):
     if weights:
         if mc_subsample is not None:
             raise EfmError("--mc-subsample applies to the exact field, not to --weights")
+        if args.data_pos or args.data_neg:
+            raise EfmError("--data-pos and --data-neg apply to the exact field, not to --weights")
         net = load_weights(weights)
+        _check_dim(cfg, net.layer_dims[0] - 1, "the --weights network's input")
+        _check_dim(cfg, net.layer_dims[-1] - 1, "the --weights network's output")
         return (lambda pts, stream=None: net.forward(pts)), [weights]
     if not (args.data_pos and args.data_neg):
         raise EfmError("the field needs --weights, or --data-pos and --data-neg")
@@ -168,15 +178,18 @@ def _field_source(cfg, args):
     field = EmpiricalField(PlateSet(pos.points, 0.0, +1),
                            PlateSet(neg.points, cfg.plate_gap, -1),
                            cfg.field_epsilon, mc_subsample)
+    _check_dim(cfg, field.dim, "the --data-pos/--data-neg plates")
     return field.evaluate, [args.data_pos, args.data_neg]
 
 
-def _transport(out, cfg, points, field_fn, policy: str, nfe: int, dump_trajectories: bool):
-    """Move `points` along `field_fn` under the named policy with z-steps of
-    plate_gap / nfe; write mapped.csv and, if asked, trajectories.csv.
+def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int = 20,
+               dump_trajectories: bool = False):
+    """Move `points` along `field_fn` under the named `map_batch` policy;
+    write mapped.csv and, if asked, trajectories.csv.
     Returns (MapResult, mapped Dataset, output paths)."""
-    result = map_batch(points, field_fn, TransportPolicy(*POLICIES[policy], cfg.plate_gap / nfe),
-                       plate_gap=cfg.plate_gap, seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
+    _check_dim(cfg, points.shape[1], "the transported points")
+    result = map_batch(points, field_fn, policy, plate_gap=cfg.plate_gap, nfe=nfe,
+                       seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
     mapped = Dataset(result.mapped[result.ok], "mapped")
     outputs = [out / "mapped.csv"]
     save_csv(mapped, outputs[0])
@@ -232,7 +245,7 @@ def _cmd_transport(out, args) -> _Run:
         raise EfmError("--weights transport supports only --policy practical")
     field_fn, field_inputs = _field_source(cfg, args)
     result, mapped, outputs = _transport(out, cfg, points.points, field_fn, args.policy,
-                                         args.nfe, args.dump_trajectories)
+                                         nfe=args.nfe, dump_trajectories=args.dump_trajectories)
     config = cfg.to_dict() | {"nfe": args.nfe, "policy": args.policy,
                               "n_failed": len(result.failures)}
     return _Run("transport", config, cfg.seed, [args.config, args.infile, *field_inputs],
@@ -244,14 +257,11 @@ def _cmd_trace_lines(out, args) -> _Run:
     cfg = _load_config(args)
     starts = load_csv(args.infile)
     field_fn, field_inputs = _field_source(cfg, args)
-    trajectories = [trace_line_t(np.append(x, cfg.limit_epsilon), field_fn,
-                                 plate_gap=cfg.plate_gap)
-                    for x in starts.points]
-    traj_path = out / "trajectories.csv"
-    write_trajectories_csv(trajectories, traj_path)
-    return _Run("trace-lines", cfg.to_dict(), cfg.seed,
-                [args.config, args.infile, *field_inputs], [traj_path],
-                f"traced {len(trajectories)} lines -> {traj_path}")
+    result, _, outputs = _transport(out, cfg, starts.points, field_fn, "adaptive",
+                                    dump_trajectories=True)
+    return _Run("trace-lines", cfg.to_dict() | {"n_failed": len(result.failures)}, cfg.seed,
+                [args.config, args.infile, *field_inputs], outputs,
+                f"traced {len(result.ok)} lines -> {outputs[1]}")
 
 
 @_recorded
@@ -332,7 +342,7 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
 
     result, mapped, transport_outputs = _transport(
         out, cfg, eval_in.points, lambda pts, stream: trained.ema_net.forward(pts),
-        "practical", PRESET_NFE, True)
+        "practical", nfe=PRESET_NFE, dump_trajectories=True)
     outputs += transport_outputs
 
     self_stream = seeded_stream(seed, "preset/self_distance")
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--exact-field", action="store_true")
     tr.add_argument("--data-pos")
     tr.add_argument("--data-neg")
-    tr.add_argument("--policy", choices=list(POLICIES), default="practical")
+    tr.add_argument("--policy", choices=["practical", "theoretical"], default="practical")
     tr.add_argument("--nfe", type=_int_at_least(1), default=20)
     tr.add_argument("--in", dest="infile", required=True)
     tr.add_argument("--mc-subsample", type=int, default=None)
@@ -485,7 +495,7 @@ def dispatch(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         run = args.handler(args.out, args)
-    except (EfmError, FileNotFoundError) as exc:
+    except (EfmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = run.report

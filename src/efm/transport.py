@@ -2,15 +2,19 @@
 plate (z=plate_gap).
 
 `map_batch` is the one entry point. It takes a batch field callable
-`field_fn(pts, stream)` that maps (m, D+1) points to their (m, D+1) field.
-`EmpiricalField.evaluate` fits it unchanged; a network fits it through a
-wrapper that ignores the stream. Only a Monte Carlo field reads the stream.
+`field_fn(pts, stream)` that maps (m, D+1) points to their (m, D+1) field,
+and one of three policy names. `EmpiricalField.evaluate` fits the callable
+unchanged; a network fits it through a wrapper that ignores the stream.
+Only a Monte Carlo field reads the stream.
 
-- practical_stop_at_L: one vectorised fixed-z-grid Euler loop over the
-  whole batch, every step evaluated with one batch stream.
-- theoretical_stochastic: `stochastic_map` per line, with a stream keyed by
-  the line's start point: flux-ratio start and stop around an adaptive
-  t-parameterized tracer with plate-crossing events (`trace_line_t`).
+- "practical": one vectorised Euler loop over the whole batch on a z-grid
+  of `nfe` steps, every step evaluated with one batch stream.
+- "adaptive": `trace_line_t` per line from z=limit_epsilon, stopping at the
+  first z=plate_gap arrival.
+- "theoretical": `stochastic_map` per line, the flux-ratio start direction
+  and stop around `trace_line_t`'s plate-crossing events.
+
+The two per-line policies give each line a stream keyed by its start point.
 """
 
 from __future__ import annotations
@@ -44,32 +48,6 @@ class Trajectory:
     termination: str
     crossings: list = dc_field(default_factory=list)
     n_field_evals: int = 0
-
-
-@dataclass(frozen=True)
-class TransportPolicy:
-    """How lines are started and stopped.
-
-    practical_stop_at_L: forward start, fixed z-grid Euler, stop at the
-    first arrival at z=plate_gap. theoretical_stochastic: adaptive tracing
-    with flux-ratio stopping at plate crossings and an optional stochastic
-    forward/backward start.
-    """
-
-    mode: str = "practical_stop_at_L"
-    direction: str = "forward_only"
-    step: float = 0.3
-    max_steps: int = 20_000
-
-    def __post_init__(self):
-        if self.mode not in ("practical_stop_at_L", "theoretical_stochastic"):
-            raise TransportError(f"unknown policy mode {self.mode!r}")
-        if self.direction not in ("forward_only", "bidirectional"):
-            raise TransportError(f"unknown policy direction {self.direction!r}")
-        if self.step <= 0:
-            raise TransportError("policy step must be positive")
-        if self.mode == "practical_stop_at_L" and self.direction != "forward_only":
-            raise TransportError("practical_stop_at_L implies forward_only")
 
 
 def stop_probability(e_z_minus: float, e_z_plus: float) -> float:
@@ -249,18 +227,15 @@ def trace_line_t(start, field_fn, *, plate_gap: float, max_steps: int = 20_000,
 # ---------------------------------------------------------------------------
 # Transport of a batch.
 
-def _euler_lines(starts_x, field_fn, dtau: float, plate_gap: float, stream) -> list:
-    """Fixed z-grid Euler, x += (f_x / f_z) dz, from z=0 to z=plate_gap.
+def _euler_lines(starts_x, field_fn, n: int, plate_gap: float, stream) -> list:
+    """Euler steps x += (f_x / f_z) dz on an n-step z-grid from 0 to plate_gap.
 
-    The grid lands on plate_gap exactly in round(plate_gap/dtau) steps. A
-    line whose f_z turns degenerate stops there, keeping only the points
-    and field evaluations it used. Each line's points are a view into one
-    shared history array.
+    The grid's last z is plate_gap exactly. A line whose f_z turns
+    degenerate stops there, keeping only the points and field evaluations
+    it used. Each line's points are a view into one shared history array.
     """
     m, d = starts_x.shape
-    n = int(round(plate_gap / dtau))
-    if n < 1 or not np.isclose(n * dtau, plate_gap, rtol=1e-9, atol=1e-12):
-        raise TransportError("dtau must evenly divide the distance to the plate")
+    zs = np.linspace(0.0, plate_gap, n + 1)
     dz = plate_gap / n
     state = np.hstack([starts_x, np.zeros((m, 1))])
     history = np.empty((n + 1, m, d + 1))
@@ -278,7 +253,7 @@ def _euler_lines(starts_x, field_fn, dtau: float, plate_gap: float, stream) -> l
         evals[idx[bad]] = k + 1
         good = ~bad
         state[idx[good], :-1] += f[good, :-1] / fz[good, None] * dz
-        state[idx[good], -1] = (k + 1) * dz
+        state[idx[good], -1] = zs[k + 1]
         history[k + 1] = state
     return [Trajectory(history[:, i], "reached_target_plate", [(n, plate_gap)],
                        n_field_evals=n) if active[i]
@@ -287,9 +262,9 @@ def _euler_lines(starts_x, field_fn, dtau: float, plate_gap: float, stream) -> l
             for i in range(m)]
 
 
-def stochastic_map(x_plus, field_fn, policy: TransportPolicy, stream, *,
-                   plate_gap: float, limit_epsilon: float | None = None):
-    """Transport one source-plate point to the target plate (theoretical mode).
+def stochastic_map(x_plus, field_fn, stream, *, plate_gap: float,
+                   limit_epsilon: float | None = None):
+    """Transport one source-plate point to the target plate (theoretical policy).
 
     Start forward or backward by the flux-ratio direction probability,
     trace adaptively, and at each z=plate_gap crossing stop with the
@@ -304,10 +279,8 @@ def stochastic_map(x_plus, field_fn, policy: TransportPolicy, stream, *,
     def line_fn(pts):
         return field_fn(pts, stream)
 
-    forward = True
-    if policy.direction == "bidirectional":
-        (e_lo,), (e_hi,) = one_sided_ez(line_fn, x_plus, 0.0, limit_epsilon)
-        forward = stream.uniform() < direction_probability(e_hi, e_lo)
+    (e_lo,), (e_hi,) = one_sided_ez(line_fn, x_plus, 0.0, limit_epsilon)
+    forward = stream.uniform() < direction_probability(e_hi, e_lo)
     start = np.append(x_plus, limit_epsilon if forward else -limit_epsilon)
 
     def on_crossing(point, plate):
@@ -316,8 +289,7 @@ def stochastic_map(x_plus, field_fn, policy: TransportPolicy, stream, *,
         (e_lo,), (e_hi,) = one_sided_ez(line_fn, point[:-1], plate_gap, limit_epsilon)
         return stream.uniform() < stop_probability(e_lo, e_hi)
 
-    traj = trace_line_t(start, line_fn, plate_gap=plate_gap, max_steps=policy.max_steps,
-                        on_crossing=on_crossing)
+    traj = trace_line_t(start, line_fn, plate_gap=plate_gap, on_crossing=on_crossing)
     return traj.points[-1][:-1].copy(), traj
 
 
@@ -335,28 +307,44 @@ def _line_stream(seed: int, x) -> np.random.Generator:
     return seeded_stream(seed, f"transport/{digest}")
 
 
-def map_batch(points, field_fn, policy: TransportPolicy, *, plate_gap: float,
+def _line(x, field_fn, policy: str, stream, plate_gap: float, limit_epsilon: float):
+    """One line of a per-line policy, its field evaluated with `stream`."""
+    if policy == "theoretical":
+        return stochastic_map(x, field_fn, stream, plate_gap=plate_gap,
+                              limit_epsilon=limit_epsilon)[1]
+    return trace_line_t(np.append(x, limit_epsilon), lambda pts: field_fn(pts, stream),
+                        plate_gap=plate_gap)
+
+
+def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
               seed: int = 0, limit_epsilon: float | None = None) -> MapResult:
     """Transport a batch of source points x (m, D) to z=plate_gap along `field_fn`.
 
-    `field_fn(pts, stream)` returns the field at an (m, D+1) batch. The
-    practical policy calls it once per z-step for all lines still moving,
-    with the stream seeded_stream(seed, "transport/batch"). The theoretical
-    policy calls it per line, with a stream keyed by that line's start
-    point, which also draws the line's direction and stops. Results are
-    deterministic for a seed and equivariant under reordering of the batch
-    up to rounding. Per-line failures are recorded and the batch continues.
+    `field_fn(pts, stream)` returns the field at an (m, D+1) batch.
+    `policy` "practical" takes `nfe` z-steps and calls it once per step for
+    all lines still moving, with the stream seeded_stream(seed, "transport/batch").
+    "adaptive" and "theoretical" call it per line, with a stream keyed by
+    that line's start point, which also draws a theoretical line's
+    direction and stops. Results are deterministic for a seed and
+    equivariant under reordering of the batch up to rounding. Per-line
+    failures are recorded and the batch continues.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise TransportError("empty batch")
-    if policy.mode == "practical_stop_at_L":
-        trajectories = _euler_lines(points, field_fn, policy.step, plate_gap,
+    if limit_epsilon is None:
+        limit_epsilon = plate_gap * LIMIT_EPSILON_FRACTION
+    if policy == "practical":
+        if nfe < 1:
+            raise TransportError("nfe must be at least 1")
+        trajectories = _euler_lines(points, field_fn, nfe, plate_gap,
                                     seeded_stream(seed, "transport/batch"))
-    else:
-        trajectories = [stochastic_map(x, field_fn, policy, _line_stream(seed, x),
-                                       plate_gap=plate_gap, limit_epsilon=limit_epsilon)[1]
+    elif policy in ("adaptive", "theoretical"):
+        trajectories = [_line(x, field_fn, policy, _line_stream(seed, x), plate_gap,
+                              limit_epsilon)
                         for x in points]
+    else:
+        raise TransportError(f"unknown transport policy {policy!r}")
     mapped = np.full(points.shape, np.nan)
     ok = np.zeros(len(points), dtype=bool)
     failures = []

@@ -1,5 +1,7 @@
+import csv
 import json
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,22 @@ class TestDispatch:
                    "--steps", 1, "--out", tmp_path / "out")
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["weights", "config", "out"])
+    def test_os_error_is_domain_error(self, tmp_path, toy_config_file, capsys, bad):
+        # a directory where a file is read, or a file where --out is created
+        pos = tmp_path / "pos"
+        assert run("generate-data", "--kind", "gaussian", "--n", 8, "--out", pos) == 0
+        weights = tmp_path / "w.json"
+        save_weights(FieldApproximator([3, 3]), weights)
+        capsys.readouterr()
+        args = {"weights": weights, "config": toy_config_file, "out": tmp_path / "tr"}
+        args[bad] = pos / "data.csv" if bad == "out" else tmp_path
+        code = run("transport", "--weights", args["weights"], "--config", args["config"],
+                   "--in", pos / "data.csv", "--out", args["out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerifyPhysics:
@@ -182,6 +200,46 @@ class TestPipeline:
                    "--data-neg", neg, "--in", pos, "--out", out) == 0
         text = (out / "trajectories.csv").read_text()
         assert "reached_target_plate" in text
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "mapped.csv"), str(out / "trajectories.csv")]
+        assert load_csv(out / "mapped.csv").n == 64 - manifest["config"]["n_failed"]
+
+    @pytest.mark.parametrize("command", ["transport", "trace-lines"])
+    def test_weights_with_plates_rejected(self, tmp_path, toy_config_file, plates, capsys,
+                                          command):
+        # the plates would be neither used nor listed among the inputs
+        pos, neg = plates
+        weights = tmp_path / "w.json"
+        save_weights(FieldApproximator([3, 3]), weights)
+        code = run(command, "--weights", weights, "--data-neg", neg,
+                   "--config", toy_config_file, "--in", pos, "--out", tmp_path / "out")
+        assert code == 1
+        assert "error: --data-pos and --data-neg apply to the exact field" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["weights", "net_output", "plates", "points"])
+    def test_dimension_mismatch_rejected(self, tmp_path, plates, capsys, source):
+        # a D=3 config against a D=2 net, a net with a D=2 output, D=2
+        # plates, or D=2 points
+        pos, neg = plates
+        for name in ("pos3", "neg3"):
+            run("generate-data", "--kind", "gaussian", "--n", 16, "--dim", 3,
+                "--out", tmp_path / name)
+        pos3, neg3 = tmp_path / "pos3" / "data.csv", tmp_path / "neg3" / "data.csv"
+        config = tmp_path / "cfg3.json"
+        CapacitorConfig(dim_d=3, plate_gap=6.0, seed=0).to_json_file(config)
+        weights = tmp_path / "w.json"
+        save_weights(FieldApproximator([4, 3] if source == "net_output" else [3, 3]), weights)
+        field = {"weights": ["--weights", weights], "net_output": ["--weights", weights],
+                 "plates": ["--exact-field", "--data-pos", pos, "--data-neg", neg],
+                 "points": ["--exact-field", "--data-pos", pos3, "--data-neg", neg3]}[source]
+        starts = pos if source == "points" else pos3
+        capsys.readouterr()
+        code = run("transport", *field, "--config", config, "--in", starts,
+                   "--out", tmp_path / "out")
+        assert code == 1
+        assert "but the config's dim_d is 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mapped.csv").exists()
 
     def test_trace_lines_without_field_source_rejected(self, tmp_path, toy_config_file,
                                                        plates, capsys):
@@ -251,3 +309,77 @@ class TestRunPreset:
                           (tmp_path / "tr" / "mapped.csv", out / "mapped.csv"),
                           (tmp_path / "tr" / "trajectories.csv", out / "trajectories.csv")):
             assert got.read_bytes() == want.read_bytes()
+
+
+class TestBenchmarkContract:
+    """The argv shapes the benchmark issues, at toy sizes, with its checks."""
+
+    GAP = 6.0
+
+    @staticmethod
+    def check_mapped(out, n_in):
+        n_failed = json.loads((out / "manifest.json").read_text())["config"]["n_failed"]
+        mapped = np.loadtxt(out / "mapped.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(mapped))
+        assert len(mapped) == n_in - n_failed
+        return out / "mapped.csv"
+
+    def check_trajectories(self, path):
+        last = {}
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            next(rows)
+            for row in rows:
+                last[row[0]] = row
+        reached = [row for row in last.values() if row[-1] == "reached_target_plate"]
+        assert reached
+        assert all(float(row[2]) == self.GAP for row in reached)
+
+    @staticmethod
+    def check_metrics(path):
+        def walk(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                assert math.isfinite(node) and node >= 0
+
+        walk(json.loads(path.read_text()))
+
+    def test_train_transport_trace_evaluate(self, tmp_path):
+        config = tmp_path / "config.json"
+        CapacitorConfig(dim_d=2, plate_gap=self.GAP, seed=1).to_json_file(config)
+        files = {}
+        for i, (name, kind, n) in enumerate((
+                ("pos", ["--kind", "gaussian", "--dim", 2], 64),
+                ("neg", ["--kind", "swiss_roll", "--noise-std", 0.05], 64),
+                ("starts", ["--kind", "gaussian", "--dim", 2], 12),
+                ("holdout", ["--kind", "swiss_roll", "--noise-std", 0.05], 64))):
+            assert run("generate-data", *kind, "--n", n, "--seed", 4 + i,
+                       "--out", tmp_path / name) == 0
+            files[name] = tmp_path / name / "data.csv"
+        assert run("train", "--config", config, "--data-pos", files["pos"],
+                   "--data-neg", files["neg"], "--steps", 20, "--batch-size", 64,
+                   "--mc-subsample", 32, "--hidden", "16,16", "--seed", 1,
+                   "--out", tmp_path / "train") == 0
+        weights = tmp_path / "train" / "weights_ema.json"
+        common = ["--config", config, "--in", files["starts"]]
+
+        assert run("transport", "--weights", weights, *common, "--nfe", 20,
+                   "--out", tmp_path / "map") == 0
+        mapped = [self.check_mapped(tmp_path / "map", 12)]
+        assert run("trace-lines", "--weights", weights, *common,
+                   "--out", tmp_path / "trace") == 0
+        self.check_trajectories(tmp_path / "trace" / "trajectories.csv")
+        mapped.append(self.check_mapped(tmp_path / "trace", 12))
+        assert run("transport", "--exact-field", "--policy", "theoretical",
+                   "--data-pos", files["pos"], "--data-neg", files["neg"], *common,
+                   "--out", tmp_path / "exact") == 0
+        mapped.append(self.check_mapped(tmp_path / "exact", 12))
+
+        # the trace workload alone runs the permutation null
+        for i, (path, n_perm) in enumerate(zip(mapped, (0, 50, 0))):
+            out = tmp_path / f"evaluate{i}"
+            assert run("evaluate", "--a", path, "--b", files["holdout"], "--n-perm", n_perm,
+                       "--seed", 1, "--out", out) == 0
+            self.check_metrics(out / "metrics.json")

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from efm.core import TransportError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
 from efm.model import FieldApproximator
-from efm.transport import (DOMAIN_RADIUS_FACTOR, TransportPolicy, _line_stream,
-                           direction_probability, map_batch, stochastic_map,
-                           stop_probability, trace_line_t)
+from efm.transport import (DOMAIN_RADIUS_FACTOR, _line_stream, direction_probability,
+                           map_batch, stochastic_map, stop_probability, trace_line_t)
 
 
 def constant_field(*components):
@@ -43,17 +42,17 @@ class TestEulerStep:
     """One z-grid Euler step: map_batch with plate_gap equal to the step."""
 
     def test_unit_slope(self):
-        res = map_batch([[0.0]], constant_field(1.0, 1.0), TransportPolicy(step=0.5),
+        res = map_batch([[0.0]], constant_field(1.0, 1.0), "practical", nfe=1,
                         plate_gap=0.5)
         np.testing.assert_allclose(res.trajectories[0].points[-1], [0.5, 0.5])
 
     def test_pure_z_advance(self):
-        res = map_batch([[0.3]], constant_field(0.0, 1.0), TransportPolicy(step=0.25),
+        res = map_batch([[0.3]], constant_field(0.0, 1.0), "practical", nfe=1,
                         plate_gap=0.25)
         np.testing.assert_allclose(res.trajectories[0].points[-1], [0.3, 0.25])
 
     def test_degenerate_rejected(self):
-        res = map_batch([[0.0]], constant_field(1.0, 0.0), TransportPolicy(step=0.1),
+        res = map_batch([[0.0]], constant_field(1.0, 0.0), "practical", nfe=1,
                         plate_gap=0.1)
         assert res.failures == [(0, "field_degenerate")]
         assert np.isnan(res.mapped).all()
@@ -99,7 +98,7 @@ class TestTraceLineZ:
     """Practical transport: map_batch's fixed z-grid Euler loop."""
 
     def test_uniform_field_straight_line(self):
-        res = map_batch([[0.7, -0.2]], uniform_up_field, TransportPolicy(step=0.3),
+        res = map_batch([[0.7, -0.2]], uniform_up_field, "practical", nfe=20,
                         plate_gap=6.0)
         traj = res.trajectories[0]
         assert traj.termination == "reached_target_plate"
@@ -113,19 +112,28 @@ class TestTraceLineZ:
             calls.append(len(np.atleast_2d(pts)))
             return uniform_up_field(pts)
 
-        res = map_batch([[0.0]], counting, TransportPolicy(step=0.3), plate_gap=6.0)
-        assert sum(calls) == 20  # L / dtau evaluations exactly
+        res = map_batch([[0.0]], counting, "practical", nfe=20, plate_gap=6.0)
+        assert sum(calls) == 20  # nfe evaluations exactly
         assert res.trajectories[0].n_field_evals == 20
 
     def test_two_charge_symmetry_axis(self):
         field = two_point_capacitor(0.0, 0.0, 6.0, dim=2)
-        res = map_batch([[0.0, 0.0]], field.evaluate, TransportPolicy(step=0.3),
+        res = map_batch([[0.0, 0.0]], field.evaluate, "practical", nfe=20,
                         plate_gap=6.0)
         np.testing.assert_allclose(res.trajectories[0].points[:, :2], 0.0, atol=1e-12)
 
-    def test_bad_dtau_rejected(self):
-        with pytest.raises(TransportError, match="evenly divide"):
-            map_batch([[0.0]], uniform_up_field, TransportPolicy(step=0.7), plate_gap=6.0)
+    def test_nfe_below_one_rejected(self):
+        with pytest.raises(TransportError, match="nfe must be at least 1"):
+            map_batch([[0.0]], uniform_up_field, "practical", nfe=0, plate_gap=6.0)
+
+    @pytest.mark.parametrize("gap, nfe", [(6.0, 47), (30.0, 11)])
+    def test_last_step_lands_on_the_plate_exactly(self, gap, nfe):
+        # nfe * (gap / nfe) rounds below gap for these pairs
+        res = map_batch([[0.1], [0.5]], uniform_up_field, "practical", nfe=nfe,
+                        plate_gap=gap)
+        for traj in res.trajectories:
+            assert traj.points[-1, -1] == gap
+            assert traj.crossings == [(nfe, gap)]
 
     def test_first_order_convergence(self):
         # oracle: Richardson comparison against a dtau/64 reference. The
@@ -139,24 +147,24 @@ class TestTraceLineZ:
 
         span = 2.0
 
-        def endpoint(dtau):
+        def endpoint(nfe):
             # off the straight inter-charge line
-            res = map_batch([[-0.35]], shifted, TransportPolicy(step=dtau), plate_gap=span)
+            res = map_batch([[-0.35]], shifted, "practical", nfe=nfe, plate_gap=span)
             return res.mapped[0, 0]
 
-        ref = endpoint(span / 1280)
-        err1 = abs(endpoint(span / 20) - ref)
-        err2 = abs(endpoint(span / 40) - ref)
+        ref = endpoint(1280)
+        err1 = abs(endpoint(20) - ref)
+        err2 = abs(endpoint(40) - ref)
         order = math.log2(err1 / err2)
         assert 0.8 < order < 1.2
 
     def test_batch_matches_per_line(self):
         field = two_point_capacitor(0.0, 1.0, 6.0, dim=2)
         starts = np.array([[0.1, 0.0], [0.4, -0.3], [-0.2, 0.2]])
-        policy = TransportPolicy(step=0.3)
-        batch = map_batch(starts, field.evaluate, policy, plate_gap=6.0)
+        batch = map_batch(starts, field.evaluate, "practical", plate_gap=6.0)
         for i, x in enumerate(starts):
-            one = map_batch(x[None], field.evaluate, policy, plate_gap=6.0).trajectories[0]
+            one = map_batch(x[None], field.evaluate, "practical",
+                            plate_gap=6.0).trajectories[0]
             np.testing.assert_allclose(batch.trajectories[i].points, one.points,
                                        rtol=1e-12)
             assert batch.trajectories[i].termination == one.termination
@@ -234,15 +242,14 @@ class TestStochasticMap:
         # the straight segment between the two charges is itself a field
         # line, so the z-stepped scheme follows it exactly
         field = two_point_capacitor(a=0.0, b=2.0, gap=6.0)
-        res = map_batch([[0.0]], field.evaluate, TransportPolicy(step=0.05), plate_gap=6.0)
+        res = map_batch([[0.0]], field.evaluate, "practical", nfe=120, plate_gap=6.0)
         assert res.trajectories[0].termination == "reached_target_plate"
         assert res.mapped[0, 0] == pytest.approx(2.0, abs=1e-6)
 
     def test_two_point_system_theoretical(self):
         field = two_point_capacitor(a=0.0, b=2.0, gap=6.0)
-        policy = TransportPolicy("theoretical_stochastic", "bidirectional", 0.05)
         for k in range(4):
-            x, traj = stochastic_map(np.array([0.05]), field.evaluate, policy,
+            x, traj = stochastic_map(np.array([0.05]), field.evaluate,
                                      seeded_stream(k, "t"), plate_gap=6.0)
             assert traj.termination in ("reached_target_plate",
                                         "continued_past_plate_then_returned")
@@ -257,40 +264,31 @@ class TestStochasticMap:
         neg = PlateSet((stream.standard_normal((400, 1)) * 0.5 + side[:, None] * 4.0),
                        6.0, -1)
         field = EmpiricalField(pos, neg, 1e-4)
-        policy = TransportPolicy("theoretical_stochastic", "forward_only", 0.05,
-                                 max_steps=40_000)
         multi = 0
         for k in range(12):
             x0 = np.array([stream.normal() * 0.3])
-            _, traj = stochastic_map(x0, field.evaluate, policy, seeded_stream(k, "line"),
+            _, traj = stochastic_map(x0, field.evaluate, seeded_stream(k, "line"),
                                      plate_gap=6.0)
             far_crossings = [c for c in traj.crossings if c[1] == 6.0]
             if len(far_crossings) >= 2:
                 multi += 1
         assert multi >= 1
 
-    def test_practical_policy_validation(self):
-        with pytest.raises(TransportError, match="forward_only"):
-            TransportPolicy("practical_stop_at_L", "bidirectional", 0.1)
-
 
 class TestMapBatch:
     def test_batch_of_one_matches_single_call(self):
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
-        policy = TransportPolicy("theoretical_stochastic", "bidirectional", 0.1)
         x0 = np.array([0.2])
-        res = map_batch(x0[None], field.evaluate, policy, plate_gap=6.0, seed=3)
-        x, _ = stochastic_map(x0, field.evaluate, policy, _line_stream(3, x0),
-                              plate_gap=6.0)
+        res = map_batch(x0[None], field.evaluate, "theoretical", plate_gap=6.0, seed=3)
+        x, _ = stochastic_map(x0, field.evaluate, _line_stream(3, x0), plate_gap=6.0)
         np.testing.assert_allclose(res.mapped[0], x, rtol=1e-12)
 
     def test_permutation_equivariance(self):
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
-        policy = TransportPolicy("theoretical_stochastic", "bidirectional", 0.1)
         pts = seeded_stream(4, "pts").standard_normal((6, 1)) * 0.2
-        fwd = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=7)
+        fwd = map_batch(pts, field.evaluate, "theoretical", plate_gap=6.0, seed=7)
         perm = np.array([3, 1, 5, 0, 2, 4])
-        back = map_batch(pts[perm], field.evaluate, policy, plate_gap=6.0, seed=7)
+        back = map_batch(pts[perm], field.evaluate, "theoretical", plate_gap=6.0, seed=7)
         np.testing.assert_allclose(back.mapped, fwd.mapped[perm], rtol=1e-12)
 
     def test_monte_carlo_field_practical(self):
@@ -301,7 +299,7 @@ class TestMapBatch:
         neg = PlateSet(stream.standard_normal((64, 2)) * 0.5 + 1.0, 6.0, -1)
         field = EmpiricalField(pos, neg, 1e-4, mc_subsample=16)
         pts = stream.standard_normal((8, 2)) * 0.5
-        policy = TransportPolicy(step=0.3)
+        policy = "practical"
         first = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=2)
         again = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=2)
         other = map_batch(pts, field.evaluate, policy, plate_gap=6.0, seed=3)
@@ -313,8 +311,8 @@ class TestMapBatch:
         assert all(t.termination == "reached_target_plate" for t in first.trajectories)
 
     def test_network_batch_transport(self):
-        res = map_batch(np.array([[0.1], [0.5]]), uniform_up_field,
-                        TransportPolicy(step=0.3), plate_gap=6.0)
+        res = map_batch(np.array([[0.1], [0.5]]), uniform_up_field, "practical", nfe=20,
+                        plate_gap=6.0)
         assert res.ok.all()
         np.testing.assert_allclose(res.mapped, [[0.1], [0.5]], atol=1e-12)
         assert all(t.n_field_evals == 20 for t in res.trajectories)
@@ -325,30 +323,43 @@ class TestMapBatch:
         net = FieldApproximator.init_random([3, 32, 32, 3], "smooth_relu",
                                             seeded_stream(0, "weak"))
         pts = seeded_stream(1, "weak-pts").standard_normal((4, 2))
-        policy = TransportPolicy("theoretical_stochastic", "forward_only", 0.1,
-                                 max_steps=2000)
-        res = map_batch(pts, lambda p, stream: net.forward(p), policy, plate_gap=6.0)
+        res = map_batch(pts, lambda p, stream: net.forward(p), "adaptive", plate_gap=6.0)
         assert [f[1] for f in res.failures] == ["left_domain"] * 4
         assert np.isnan(res.mapped).all()
         assert all(t.n_field_evals < 1000 for t in res.trajectories)
 
     def test_lines_stalled_at_a_net_sink_end_early(self):
-        # a weak net's lines converge to a sink above the target plate and
-        # creep there; they must end typed instead of spending max_steps
+        # a weak net's lines cross the target plate, converge to a sink above
+        # it and creep there; they must end typed instead of spending the
+        # step limit. The lines are traced on past the plate, as a
+        # flux-ratio stop does where the field has no jump.
         net = FieldApproximator.init_random([3, 16, 16, 3], "smooth_relu",
                                             seeded_stream(0, "weak"))
         pts = seeded_stream(1, "weak-pts").standard_normal((4, 2))
-        policy = TransportPolicy("theoretical_stochastic", "forward_only", 0.1)
-        res = map_batch(pts, lambda p, stream: net.forward(p), policy, plate_gap=6.0)
-        assert [f[1] for f in res.failures] == ["stalled"] * 4
-        assert np.isnan(res.mapped).all()
-        assert all(t.n_field_evals < 1000 for t in res.trajectories)
+        trajs = [trace_line_t(np.append(x, 0.006), net.forward, plate_gap=6.0,
+                              on_crossing=lambda point, plate: False)
+                 for x in pts]
+        assert [t.termination for t in trajs] == ["stalled"] * 4
+        assert all(any(plate == 6.0 for _, plate in t.crossings) for t in trajs)
+        assert all(t.n_field_evals < 1000 for t in trajs)
 
     def test_failures_recorded_batch_continues(self):
-        res = map_batch(np.array([[0.1], [0.5]]), sideways, TransportPolicy(step=0.3),
-                        plate_gap=6.0)
+        res = map_batch(np.array([[0.1], [0.5]]), sideways, "practical", plate_gap=6.0)
         assert not res.ok.any()
         assert len(res.failures) == 2
         assert res.failures[0][1] == "field_degenerate"
         assert [t.n_field_evals for t in res.trajectories] == [1, 1]
         assert [len(t.points) for t in res.trajectories] == [1, 1]
+
+    def test_adaptive_is_the_tracer_from_limit_epsilon(self):
+        field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
+        res = map_batch([[0.2]], field.evaluate, "adaptive", plate_gap=6.0,
+                        limit_epsilon=0.01)
+        traj = trace_line_t(np.array([0.2, 0.01]), field.evaluate, plate_gap=6.0)
+        np.testing.assert_array_equal(res.trajectories[0].points, traj.points)
+        assert res.trajectories[0].termination == "reached_target_plate"
+        np.testing.assert_array_equal(res.mapped[0], traj.points[-1, :-1])
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(TransportError, match="unknown transport policy"):
+            map_batch([[0.0]], uniform_up_field, "forward_only", plate_gap=6.0)
