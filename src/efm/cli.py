@@ -3,9 +3,8 @@
 Each stage of the method exists once; the subcommands and
 `run_experiment_preset` both call it:
 
-- `_field_source`: `--weights`, or the exact field of `--data-pos`/`--data-neg`
-  (Monte Carlo when `--mc-subsample` is set), as a batch callable
-  `field_fn(pts, stream=None)` plus the files it read;
+- `_field_source`: `--weights`, or the exact field of `--data-pos`/`--data-neg`,
+  as a batch callable `field_fn(pts)` plus the files it read;
 - `efm.training.train`, which writes `TRAIN_OUTPUTS`;
 - `_transport`: `map_batch` under one of its policies, then `mapped.csv`
   and, if asked, `trajectories.csv`. `transport --policy` picks "practical"
@@ -54,8 +53,6 @@ PRESETS = {
 PRESET_N_TRAIN = 2048
 PRESET_N_MAP = 2048
 PRESET_BATCH = 1024
-PRESET_LR = 2e-3
-PRESET_WEIGHT_DECAY = 0.0
 PRESET_SIGMA = 0.001
 PRESET_NFE = 20
 PRESET_SWISS_NOISE = 0.05
@@ -115,7 +112,7 @@ def write_trajectories_csv(trajectories, path) -> None:
 def _load_config(args) -> CapacitorConfig:
     cfg = CapacitorConfig.from_json_file(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=int(args.seed))
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     validate_config(cfg)
     return cfg
 
@@ -158,26 +155,22 @@ def _check_dim(cfg, dim: int, what: str) -> None:
 
 
 def _field_source(cfg, args):
-    """(field_fn(pts, stream=None), input paths) of `--weights` or, without
-    it, of the exact field of `--data-pos`/`--data-neg`."""
+    """(field_fn(pts), input paths) of `--weights` or, without it, of the
+    exact field of `--data-pos`/`--data-neg`."""
     weights = getattr(args, "weights", None)
-    mc_subsample = getattr(args, "mc_subsample", None)
     if weights:
-        if mc_subsample is not None:
-            raise EfmError("--mc-subsample applies to the exact field, not to --weights")
         if args.data_pos or args.data_neg:
             raise EfmError("--data-pos and --data-neg apply to the exact field, not to --weights")
         net = load_weights(weights)
         _check_dim(cfg, net.layer_dims[0] - 1, "the --weights network's input")
         _check_dim(cfg, net.layer_dims[-1] - 1, "the --weights network's output")
-        return (lambda pts, stream=None: net.forward(pts)), [weights]
+        return net.forward, [weights]
     if not (args.data_pos and args.data_neg):
         raise EfmError("the field needs --weights, or --data-pos and --data-neg")
     pos = load_csv(args.data_pos)
     neg = load_csv(args.data_neg)
     field = EmpiricalField(PlateSet(pos.points, 0.0, +1),
-                           PlateSet(neg.points, cfg.plate_gap, -1),
-                           cfg.field_epsilon, mc_subsample)
+                           PlateSet(neg.points, cfg.plate_gap, -1), cfg.field_epsilon)
     _check_dim(cfg, field.dim, "the --data-pos/--data-neg plates")
     return field.evaluate, [args.data_pos, args.data_neg]
 
@@ -190,7 +183,7 @@ def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int = 20,
     _check_dim(cfg, points.shape[1], "the transported points")
     result = map_batch(points, field_fn, policy, plate_gap=cfg.plate_gap, nfe=nfe,
                        seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
-    mapped = Dataset(result.mapped[result.ok], "mapped")
+    mapped = Dataset(result.mapped[result.ok])
     outputs = [out / "mapped.csv"]
     save_csv(mapped, outputs[0])
     if dump_trajectories:
@@ -228,9 +221,7 @@ def _cmd_train(out, args) -> _Run:
     pos = load_csv(args.data_pos)
     neg = load_csv(args.data_neg)
     train(cfg, pos.points, neg.points, n_steps=args.steps, batch_size=args.batch_size,
-          learning_rate=args.lr, weight_decay=args.weight_decay,
-          ema_decay=args.ema_decay, hidden_dims=args.hidden, activation=args.activation,
-          mc_subsample=args.mc_subsample, out_dir=out, seed=cfg.seed)
+          hidden_dims=args.hidden, mc_subsample=args.mc_subsample, out_dir=out)
     return _Run("train", cfg.to_dict(), cfg.seed, [args.config, args.data_pos, args.data_neg],
                 [out / n for n in TRAIN_OUTPUTS], f"trained {args.steps} steps -> {out}")
 
@@ -335,14 +326,13 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
 
     train_started = time.time()
     trained = train(cfg, pos_train.points, neg_train.points, n_steps=spec["n_steps"],
-                    batch_size=PRESET_BATCH, learning_rate=PRESET_LR,
-                    weight_decay=PRESET_WEIGHT_DECAY, out_dir=out, seed=seed)
+                    batch_size=PRESET_BATCH, out_dir=out)
     train_seconds = time.time() - train_started
     outputs += [out / n for n in TRAIN_OUTPUTS]
 
     result, mapped, transport_outputs = _transport(
-        out, cfg, eval_in.points, lambda pts, stream: trained.ema_net.forward(pts),
-        "practical", nfe=PRESET_NFE, dump_trajectories=True)
+        out, cfg, eval_in.points, trained.ema_net.forward, "practical", nfe=PRESET_NFE,
+        dump_trajectories=True)
     outputs += transport_outputs
 
     self_stream = seeded_stream(seed, "preset/self_distance")
@@ -368,10 +358,9 @@ def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
                           volume_mode: str = "interpolant") -> dict:
     """End-to-end toy run: generate, train, transport, evaluate.
 
-    Hyperparameters are the pinned 2-D toy settings (batch 1024, lr 2e-3,
-    no weight decay, sigma 1e-3, 20 transport evaluations); swissroll_L30
-    widens the plate gap to 30. Returns the metrics dict; artifacts land
-    in out_dir.
+    Hyperparameters are the pinned 2-D toy settings (batch 1024, sigma 1e-3,
+    20 transport evaluations); swissroll_L30 widens the plate gap to 30.
+    Returns the metrics dict; artifacts land in out_dir.
     """
     if name not in PRESETS:
         raise EfmError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -415,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
         if config:
             sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=seed)
+        sp.add_argument("--seed", type=_int_at_least(0), default=seed)
         sp.add_argument("--out", required=out_required)
         sp.set_defaults(handler=handler)
         return sp
@@ -424,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                 config=False, seed=0)
     g.add_argument("--kind", required=True,
                    choices=["gaussian", "swiss_roll", "two_gaussians"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--dim", type=int, default=2)
+    g.add_argument("--n", type=_int_at_least(1), required=True)
+    g.add_argument("--dim", type=_int_at_least(1), default=2)
     g.add_argument("--mean", type=float, default=0.0)
     g.add_argument("--std", type=float, default=1.0)
     g.add_argument("--noise-std", type=float, default=0.0)
@@ -436,11 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data-neg", required=True)
     t.add_argument("--steps", type=_int_at_least(0), required=True)
     t.add_argument("--batch-size", type=int, default=1024)
-    t.add_argument("--lr", type=float, default=2e-3)
-    t.add_argument("--weight-decay", type=float, default=0.0)
-    t.add_argument("--ema-decay", type=float, default=0.99)
     t.add_argument("--hidden", type=_comma_list(_int_at_least(1)), default=DEFAULT_HIDDEN_DIMS)
-    t.add_argument("--activation", default="smooth_relu", choices=["tanh", "smooth_relu"])
     t.add_argument("--mc-subsample", type=int, default=None)
 
     tr = command("transport", "move samples along field lines", _cmd_transport)
@@ -452,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--policy", choices=["practical", "theoretical"], default="practical")
     tr.add_argument("--nfe", type=_int_at_least(1), default=20)
     tr.add_argument("--in", dest="infile", required=True)
-    tr.add_argument("--mc-subsample", type=int, default=None)
     tr.add_argument("--dump-trajectories", action="store_true")
 
     tl = command("trace-lines", "adaptive field-line tracing", _cmd_trace_lines)

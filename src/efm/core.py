@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -39,13 +40,27 @@ VOLUME_MODES = ("interpolant", "cube_mesh")
 LIMIT_EPSILON_FRACTION = 1e-3
 
 
+def default_limit_epsilon(plate_gap: float) -> float:
+    return float(plate_gap) * LIMIT_EPSILON_FRACTION
+
+
+def _finite(value) -> bool:
+    """Whether `value` is a number, not a bool, with a finite float value."""
+    if isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class CapacitorConfig:
     """Geometry and numerics of the two-plate system.
 
     dim_d is the data dimension D; plates live in the (D+1)-dimensional
     augmented space at z=0 (positive) and z=plate_gap (negative).
-    limit_epsilon defaults to plate_gap * LIMIT_EPSILON_FRACTION: small
+    limit_epsilon defaults to default_limit_epsilon(plate_gap): small
     enough to act as a one-sided limit at a plate, large enough to stay
     clear of the field_epsilon regularization scale.
     """
@@ -60,10 +75,8 @@ class CapacitorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.limit_epsilon is None:
-            gap = self.plate_gap
-            if isinstance(gap, (int, float)) and np.isfinite(gap) and gap > 0:
-                object.__setattr__(self, "limit_epsilon", float(gap) * LIMIT_EPSILON_FRACTION)
+        if self.limit_epsilon is None and _finite(self.plate_gap) and self.plate_gap > 0:
+            object.__setattr__(self, "limit_epsilon", default_limit_epsilon(self.plate_gap))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -74,6 +87,9 @@ class CapacitorConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown config field: {unknown[0]}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"missing config field: {missing[0]}")
         return cls(**d)
 
     def to_json_file(self, path) -> None:
@@ -97,17 +113,17 @@ def validate_config(cfg: CapacitorConfig) -> None:
     """Check every config invariant, reporting the first violated one by name."""
     if not isinstance(cfg.dim_d, (int, np.integer)) or isinstance(cfg.dim_d, bool) or cfg.dim_d < 1:
         raise ConfigError("dim_d must be >= 1")
-    if not np.isfinite(cfg.plate_gap) or cfg.plate_gap <= 0:
+    if not _finite(cfg.plate_gap) or cfg.plate_gap <= 0:
         raise ConfigError("plate_gap must be positive")
-    if not np.isfinite(cfg.noise_sigma) or cfg.noise_sigma < 0:
+    if not _finite(cfg.noise_sigma) or cfg.noise_sigma < 0:
         raise ConfigError("noise_sigma must be nonnegative")
     if cfg.noise_mean_mode not in NOISE_MEAN_MODES:
         raise ConfigError(f"noise_mean_mode must be one of {NOISE_MEAN_MODES}")
     if cfg.volume_mode not in VOLUME_MODES:
         raise ConfigError(f"volume_mode must be one of {VOLUME_MODES}")
-    if not np.isfinite(cfg.field_epsilon) or cfg.field_epsilon <= 0:
+    if not _finite(cfg.field_epsilon) or cfg.field_epsilon <= 0:
         raise ConfigError("field_epsilon must be positive")
-    if cfg.limit_epsilon is None or not (0 < cfg.limit_epsilon < cfg.plate_gap / 10):
+    if not _finite(cfg.limit_epsilon) or not (0 < cfg.limit_epsilon < cfg.plate_gap / 10):
         raise ConfigError("limit_epsilon must lie in (0, plate_gap/10)")
     if not isinstance(cfg.seed, (int, np.integer)) or isinstance(cfg.seed, bool) or cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")

@@ -19,7 +19,6 @@ SWISS_ROLL_SCALE = 2.5
 @dataclass(frozen=True)
 class Dataset:
     points: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -39,8 +38,7 @@ class Dataset:
         return self.points.shape[1]
 
 
-def gen_gaussian(n: int, dim: int, mean=0.0, cov_diag=1.0, stream=None,
-                 label: str = "gaussian") -> Dataset:
+def gen_gaussian(n: int, dim: int, mean=0.0, cov_diag=1.0, stream=None) -> Dataset:
     """i.i.d. normal draws with diagonal covariance."""
     if n < 1:
         raise DataError("n must be >= 1")
@@ -49,7 +47,7 @@ def gen_gaussian(n: int, dim: int, mean=0.0, cov_diag=1.0, stream=None,
     if np.any(cov < 0):
         raise DataError("covariance diagonal must be nonnegative")
     pts = mean + np.sqrt(cov) * stream.standard_normal((n, dim))
-    return Dataset(pts, label)
+    return Dataset(pts)
 
 
 def swiss_roll_curve(theta) -> np.ndarray:
@@ -58,8 +56,7 @@ def swiss_roll_curve(theta) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-def gen_swiss_roll(n: int, noise_std: float = 0.0, stream=None,
-                   label: str = "swiss_roll") -> Dataset:
+def gen_swiss_roll(n: int, noise_std: float = 0.0, stream=None) -> Dataset:
     """2-D spiral: uniform angle on the declared range, linear radius,
     plus isotropic Gaussian jitter."""
     if n < 1:
@@ -68,18 +65,17 @@ def gen_swiss_roll(n: int, noise_std: float = 0.0, stream=None,
     pts = swiss_roll_curve(theta)
     if noise_std > 0:
         pts = pts + noise_std * stream.standard_normal((n, 2))
-    return Dataset(pts, label)
+    return Dataset(pts)
 
 
-def gen_two_gaussians(n: int, separation: float, stream=None, std: float = 1.0,
-                      label: str = "two_gaussians") -> Dataset:
+def gen_two_gaussians(n: int, separation: float, stream=None, std: float = 1.0) -> Dataset:
     """Equal-weight mixture of two isotropic Gaussians split along axis 0."""
     if n < 2:
         raise DataError("n must be >= 2")
     pts = std * stream.standard_normal((n, 2))
     side = stream.integers(0, 2, size=n) * 2 - 1
     pts[:, 0] += side * separation / 2.0
-    return Dataset(pts, label)
+    return Dataset(pts)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -90,7 +86,7 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def load_csv(path, label: str | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -116,5 +112,5 @@ def load_csv(path, label: str | None = None) -> Dataset:
             rows[i - 2] = [float(c) for c in cells]
         except ValueError as exc:
             raise DataError(f"non-numeric cell at line {i} of {path}") from exc
-    return Dataset(rows, label if label is not None else str(path))
+    return Dataset(rows)
 

@@ -11,9 +11,9 @@ import numpy as np
 
 from .core import EfmError, WeightFormatError
 
-ACTIVATIONS = ("tanh", "smooth_relu")
-
 WEIGHT_FORMAT_VERSION = 1
+# The one hidden-layer activation, as the weight file names it.
+_ACTIVATION = "smooth_relu"
 
 
 # Softplus log(1 + exp(a)) is max(log1p(exp(min(a, 40))), a): four vectorised
@@ -24,20 +24,16 @@ WEIGHT_FORMAT_VERSION = 1
 _SOFTPLUS_CLIP = 40.0
 
 
-def _act(name, a):
-    """Hidden-layer activation; never modifies `a`."""
-    if name == "tanh":
-        return np.tanh(a)
+def _act(a):
+    """Hidden-layer activation (softplus); never modifies `a`."""
     out = np.minimum(a, _SOFTPLUS_CLIP)
     np.exp(out, out=out)
     np.log1p(out, out=out)
     return np.maximum(out, a, out=out)
 
 
-def _act_deriv(name, y):
-    """Activation derivative, from the activation's output y = _act(name, a)."""
-    if name == "tanh":
-        return 1.0 - y * y
+def _act_deriv(y):
+    """Activation derivative, from the activation's output y = _act(a)."""
     # softplus' = logistic sigmoid = 1 - exp(-softplus)
     out = np.negative(y)
     np.expm1(out, out=out)
@@ -50,16 +46,13 @@ class FieldApproximator:
     `weights[i]` ((fan_in, fan_out) matrices) and `biases[i]` are views into
     it, so assign through them (`w[...] = ...`), never rebind them."""
 
-    def __init__(self, layer_dims, activation="smooth_relu", weights=None, biases=None):
+    def __init__(self, layer_dims, weights=None, biases=None):
         layer_dims = [int(d) for d in layer_dims]
         if len(layer_dims) < 2:
             raise EfmError("layer_dims needs at least input and output sizes")
         if any(d < 1 for d in layer_dims):
             raise EfmError("layer_dims must be positive")
-        if activation not in ACTIVATIONS:
-            raise EfmError(f"activation must be one of {ACTIVATIONS}")
         self.layer_dims = layer_dims
-        self.activation = activation
         self.params = np.zeros(sum((a + 1) * b for a, b in zip(layer_dims[:-1], layer_dims[1:])))
         self.weights, self.biases = self.layers(self.params)
         if weights is not None:
@@ -83,9 +76,9 @@ class FieldApproximator:
         return weights, biases
 
     @classmethod
-    def init_random(cls, layer_dims, activation, stream) -> "FieldApproximator":
+    def init_random(cls, layer_dims, stream) -> "FieldApproximator":
         """Uniform init scaled by 1/sqrt(fan_in), deterministic given the stream."""
-        net = cls(layer_dims, activation)
+        net = cls(layer_dims)
         for w, b in zip(net.weights, net.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = stream.uniform(-bound, bound, size=w.shape)
@@ -93,7 +86,7 @@ class FieldApproximator:
         return net
 
     def copy(self) -> "FieldApproximator":
-        return FieldApproximator(self.layer_dims, self.activation, self.weights, self.biases)
+        return FieldApproximator(self.layer_dims, self.weights, self.biases)
 
     def forward(self, x) -> np.ndarray:
         """Network output for one point (d,) or a batch (n, d)."""
@@ -108,7 +101,7 @@ class FieldApproximator:
             y = y @ w
             y += b
             if i != last:
-                y = _act(self.activation, y)
+                y = _act(y)
         return y[0] if squeeze else y
 
 def loss_and_gradient(net: FieldApproximator, points, targets):
@@ -132,7 +125,7 @@ def loss_and_gradient(net: FieldApproximator, points, targets):
         y = y @ w
         y += b
         if i != last:
-            y = _act(net.activation, y)
+            y = _act(y)
             post.append(y)
 
     resid = y - t
@@ -146,7 +139,7 @@ def loss_and_gradient(net: FieldApproximator, points, targets):
         np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
             delta = delta @ net.weights[i].T
-            delta *= _act_deriv(net.activation, post[i])
+            delta *= _act_deriv(post[i])
     return loss, grad
 
 
@@ -158,19 +151,17 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment optimizer state with decoupled weight decay; each
-    moment is one vector laid out like the net's params."""
+    """Adaptive-moment optimizer state; each moment is one vector laid out
+    like the net's params."""
 
     learning_rate: float
-    weight_decay: float
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
 
     @classmethod
-    def for_net(cls, net, learning_rate, weight_decay=0.0) -> "OptimizerState":
-        return cls(learning_rate, weight_decay,
-                   np.zeros_like(net.params), np.zeros_like(net.params))
+    def for_net(cls, net, learning_rate) -> "OptimizerState":
+        return cls(learning_rate, np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def optimizer_step(net: FieldApproximator, grad, state: OptimizerState):
@@ -185,8 +176,6 @@ def optimizer_step(net: FieldApproximator, grad, state: OptimizerState):
     v *= BETA2
     v += (1.0 - BETA2) * grad * grad
     step = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    if state.weight_decay:
-        step = step + state.weight_decay * net.params
     net.params -= state.learning_rate * step
     return net, state
 
@@ -225,6 +214,8 @@ def _encode(arr: np.ndarray) -> str:
 
 
 def _decode(text: str, shape) -> np.ndarray:
+    if not isinstance(text, str):
+        raise WeightFormatError("corrupt weight file: arrays must be base64 strings")
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except (binascii.Error, UnicodeEncodeError) as exc:
@@ -242,7 +233,7 @@ def save_weights(net: FieldApproximator, path, created_from_seed=None) -> None:
     payload = {
         "format_version": WEIGHT_FORMAT_VERSION,
         "layer_dims": net.layer_dims,
-        "activation": net.activation,
+        "activation": _ACTIVATION,
         "created_from_seed": created_from_seed,
         "layers": [{"weight": _encode(w), "bias": _encode(b)}
                    for w, b in zip(net.weights, net.biases)],
@@ -267,12 +258,18 @@ def load_weights(path) -> FieldApproximator:
         dims = [int(d) for d in payload["layer_dims"]]
         activation = payload["activation"]
         layers = payload["layers"]
+        if not isinstance(layers, list):
+            raise TypeError("layers must be a list")
+        arrays = [(layer["weight"], layer["bias"]) for layer in layers]
     except (KeyError, TypeError, ValueError) as exc:
-        raise WeightFormatError(f"corrupt weight file: bad header ({exc})") from exc
-    if len(layers) != len(dims) - 1:
+        raise WeightFormatError(f"corrupt weight file: bad header or layers ({exc})") from exc
+    if activation != _ACTIVATION:
+        raise WeightFormatError(f"activation {activation!r} not supported "
+                                f"(expected {_ACTIVATION!r})")
+    if len(arrays) != len(dims) - 1:
         raise WeightFormatError("corrupt weight file: layer count does not match dims")
     weights, biases = [], []
-    for (a, b), layer in zip(zip(dims[:-1], dims[1:]), layers):
-        weights.append(_decode(layer["weight"], (a, b)))
-        biases.append(_decode(layer["bias"], (b,)))
-    return FieldApproximator(dims, activation, weights, biases)
+    for (weight, bias), a, b in zip(arrays, dims[:-1], dims[1:]):
+        weights.append(_decode(weight, (a, b)))
+        biases.append(_decode(bias, (b,)))
+    return FieldApproximator(dims, weights, biases)

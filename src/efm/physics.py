@@ -188,7 +188,7 @@ class PlateJump:
 
 
 def plate_jump_residual(field: EmpiricalField, eval_points, limit_epsilon: float,
-                        kde_bandwidth: float | None = None, stream=None) -> list[PlateJump]:
+                        kde_bandwidth: float | None = None) -> list[PlateJump]:
     """Compare the E_z jump across the positive plate with the plate density.
 
     For points inside the positive plate's support, the one-sided limit
@@ -201,7 +201,7 @@ def plate_jump_residual(field: EmpiricalField, eval_points, limit_epsilon: float
         kde_bandwidth = silverman_bandwidth(field.plate_pos.samples)
     if kde_bandwidth <= 0:
         raise EfmError("kde_bandwidth must be positive")
-    e_lo, e_hi = one_sided_ez(lambda p: field.evaluate(p, stream), pts, 0.0, limit_epsilon)
+    e_lo, e_hi = one_sided_ez(field.evaluate, pts, 0.0, limit_epsilon)
     dens = gaussian_kde_density(field.plate_pos.samples, field.plate_pos.weights,
                                 kde_bandwidth, pts)
     jumps = e_hi - e_lo

@@ -14,7 +14,8 @@ from .model import (EmaState, FieldApproximator, OptimizerState, ema_apply,
                     ema_update, loss_and_gradient, optimizer_step, save_weights)
 
 DEFAULT_HIDDEN_DIMS = (128, 128, 128)
-DEFAULT_ACTIVATION = "smooth_relu"
+LEARNING_RATE = 2e-3
+EMA_DECAY = 0.99
 # cube_mesh draws from the plates' bounding box widened by this much per axis.
 CUBE_MARGIN = 1.0
 
@@ -113,20 +114,18 @@ def write_loss_curve(rows, path) -> None:
             writer.writerow([step, "%.17g" % loss, dropped])
 
 
-def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
-          batch_size: int = 1024, learning_rate: float = 2e-3,
-          weight_decay: float = 0.0, ema_decay: float = 0.99,
-          hidden_dims=DEFAULT_HIDDEN_DIMS, activation: str = DEFAULT_ACTIVATION,
-          mc_subsample: int | None = None, out_dir=None, seed: int | None = None) -> TrainResult:
-    """Fit the normalized-field network on a two-plate system.
+def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: int = 1024,
+          hidden_dims=DEFAULT_HIDDEN_DIMS, mc_subsample: int | None = None,
+          out_dir=None) -> TrainResult:
+    """Fit the normalized-field network on a two-plate system with Adam at
+    LEARNING_RATE and an EMA_DECAY parameter average.
 
     data_pos / data_neg are (n, D) sample arrays for the positive and
     negative plates. Checkpoints and a loss-curve CSV land in out_dir when
-    given. Fully deterministic for a fixed (cfg, seed).
+    given. Fully deterministic for a fixed cfg (its seed included).
     """
     validate_config(cfg)
-    if seed is None:
-        seed = cfg.seed
+    seed = cfg.seed
     pos = PlateSet(np.asarray(data_pos, dtype=float), 0.0, +1)
     neg = PlateSet(np.asarray(data_neg, dtype=float), cfg.plate_gap, -1)
     if pos.dim != cfg.dim_d:
@@ -134,10 +133,10 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int,
     field = EmpiricalField(pos, neg, cfg.field_epsilon, mc_subsample)
 
     dim = cfg.dim_d + 1
-    net = FieldApproximator.init_random([dim, *hidden_dims, dim], activation,
+    net = FieldApproximator.init_random([dim, *hidden_dims, dim],
                                         seeded_stream(seed, "train/init"))
-    optimizer = OptimizerState.for_net(net, learning_rate, weight_decay)
-    ema = EmaState.from_net(net, ema_decay)
+    optimizer = OptimizerState.for_net(net, LEARNING_RATE)
+    ema = EmaState.from_net(net, EMA_DECAY)
 
     loop_stream = seeded_stream(seed, "train/loop")
     curve = []

@@ -2,19 +2,17 @@
 plate (z=plate_gap).
 
 `map_batch` is the one entry point. It takes a batch field callable
-`field_fn(pts, stream)` that maps (m, D+1) points to their (m, D+1) field,
-and one of three policy names. `EmpiricalField.evaluate` fits the callable
-unchanged; a network fits it through a wrapper that ignores the stream.
-Only a Monte Carlo field reads the stream.
+`field_fn(pts)` that maps (m, D+1) points to their (m, D+1) field, and one
+of three policy names. `EmpiricalField.evaluate` and a network's `forward`
+both fit the callable unchanged.
 
 - "practical": one vectorised Euler loop over the whole batch on a z-grid
-  of `nfe` steps, every step evaluated with one batch stream.
+  of `nfe` steps.
 - "adaptive": `trace_line_t` per line from z=limit_epsilon, stopping at the
   first z=plate_gap arrival.
 - "theoretical": `stochastic_map` per line, the flux-ratio start direction
-  and stop around `trace_line_t`'s plate-crossing events.
-
-The two per-line policies give each line a stream keyed by its start point.
+  and stop around `trace_line_t`'s plate-crossing events. Each line draws
+  these from a stream keyed by its start point.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import LIMIT_EPSILON_FRACTION, TransportError, seeded_stream
+from .core import TransportError, default_limit_epsilon, seeded_stream
 from .field import TINY_FIELD_NORM, one_sided_ez
 
 _SUCCESS = ("reached_target_plate", "continued_past_plate_then_returned")
@@ -227,7 +225,7 @@ def trace_line_t(start, field_fn, *, plate_gap: float, max_steps: int = 20_000,
 # ---------------------------------------------------------------------------
 # Transport of a batch.
 
-def _euler_lines(starts_x, field_fn, n: int, plate_gap: float, stream) -> list:
+def _euler_lines(starts_x, field_fn, n: int, plate_gap: float) -> list:
     """Euler steps x += (f_x / f_z) dz on an n-step z-grid from 0 to plate_gap.
 
     The grid's last z is plate_gap exactly. A line whose f_z turns
@@ -246,7 +244,7 @@ def _euler_lines(starts_x, field_fn, n: int, plate_gap: float, stream) -> list:
         idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
-        f = np.atleast_2d(np.asarray(field_fn(state[idx], stream), dtype=float))
+        f = np.atleast_2d(np.asarray(field_fn(state[idx]), dtype=float))
         fz = f[:, -1]
         bad = (np.abs(fz) < DEGENERACY_RATIO * np.linalg.norm(f, axis=1)) | (fz == 0.0)
         active[idx[bad]] = False
@@ -262,34 +260,27 @@ def _euler_lines(starts_x, field_fn, n: int, plate_gap: float, stream) -> list:
             for i in range(m)]
 
 
-def stochastic_map(x_plus, field_fn, stream, *, plate_gap: float,
-                   limit_epsilon: float | None = None):
+def stochastic_map(x_plus, field_fn, stream, *, plate_gap: float, limit_epsilon: float):
     """Transport one source-plate point to the target plate (theoretical policy).
 
     Start forward or backward by the flux-ratio direction probability,
     trace adaptively, and at each z=plate_gap crossing stop with the
     flux-ratio stop probability. The one-sided E_z limits are two rows of
-    `field_fn`, at z = plate -/+ limit_epsilon. `stream` feeds `field_fn`
-    and both draws. Returns (mapped x, Trajectory).
+    `field_fn`, at z = plate -/+ limit_epsilon. `stream` makes both draws.
+    Returns (mapped x, Trajectory).
     """
     x_plus = np.asarray(x_plus, dtype=float)
-    if limit_epsilon is None:
-        limit_epsilon = plate_gap * LIMIT_EPSILON_FRACTION
-
-    def line_fn(pts):
-        return field_fn(pts, stream)
-
-    (e_lo,), (e_hi,) = one_sided_ez(line_fn, x_plus, 0.0, limit_epsilon)
+    (e_lo,), (e_hi,) = one_sided_ez(field_fn, x_plus, 0.0, limit_epsilon)
     forward = stream.uniform() < direction_probability(e_hi, e_lo)
     start = np.append(x_plus, limit_epsilon if forward else -limit_epsilon)
 
     def on_crossing(point, plate):
         if plate != plate_gap:
             return False
-        (e_lo,), (e_hi,) = one_sided_ez(line_fn, point[:-1], plate_gap, limit_epsilon)
+        (e_lo,), (e_hi,) = one_sided_ez(field_fn, point[:-1], plate_gap, limit_epsilon)
         return stream.uniform() < stop_probability(e_lo, e_hi)
 
-    traj = trace_line_t(start, line_fn, plate_gap=plate_gap, on_crossing=on_crossing)
+    traj = trace_line_t(start, field_fn, plate_gap=plate_gap, on_crossing=on_crossing)
     return traj.points[-1][:-1].copy(), traj
 
 
@@ -307,25 +298,15 @@ def _line_stream(seed: int, x) -> np.random.Generator:
     return seeded_stream(seed, f"transport/{digest}")
 
 
-def _line(x, field_fn, policy: str, stream, plate_gap: float, limit_epsilon: float):
-    """One line of a per-line policy, its field evaluated with `stream`."""
-    if policy == "theoretical":
-        return stochastic_map(x, field_fn, stream, plate_gap=plate_gap,
-                              limit_epsilon=limit_epsilon)[1]
-    return trace_line_t(np.append(x, limit_epsilon), lambda pts: field_fn(pts, stream),
-                        plate_gap=plate_gap)
-
-
 def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
               seed: int = 0, limit_epsilon: float | None = None) -> MapResult:
     """Transport a batch of source points x (m, D) to z=plate_gap along `field_fn`.
 
-    `field_fn(pts, stream)` returns the field at an (m, D+1) batch.
-    `policy` "practical" takes `nfe` z-steps and calls it once per step for
-    all lines still moving, with the stream seeded_stream(seed, "transport/batch").
-    "adaptive" and "theoretical" call it per line, with a stream keyed by
-    that line's start point, which also draws a theoretical line's
-    direction and stops. Results are deterministic for a seed and
+    `field_fn(pts)` returns the field at an (m, D+1) batch. `policy`
+    "practical" takes `nfe` z-steps and calls it once per step for all
+    lines still moving. "adaptive" and "theoretical" call it per line; a
+    theoretical line draws its direction and stops from a stream keyed by
+    `seed` and its start point. Results are deterministic for a seed and
     equivariant under reordering of the batch up to rounding. Per-line
     failures are recorded and the batch continues.
     """
@@ -333,15 +314,17 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     if len(points) == 0:
         raise TransportError("empty batch")
     if limit_epsilon is None:
-        limit_epsilon = plate_gap * LIMIT_EPSILON_FRACTION
+        limit_epsilon = default_limit_epsilon(plate_gap)
     if policy == "practical":
         if nfe < 1:
             raise TransportError("nfe must be at least 1")
-        trajectories = _euler_lines(points, field_fn, nfe, plate_gap,
-                                    seeded_stream(seed, "transport/batch"))
-    elif policy in ("adaptive", "theoretical"):
-        trajectories = [_line(x, field_fn, policy, _line_stream(seed, x), plate_gap,
-                              limit_epsilon)
+        trajectories = _euler_lines(points, field_fn, nfe, plate_gap)
+    elif policy == "adaptive":
+        trajectories = [trace_line_t(np.append(x, limit_epsilon), field_fn, plate_gap=plate_gap)
+                        for x in points]
+    elif policy == "theoretical":
+        trajectories = [stochastic_map(x, field_fn, _line_stream(seed, x), plate_gap=plate_gap,
+                                       limit_epsilon=limit_epsilon)[1]
                         for x in points]
     else:
         raise TransportError(f"unknown transport policy {policy!r}")

@@ -9,9 +9,9 @@ import pytest
 
 from efm import cli
 from efm.cli import dispatch
-from efm.core import CapacitorConfig
+from efm.core import CapacitorConfig, ConfigError, WeightFormatError, validate_config
 from efm.data import load_csv
-from efm.model import FieldApproximator, save_weights
+from efm.model import FieldApproximator, load_weights, save_weights
 
 
 @pytest.fixture
@@ -58,6 +58,54 @@ class TestDispatch:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("layers", [
+        [{"bias": "AAAAAAAAAAA="}],   # layer without "weight"
+        ["not an object"],
+        [{"weight": [1.0], "bias": "AAAAAAAAAAA="}],   # "weight" not a base64 string
+        None,   # "layers" not a list
+    ])
+    def test_malformed_weight_file_is_domain_error(self, tmp_path, toy_config_file, capsys,
+                                                   layers):
+        pos = tmp_path / "pos"
+        assert run("generate-data", "--kind", "gaussian", "--n", 8, "--out", pos) == 0
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"format_version": 1, "layer_dims": [1, 1],
+                                       "activation": "smooth_relu", "layers": layers}))
+        with pytest.raises(WeightFormatError, match="corrupt weight file"):
+            load_weights(weights)
+        capsys.readouterr()
+        code = run("transport", "--weights", weights, "--config", toy_config_file,
+                   "--in", pos / "data.csv", "--out", tmp_path / "tr")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt weight file") and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"dim_d": 2, "plate_gap": "6"}, "plate_gap"),
+        ({"dim_d": 2, "plate_gap": 6.0, "noise_sigma": None}, "noise_sigma"),
+        ({"plate_gap": 6.0}, "dim_d"),
+    ])
+    def test_malformed_config_is_domain_error(self, tmp_path, capsys, raw, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=field):
+            validate_config(CapacitorConfig.from_json_file(config))
+        assert run("verify-physics", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("generate-data", "--kind", "gaussian", "--n", 8, "--dim", -1),
+        ("generate-data", "--kind", "gaussian", "--n", 0),
+        ("generate-data", "--kind", "gaussian", "--n", 8, "--seed", -1),
+        ("evaluate", "--a", "a.csv", "--b", "b.csv", "--seed", -1),
+    ])
+    def test_out_of_range_integer_is_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyPhysics:
@@ -136,20 +184,6 @@ class TestPipeline:
         assert code == 1
         assert "--policy practical" in capsys.readouterr().err
 
-    def test_weights_with_mc_subsample_rejected(self, tmp_path, toy_config_file, plates,
-                                                capsys):
-        # --mc-subsample draws charges of the exact field; a network has none
-        pos, neg = plates
-        train_out = tmp_path / "train"
-        assert run("train", "--config", toy_config_file, "--data-pos", pos,
-                   "--data-neg", neg, "--steps", 1, "--batch-size", 32,
-                   "--hidden", "8", "--out", train_out) == 0
-        code = run("transport", "--weights", train_out / "weights_ema.json",
-                   "--mc-subsample", 16, "--config", toy_config_file,
-                   "--in", pos, "--out", tmp_path / "tr")
-        assert code == 1
-        assert "error: --mc-subsample applies to the exact field" in capsys.readouterr().err
-
     def test_exact_field_transport(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
         out = tmp_path / "ex"
@@ -167,6 +201,22 @@ class TestPipeline:
     ])
     def test_malformed_number_is_usage_error(self, tmp_path, toy_config_file, plates,
                                              capsys, bad):
+        self.assert_usage_error(tmp_path, toy_config_file, plates, capsys, *bad)
+
+    @pytest.mark.parametrize("removed", [
+        ("transport", "--mc-subsample", "16"),
+        ("train", "--lr", "0.002"),
+        ("train", "--weight-decay", "0"),
+        ("train", "--ema-decay", "0.99"),
+        ("train", "--activation", "smooth_relu"),
+    ])
+    def test_removed_option_is_usage_error(self, tmp_path, toy_config_file, plates,
+                                           capsys, removed):
+        # a network's field or the exact sum, trained with one fixed recipe
+        self.assert_usage_error(tmp_path, toy_config_file, plates, capsys, *removed)
+
+    @staticmethod
+    def assert_usage_error(tmp_path, toy_config_file, plates, capsys, command, *override):
         pos, neg = plates
         weights = tmp_path / "w.json"
         save_weights(FieldApproximator([3, 3]), weights)
@@ -177,7 +227,6 @@ class TestPipeline:
             "field-grid": ["--data-pos", pos, "--data-neg", neg, "--grid-min", "0,0,1",
                            "--grid-max", "1,1,2", "--grid-shape", "2,2,2"],
         }
-        command, *override = bad
         assert run(command, *common, *valid[command], *override) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "usage:" in err
@@ -300,8 +349,7 @@ class TestRunPreset:
                         seed=0).to_json_file(config)
         assert run("train", "--config", config, "--data-pos", out / "data_pos.csv",
                    "--data-neg", out / "data_neg.csv", "--steps", 20,
-                   "--batch-size", 128, "--lr", cli.PRESET_LR,
-                   "--weight-decay", cli.PRESET_WEIGHT_DECAY, "--out", tmp_path / "train") == 0
+                   "--batch-size", 128, "--out", tmp_path / "train") == 0
         assert run("transport", "--weights", tmp_path / "train" / "weights_ema.json",
                    "--config", config, "--nfe", cli.PRESET_NFE, "--in", out / "inputs.csv",
                    "--dump-trajectories", "--out", tmp_path / "tr") == 0

@@ -22,10 +22,7 @@ def scalar_forward(net, x):
                 acc += y[i] * float(w[i, j])
             out.append(acc)
         if li != last:
-            if net.activation == "tanh":
-                out = [math.tanh(v) for v in out]
-            else:
-                out = [math.log1p(math.exp(-abs(v))) + max(v, 0.0) for v in out]
+            out = [math.log1p(math.exp(-abs(v))) + max(v, 0.0) for v in out]
         y = out
     return np.array(y)
 
@@ -46,7 +43,7 @@ def finite_difference_grads(net, points, targets, h=1e-4):
     return grad
 
 
-def reference_optimizer_steps(arrays, grads, learning_rate, weight_decay,
+def reference_optimizer_steps(arrays, grads, learning_rate,
                               beta1=0.9, beta2=0.999, eps_opt=1e-8):
     """The per-array Adam loop that optimizer_step replaced: `arrays` is a
     list of parameter arrays, updated in place, and `grads` one list of
@@ -62,8 +59,6 @@ def reference_optimizer_steps(arrays, grads, learning_rate, weight_decay,
             v *= beta2
             v += (1.0 - beta2) * g * g
             step = (m / c1) / (np.sqrt(v / c2) + eps_opt)
-            if weight_decay:
-                step = step + weight_decay * p
             p -= learning_rate * step
     return ms, vs
 
@@ -90,7 +85,7 @@ class TestSoftplus:
         a = self.GRID.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _act("smooth_relu", a)
+            got = _act(a)
         ref = np.logaddexp(0.0, self.GRID)
         np.testing.assert_array_equal(a, self.GRID)  # input untouched
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
@@ -99,7 +94,7 @@ class TestSoftplus:
         a = self.GRID[np.abs(self.GRID) < 700]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _act_deriv("smooth_relu", _act("smooth_relu", a))
+            got = _act_deriv(_act(a))
         ref = np.exp(-np.logaddexp(0.0, -a))
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
@@ -114,29 +109,25 @@ class TestForward:
         x = np.array([0.3, -1.2, 2.0])
         np.testing.assert_array_equal(net.forward(x), x)
 
-    @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
-    def test_tiny_net_matches_scalar_arithmetic(self, activation):
+    def test_tiny_net_matches_scalar_arithmetic(self):
         w1 = np.array([[0.5, -0.25, 0.1], [0.2, 0.3, -0.4]])
         b1 = np.array([0.05, -0.1, 0.2])
         w2 = np.array([[1.0, 0.5], [-0.5, 0.25], [0.75, -1.0]])
         b2 = np.array([-0.3, 0.6])
-        net = FieldApproximator([2, 3, 2], activation, [w1, w2], [b1, b2])
+        net = FieldApproximator([2, 3, 2], [w1, w2], [b1, b2])
         x = np.array([0.7, -1.1])
         np.testing.assert_allclose(net.forward(x), scalar_forward(net, x),
                                    rtol=1e-12, atol=1e-14)
 
     def test_batch_matches_rowwise(self):
-        net = FieldApproximator.init_random([3, 8, 3], "smooth_relu",
-                                            seeded_stream(0, "init"))
+        net = FieldApproximator.init_random([3, 8, 3], seeded_stream(0, "init"))
         xs = seeded_stream(1, "pts").standard_normal((5, 3))
         batch = net.forward(xs)
         rows = np.stack([net.forward(x) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-14)
 
-    @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
-    def test_input_left_unmodified(self, activation):
-        net = FieldApproximator.init_random([3, 8, 8, 3], activation,
-                                            seeded_stream(6, "init"))
+    def test_input_left_unmodified(self):
+        net = FieldApproximator.init_random([3, 8, 8, 3], seeded_stream(6, "init"))
         batch = seeded_stream(7, "pts").standard_normal((4, 3))
         for xs in (batch, np.array([0.3, -1.0, 2.0])):
             before = xs.copy()
@@ -144,11 +135,9 @@ class TestForward:
             np.testing.assert_array_equal(xs, before)
 
     def test_finite_on_huge_inputs(self):
-        for activation in ("tanh", "smooth_relu"):
-            net = FieldApproximator.init_random([3, 16, 16, 3], activation,
-                                                seeded_stream(2, "init"))
-            x = np.array([1e6, -1e6, 1e6])
-            assert np.all(np.isfinite(net.forward(x)))
+        net = FieldApproximator.init_random([3, 16, 16, 3], seeded_stream(2, "init"))
+        x = np.array([1e6, -1e6, 1e6])
+        assert np.all(np.isfinite(net.forward(x)))
 
     def test_dimension_mismatch_rejected(self):
         net = FieldApproximator([3, 4, 3])
@@ -174,11 +163,9 @@ class TestLossAndGradient:
         with pytest.raises(Exception, match="empty"):
             loss_and_gradient(net, np.zeros((0, 2)), np.zeros((0, 2)))
 
-    @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
     @pytest.mark.parametrize("dims", [[3, 6, 3], [2, 5, 5, 2]])
-    def test_gradient_matches_finite_differences(self, activation, dims):
-        net = FieldApproximator.init_random(dims, activation,
-                                            seeded_stream(3, f"{activation}{dims}"))
+    def test_gradient_matches_finite_differences(self, dims):
+        net = FieldApproximator.init_random(dims, seeded_stream(3, f"smooth_relu{dims}"))
         stream = seeded_stream(4, "batch")
         pts = stream.standard_normal((6, dims[0]))
         tgt = stream.standard_normal((6, dims[0]))
@@ -191,7 +178,7 @@ class TestLossAndGradient:
 
 class TestOptimizer:
     def test_zero_gradient_no_decay_is_noop(self):
-        net = FieldApproximator.init_random([2, 3, 2], "tanh", seeded_stream(5, "i"))
+        net = FieldApproximator.init_random([2, 3, 2], seeded_stream(5, "i"))
         before = [w.copy() for w in net.weights]
         state = OptimizerState.for_net(net, learning_rate=0.1)
         optimizer_step(net, np.zeros_like(net.params), state)
@@ -223,16 +210,10 @@ class TestOptimizer:
         assert loss < 1e-3
         np.testing.assert_allclose(net.weights[0], w_star, atol=0.05)
 
-    def test_decoupled_weight_decay_shrinks_params(self):
-        net = FieldApproximator([1, 1], weights=[np.array([[2.0]])], biases=[np.zeros(1)])
-        state = OptimizerState.for_net(net, learning_rate=0.01, weight_decay=0.5)
-        optimizer_step(net, np.zeros(2), state)
-        assert 0 < net.weights[0][0, 0] < 2.0
-
 
 class TestEma:
     def test_decay_zero_copies_current(self):
-        net = FieldApproximator.init_random([2, 3, 2], "tanh", seeded_stream(7, "i"))
+        net = FieldApproximator.init_random([2, 3, 2], seeded_stream(7, "i"))
         ema = EmaState.from_net(FieldApproximator([2, 3, 2]), 0.0)
         ema_update(ema, net)
         for s, w in zip(ema.shadow.weights, net.weights):
@@ -257,8 +238,7 @@ class TestEma:
         assert ema.shadow.weights[0][0, 0] == pytest.approx(0.99 * 0.01 + 0.01)
 
     def test_apply_never_mutates_live_net(self):
-        net = FieldApproximator.init_random([2, 4, 2], "smooth_relu",
-                                            seeded_stream(8, "i"))
+        net = FieldApproximator.init_random([2, 4, 2], seeded_stream(8, "i"))
         before = [w.copy() for w in net.weights]
         ema = EmaState.from_net(net, 0.9)
         snap = ema_apply(ema)
@@ -269,13 +249,11 @@ class TestEma:
 
 class TestPersistence:
     def test_round_trip_bit_identical(self, tmp_path):
-        net = FieldApproximator.init_random([3, 7, 3], "smooth_relu",
-                                            seeded_stream(9, "i"))
+        net = FieldApproximator.init_random([3, 7, 3], seeded_stream(9, "i"))
         path = tmp_path / "w.json"
         save_weights(net, path, created_from_seed=9)
         back = load_weights(path)
         assert back.layer_dims == net.layer_dims
-        assert back.activation == net.activation
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             np.testing.assert_array_equal(a, b)
 
@@ -296,6 +274,17 @@ class TestPersistence:
         payload["layer_dims"] = [2, 4, 2]
         path.write_text(json.dumps(payload))
         with pytest.raises(WeightFormatError, match="size does not match"):
+            load_weights(path)
+
+    def test_other_activation_rejected(self, tmp_path):
+        import json
+        path = tmp_path / "w.json"
+        save_weights(FieldApproximator([2, 2]), path)
+        payload = json.loads(path.read_text())
+        assert payload["activation"] == "smooth_relu"
+        payload["activation"] = "tanh"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(WeightFormatError, match="activation 'tanh' not supported"):
             load_weights(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -320,15 +309,14 @@ class TestParams:
         assert not np.array_equal(net.forward(x), before)
 
     def test_layers_are_views_after_every_constructor(self, tmp_path):
-        net = FieldApproximator.init_random([3, 5, 4, 3], "smooth_relu",
-                                            seeded_stream(20, "i"))
+        net = FieldApproximator.init_random([3, 5, 4, 3], seeded_stream(20, "i"))
         save_weights(net, tmp_path / "w.json")
         ema = EmaState.from_net(net, 0.9)
         for made in (net, load_weights(tmp_path / "w.json"), net.copy(), ema_apply(ema)):
             self.assert_views_of_params(made)
 
     def test_copies_own_their_params(self):
-        net = FieldApproximator.init_random([3, 4, 3], "tanh", seeded_stream(21, "i"))
+        net = FieldApproximator.init_random([3, 4, 3], seeded_stream(21, "i"))
         ema = EmaState.from_net(net, 0.9)
         for made in (net.copy(), ema_apply(ema), ema.shadow):
             assert not np.shares_memory(made.params, net.params)
@@ -344,16 +332,15 @@ class TestParams:
 
 class TestFlatMatchesPerArrayLoops:
     def test_three_optimizer_steps_bit_identical(self):
-        net = FieldApproximator.init_random([3, 8, 8, 3], "smooth_relu",
-                                            seeded_stream(24, "i"))
+        net = FieldApproximator.init_random([3, 8, 8, 3], seeded_stream(24, "i"))
         ref = [a.copy() for a in net.weights + net.biases]
         stream = seeded_stream(25, "g")
         grads = [stream.standard_normal(net.params.shape) for _ in range(3)]
-        state = OptimizerState.for_net(net, learning_rate=0.01, weight_decay=0.5)
+        state = OptimizerState.for_net(net, learning_rate=0.01)
         for g in grads:
             optimizer_step(net, g, state)
         ms, vs = reference_optimizer_steps(
-            ref, [split(net, g) for g in grads], 0.01, 0.5)
+            ref, [split(net, g) for g in grads], 0.01)
         assert state.step_count == 3
         for got, want in zip(net.weights + net.biases, ref):
             np.testing.assert_array_equal(got, want)
@@ -362,8 +349,7 @@ class TestFlatMatchesPerArrayLoops:
                 np.testing.assert_array_equal(got, want)
 
     def test_three_ema_updates_bit_identical(self):
-        net = FieldApproximator.init_random([3, 8, 3], "smooth_relu",
-                                            seeded_stream(26, "i"))
+        net = FieldApproximator.init_random([3, 8, 3], seeded_stream(26, "i"))
         ema = EmaState.from_net(net, 0.97)
         ref = [a.copy() for a in net.weights + net.biases]
         stream = seeded_stream(27, "p")

@@ -111,8 +111,7 @@ class TestTrainingStep:
     def setup_step(self, lr=1e-3):
         cfg = toy_config()
         field = small_field(seeded_stream(8, "f"))
-        net = FieldApproximator.init_random([3, 16, 3], "smooth_relu",
-                                            seeded_stream(9, "i"))
+        net = FieldApproximator.init_random([3, 16, 3], seeded_stream(9, "i"))
         opt = OptimizerState.for_net(net, learning_rate=lr)
         ema = EmaState.from_net(net, 0.99)
         return cfg, field, net, opt, ema
@@ -146,8 +145,7 @@ class TestTrain:
         pos = stream.standard_normal((32, 2))
         neg = stream.standard_normal((32, 2))
         result = train(cfg, pos, neg, n_steps=0, batch_size=16, hidden_dims=(8,))
-        fresh = FieldApproximator.init_random([3, 8, 3], "smooth_relu",
-                                              seeded_stream(cfg.seed, "train/init"))
+        fresh = FieldApproximator.init_random([3, 8, 3], seeded_stream(cfg.seed, "train/init"))
         for a, b in zip(result.net.weights, fresh.weights):
             np.testing.assert_array_equal(a, b)
         assert result.loss_curve == []
