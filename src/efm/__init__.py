@@ -7,8 +7,8 @@ from .field import EmpiricalField, PlateSet, point_charge_field, sphere_surface_
 from .metrics import DistanceReport, energy_distance, permutation_null, sliced_w1
 from .model import FieldApproximator, load_weights, save_weights
 from .training import train
-from .transport import (Trajectory, direction_probability, map_batch, stochastic_map,
-                        stop_probability, trace_line_t)
+from .transport import (Trajectory, direction_probability, map_batch, stop_probability,
+                        trace_lines_t)
 
 __all__ = [
     "CapacitorConfig", "EfmError", "seeded_stream", "validate_config",
@@ -17,8 +17,8 @@ __all__ = [
     "DistanceReport", "energy_distance", "permutation_null", "sliced_w1",
     "FieldApproximator", "load_weights", "save_weights",
     "train",
-    "Trajectory", "direction_probability", "map_batch", "stochastic_map",
-    "stop_probability", "trace_line_t",
+    "Trajectory", "direction_probability", "map_batch", "stop_probability",
+    "trace_lines_t",
 ]
 
 __version__ = "0.1.0"

@@ -9,12 +9,15 @@ Each stage of the method exists once; the subcommands and
 - `_transport`: `map_batch` under one of its policies, then `mapped.csv`
   and, if asked, `trajectories.csv`. `transport --policy` picks "practical"
   (z-Euler with `--nfe` steps) or "theoretical" (flux-ratio start and stop);
-  `trace-lines` is the "adaptive" policy with its trajectories written;
+  `trace-lines` is the "adaptive" policy with its trajectories written.
+  Every policy moves all of its lines as one batch, one field call per
+  step or Cash-Karp stage;
 - `_evaluate`: energy distance (with a permutation null when `n_perm` > 0)
   and sliced W1, from a stream the caller passes in.
 
 A subcommand body returns a `_Run`. `_recorded` times it, creates its output
-directory and writes `manifest.json`: `subcommand`, `config`, `seed`, `inputs`
+directory (and removes it again, if still empty, when the body fails) and
+writes `manifest.json`: `subcommand`, `config`, `seed`, `inputs`
 (path -> SHA-256), `outputs`, `duration_seconds`. `transport` adds `nfe`,
 `policy` and `n_failed` to `config`, `trace-lines` adds `n_failed`; `run-preset`
 adds `n_steps`, `nfe` and `train_seconds`. `dispatch` prints the run's report;
@@ -132,13 +135,21 @@ class _Run:
 
 def _recorded(body):
     """Wrap `body(out, ...) -> _Run`: create the directory `out` first and
-    write its manifest.json after; with `out` None, do neither."""
+    write its manifest.json after; with `out` None, do neither. When the
+    body raises, a directory `out` created here and still empty is removed."""
     def run(out, *args) -> _Run:
         started = time.time()
+        created = False
         if out is not None:
             out = Path(out)
+            created = not out.exists()
             out.mkdir(parents=True, exist_ok=True)
-        rec = body(out, *args)
+        try:
+            rec = body(out, *args)
+        except BaseException:
+            if created and not any(out.iterdir()):
+                out.rmdir()
+            raise
         if out is not None:
             write_manifest(out, rec.subcommand, rec.config, rec.seed, rec.inputs,
                            rec.outputs, started)

@@ -22,7 +22,9 @@ TINY_FIELD_NORM = 1e-30
 # powers stay in range and are cheaper to form.
 LOG_ACCUMULATION_DIM = 32
 
-_PAIR_BLOCK = 4_000_000  # max pairwise entries materialized at once
+# Max pairwise entries materialized at once. A (rows, n) float64 temporary
+# then takes 512 KiB, so a block's temporaries stay in a core's L2 cache.
+_PAIR_BLOCK = 65_536
 
 
 def sphere_surface_area(n: int) -> float:

@@ -8,11 +8,12 @@ both fit the callable unchanged.
 
 - "practical": one vectorised Euler loop over the whole batch on a z-grid
   of `nfe` steps.
-- "adaptive": `trace_line_t` per line from z=limit_epsilon, stopping at the
-  first z=plate_gap arrival.
-- "theoretical": `stochastic_map` per line, the flux-ratio start direction
-  and stop around `trace_line_t`'s plate-crossing events. Each line draws
-  these from a stream keyed by its start point.
+- "adaptive": `trace_lines_t`, one adaptive Cash-Karp trace of the whole
+  batch from z=limit_epsilon, stopping each line at its first z=plate_gap
+  arrival.
+- "theoretical": the same batched trace with the flux-ratio start
+  direction and stop at its plate-crossing events. Each line draws these
+  from a stream keyed by its start point.
 """
 
 from __future__ import annotations
@@ -102,124 +103,178 @@ STALL_WINDOW = 50
 STALL_RADIUS = 100 * ATOL
 
 
+# 2**-47 < 1e-14: the crossing parameter is known to below 1e-14 of the step.
+_BISECTIONS = 47
+
+
+def _combo(coeffs, ks):
+    """sum_j coeffs[j] * ks[j], accumulated in order, row by row."""
+    acc = coeffs[0] * ks[0]
+    for c, k in zip(coeffs[1:], ks[1:]):
+        acc += c * k
+    return acc
+
+
 def _hermite(y0, k0, y1, k1, h, s):
     s2, s3 = s * s, s * s * s
     return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * k0
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * k1)
 
 
-def _locate_crossing(y0, k0, y1, k1, h, plate):
-    """Bisection on the cubic Hermite interpolant's z-component."""
-    g0 = y0[-1] - plate
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
+def _locate_crossings(y0, k0, y1, k1, h, plate):
+    """Bisection on each row's cubic Hermite interpolant z-component: the
+    step fractions s (n,) where z crosses `plate`, and the points there."""
+    z = (y0[:, -1], k0[:, -1], y1[:, -1], k1[:, -1], h)
+    below = y0[:, -1] - plate > 0
+    lo, hi = np.zeros(len(h)), np.ones(len(h))
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        gm = _hermite(y0[-1], k0[-1], y1[-1], k1[-1], h, mid) - plate
-        if (gm > 0) == (g0 > 0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
+        same = (_hermite(*z, mid) - plate > 0) == below
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
     s = 0.5 * (lo + hi)
-    return s, _hermite(y0, k0, y1, k1, h, s)
+    return s, _hermite(y0, k0, y1, k1, h[:, None], s[:, None])
 
 
-def trace_line_t(start, field_fn, *, plate_gap: float, max_steps: int = 20_000,
-                 on_crossing=None) -> Trajectory:
-    """Adaptive trace of d(point)/dt = field(point) for a batch callable
-    `field_fn`, called on one row at a time.
+def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000,
+                  on_crossing=None) -> list:
+    """Adaptive trace of d(point)/dt = field(point) for a batch of lines
+    starting at the rows of `starts` (m, D+1); returns m Trajectories.
 
+    Every line keeps its own point, field, step size and counters, and each
+    Cash-Karp stage is one `field_fn` call on the rows of the lines still
+    moving, so a line's arithmetic does not depend on the batch around it.
     Crossings of z=0 and z=plate_gap are located on each accepted step by
-    sign change plus Hermite-interpolant bisection and reported to
-    `on_crossing(point, plate) -> bool` (True = stop there).
-    By default the line stops at its first z=plate_gap arrival. A line
-    farther than DOMAIN_RADIUS_FACTOR * (plate_gap + |start|) from its start
-    ends as "left_domain", and one that stops moving (STALL_WINDOW) as
-    "stalled". Double crossings of one plane inside a single accepted step
-    are not detected; step sizes near the plates are small enough in
+    sign change plus Hermite-interpolant bisection, and each line meets its
+    crossings in time order. `on_crossing(line_idx, points, plate) -> bool
+    array` decides all crossings of one plane in one call (True = stop
+    there); by default a line stops at its first z=plate_gap arrival.
+    A line farther than DOMAIN_RADIUS_FACTOR * (plate_gap + |start|) from
+    its start ends as "left_domain", one that stops moving (STALL_WINDOW) as
+    "stalled", and one still moving after `max_steps` step attempts as
+    "step_limit". Double crossings of one plane inside a single accepted
+    step are not detected; step sizes near the plates are small enough in
     practice that this never matters at the solver tolerance.
     """
     if on_crossing is None:
-        def on_crossing(point, plate):
-            return plate == plate_gap
+        def on_crossing(line_idx, points, plate):
+            return np.full(len(line_idx), plate == plate_gap)
 
-    y = origin = np.array(start, dtype=float)
-    max_travel = DOMAIN_RADIUS_FACTOR * (plate_gap + np.linalg.norm(origin))
-    evals = 0
-
-    def g(p):
-        nonlocal evals
-        evals += 1
-        return field_fn(p[None])[0]
-
-    k_start = g(y)
-    speed = np.linalg.norm(k_start)
-    if speed < TINY_FIELD_NORM:
-        return Trajectory(np.array([y]), "field_degenerate", [], evals)
-    h = 0.01 * plate_gap / max(speed, 1e-12)
-
-    points = [y]
-    crossings: list = []
-    plate_hits = 0  # z=plate_gap crossings continued past
-    short_steps = 0  # consecutive accepted steps shorter than 2 * STALL_RADIUS
-    ks = np.empty((6, len(y)))
+    y = np.array(np.atleast_2d(starts), dtype=float)
+    m = len(y)
+    points = [[row] for row in y.copy()]
+    crossings = [[] for _ in range(m)]
+    trajectories = [None] * m
+    ids = np.arange(m)
+    origin = y.copy()
+    reach = DOMAIN_RADIUS_FACTOR * (plate_gap + np.linalg.norm(origin, axis=1))
+    k = np.array(field_fn(y), dtype=float)
+    evals = np.ones(m, dtype=int)
+    speed = np.linalg.norm(k, axis=1)
+    h = 0.01 * plate_gap / np.maximum(speed, 1e-12)
+    hits = np.zeros(m, dtype=int)  # z=plate_gap crossings continued past
+    short = np.zeros(m, dtype=int)  # consecutive accepted steps shorter than 2 * STALL_RADIUS
+    ended = [(j, "field_degenerate") for j in np.flatnonzero(speed < TINY_FIELD_NORM)]
 
     for _ in range(max_steps):
-        # embedded step attempt
-        ks[0] = k_start
+        if ended:
+            keep = np.ones(len(ids), dtype=bool)
+            for j, term in ended:
+                line = ids[j]
+                trajectories[line] = Trajectory(np.array(points[line]), term, crossings[line],
+                                                int(evals[j]))
+                keep[j] = False
+            ids, y, k, h, evals, hits, short, origin, reach = (
+                a[keep] for a in (ids, y, k, h, evals, hits, short, origin, reach))
+            ended = []
+        if len(ids) == 0:
+            break
+
+        # embedded step attempt of every line still moving
+        ks = [k]
         for i in range(1, 6):
-            ks[i] = g(y + h * (_CK_A[i, :i] @ ks[:i]))
-        y5 = y + h * (_CK_B5 @ ks)
-        y4 = y + h * (_CK_B4 @ ks)
-        err = np.abs(y5 - y4)
-        tol = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
-        ratio = float(np.max(err / tol))
-        if not np.isfinite(ratio):
-            h *= 0.2
-            continue
-        if ratio > 1.0:
-            h *= max(0.1, 0.9 * ratio ** -0.25)
+            ks.append(field_fn(y + h[:, None] * _combo(_CK_A[i, :i], ks)))
+        evals += 5
+        with np.errstate(over="ignore", invalid="ignore"):
+            y5 = y + h[:, None] * _combo(_CK_B5, ks)
+            y4 = y + h[:, None] * _combo(_CK_B4, ks)
+            err = np.abs(y5 - y4)
+            tol = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
+            ratio = np.max(err / tol, axis=1)
+        finite = np.isfinite(ratio)
+        h[~finite] *= 0.2
+        rejected = finite & (ratio > 1.0)
+        h[rejected] *= np.maximum(0.1, 0.9 * ratio[rejected] ** -0.25)
+        acc = np.flatnonzero(finite & (ratio <= 1.0))
+        if len(acc) == 0:
             continue
 
-        k_end = g(y5)
-        if np.linalg.norm(k_end) < TINY_FIELD_NORM:
-            points.append(y5)
-            return Trajectory(np.array(points), "field_degenerate", crossings, evals)
+        y0, y1, k0, h_acc = y[acc], y5[acc], k[acc], h[acc]
+        k1 = field_fn(y1)
+        evals[acc] += 1
+        stop = np.linalg.norm(k1, axis=1) < TINY_FIELD_NORM
+        for j in np.flatnonzero(stop):
+            points[ids[acc[j]]].append(y1[j])
+            ended.append((acc[j], "field_degenerate"))
 
-        # plane crossings on this step, earliest first
+        # plane crossings on this step: (rows of acc, s, points, plate, rank)
         events = []
         for plate in (0.0, plate_gap):
-            g0, g1 = y[-1] - plate, y5[-1] - plate
-            if g0 == 0.0 or (g0 > 0) == (g1 > 0):
-                continue
-            s, y_ev = _locate_crossing(y, k_start, y5, k_end, h, plate)
-            events.append((s, plate, y_ev))
-        for s, plate, y_ev in sorted(events):
-            y_ev[-1] = plate
-            points.append(y_ev)
-            crossings.append((len(points) - 1, plate))
-            if on_crossing(y_ev, plate):
-                term = ("reached_target_plate" if plate == plate_gap and plate_hits == 0
-                        else "continued_past_plate_then_returned")
-                return Trajectory(np.array(points), term, crossings, evals)
-            if plate == plate_gap:
-                plate_hits += 1
+            g0, g1 = y0[:, -1] - plate, y1[:, -1] - plate
+            rows = np.flatnonzero(~stop & (g0 != 0.0) & ((g0 > 0) != (g1 > 0)))
+            if len(rows):
+                s, at = _locate_crossings(y0[rows], k0[rows], y1[rows], k1[rows],
+                                          h_acc[rows], plate)
+                at[:, -1] = plate
+                events.append((rows, s, at, plate, np.zeros(len(rows), dtype=int)))
+        if len(events) == 2:
+            # a line that crosses both planes meets the earlier one first
+            (rows0, s0, _, _, rank0), (rows_g, s_g, _, _, rank_g) = events
+            _, i0, i_g = np.intersect1d(rows0, rows_g, return_indices=True)
+            rank0[i0] = s_g[i_g] < s0[i0]
+            rank_g[i_g] = s0[i0] <= s_g[i_g]
+        for rank in (0, 1):
+            for rows, _, at, plate, ranks in events:
+                pick = np.flatnonzero((ranks == rank) & ~stop[rows])
+                if len(pick) == 0:
+                    continue
+                rows, at = rows[pick], at[pick]
+                halt = np.asarray(on_crossing(ids[acc[rows]], at, plate), dtype=bool)
+                for j, point, halted in zip(rows, at, halt):
+                    line = ids[acc[j]]
+                    points[line].append(point)
+                    crossings[line].append((len(points[line]) - 1, plate))
+                    if halted:
+                        term = ("reached_target_plate" if plate == plate_gap and hits[acc[j]] == 0
+                                else "continued_past_plate_then_returned")
+                        ended.append((acc[j], term))
+                if plate == plate_gap:
+                    hits[acc[rows[~halt]]] += 1
+                stop[rows[halt]] = True
 
+        go = np.flatnonzero(~stop)
+        moved = acc[go]
+        y1, k1 = y1[go], k1[go]
         # a window within STALL_RADIUS of its mean is a run of short steps
-        short_steps = short_steps + 1 if np.linalg.norm(y5 - y) < 2 * STALL_RADIUS else 0
-        y = y5
-        k_start = k_end
-        points.append(y)
-        if np.linalg.norm(y - origin) > max_travel:
-            return Trajectory(np.array(points), "left_domain", crossings, evals)
-        if short_steps >= STALL_WINDOW - 1:
-            window = np.array(points[-STALL_WINDOW:])
+        step = np.linalg.norm(y1 - y0[go], axis=1)
+        short[moved] = np.where(step < 2 * STALL_RADIUS, short[moved] + 1, 0)
+        y[moved], k[moved] = y1, k1
+        for j, row in zip(moved, y1):
+            points[ids[j]].append(row)
+        away = np.linalg.norm(y1 - origin[moved], axis=1) > reach[moved]
+        ended.extend((j, "left_domain") for j in moved[away])
+        for j in moved[~away & (short[moved] >= STALL_WINDOW - 1)]:
+            window = np.array(points[ids[j]][-STALL_WINDOW:])
             if np.all(np.linalg.norm(window - window.mean(axis=0), axis=1) < STALL_RADIUS):
-                return Trajectory(np.array(points), "stalled", crossings, evals)
-        h *= min(5.0, 0.9 * max(ratio, 1e-10) ** -0.2)
+                ended.append((j, "stalled"))
+        h[moved] *= np.minimum(5.0, 0.9 * np.maximum(ratio[moved], 1e-10) ** -0.2)
 
-    return Trajectory(np.array(points), "step_limit", crossings, evals)
+    last = dict(ended)
+    for j, line in enumerate(ids):
+        term = last.get(j, "step_limit")
+        trajectories[line] = Trajectory(np.array(points[line]), term, crossings[line],
+                                        int(evals[j]))
+    return trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +315,6 @@ def _euler_lines(starts_x, field_fn, n: int, plate_gap: float) -> list:
             for i in range(m)]
 
 
-def stochastic_map(x_plus, field_fn, stream, *, plate_gap: float, limit_epsilon: float):
-    """Transport one source-plate point to the target plate (theoretical policy).
-
-    Start forward or backward by the flux-ratio direction probability,
-    trace adaptively, and at each z=plate_gap crossing stop with the
-    flux-ratio stop probability. The one-sided E_z limits are two rows of
-    `field_fn`, at z = plate -/+ limit_epsilon. `stream` makes both draws.
-    Returns (mapped x, Trajectory).
-    """
-    x_plus = np.asarray(x_plus, dtype=float)
-    (e_lo,), (e_hi,) = one_sided_ez(field_fn, x_plus, 0.0, limit_epsilon)
-    forward = stream.uniform() < direction_probability(e_hi, e_lo)
-    start = np.append(x_plus, limit_epsilon if forward else -limit_epsilon)
-
-    def on_crossing(point, plate):
-        if plate != plate_gap:
-            return False
-        (e_lo,), (e_hi,) = one_sided_ez(field_fn, point[:-1], plate_gap, limit_epsilon)
-        return stream.uniform() < stop_probability(e_lo, e_hi)
-
-    traj = trace_line_t(start, field_fn, plate_gap=plate_gap, on_crossing=on_crossing)
-    return traj.points[-1][:-1].copy(), traj
-
-
 @dataclass
 class MapResult:
     mapped: np.ndarray
@@ -298,15 +329,39 @@ def _line_stream(seed: int, x) -> np.random.Generator:
     return seeded_stream(seed, f"transport/{digest}")
 
 
+def _theoretical_lines(points, field_fn, seed: int, plate_gap: float,
+                       limit_epsilon: float) -> list:
+    """The flux-ratio policy: start each line forward or backward by the
+    direction probability, trace the batch, and at each z=plate_gap
+    crossing stop with the stop probability. The one-sided E_z limits are
+    rows of `field_fn` at z = plate -/+ limit_epsilon, one call per plane
+    visit. Line i makes its draws, in order, from its own `_line_stream`.
+    """
+    streams = [_line_stream(seed, x) for x in points]
+    e_lo, e_hi = one_sided_ez(field_fn, points, 0.0, limit_epsilon)
+    forward = np.array([stream.uniform() < direction_probability(hi, lo)
+                        for stream, lo, hi in zip(streams, e_lo, e_hi)])
+    starts = np.column_stack([points, np.where(forward, limit_epsilon, -limit_epsilon)])
+
+    def on_crossing(line_idx, at, plate):
+        if plate != plate_gap:
+            return np.zeros(len(line_idx), dtype=bool)
+        e_lo, e_hi = one_sided_ez(field_fn, at[:, :-1], plate_gap, limit_epsilon)
+        return np.array([streams[i].uniform() < stop_probability(lo, hi)
+                         for i, lo, hi in zip(line_idx, e_lo, e_hi)])
+
+    return trace_lines_t(starts, field_fn, plate_gap=plate_gap, on_crossing=on_crossing)
+
+
 def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
               seed: int = 0, limit_epsilon: float | None = None) -> MapResult:
     """Transport a batch of source points x (m, D) to z=plate_gap along `field_fn`.
 
-    `field_fn(pts)` returns the field at an (m, D+1) batch. `policy`
-    "practical" takes `nfe` z-steps and calls it once per step for all
-    lines still moving. "adaptive" and "theoretical" call it per line; a
-    theoretical line draws its direction and stops from a stream keyed by
-    `seed` and its start point. Results are deterministic for a seed and
+    `field_fn(pts)` returns the field at an (m, D+1) batch, and every policy
+    calls it on the rows of all lines still moving: "practical" once per
+    z-step of its `nfe`, "adaptive" and "theoretical" once per Cash-Karp
+    stage of `trace_lines_t`. A theoretical line draws its direction and
+    stops from a stream keyed by `seed` and its start point. Results are deterministic for a seed and
     equivariant under reordering of the batch up to rounding. Per-line
     failures are recorded and the batch continues.
     """
@@ -320,12 +375,10 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
             raise TransportError("nfe must be at least 1")
         trajectories = _euler_lines(points, field_fn, nfe, plate_gap)
     elif policy == "adaptive":
-        trajectories = [trace_line_t(np.append(x, limit_epsilon), field_fn, plate_gap=plate_gap)
-                        for x in points]
+        starts = np.column_stack([points, np.full(len(points), limit_epsilon)])
+        trajectories = trace_lines_t(starts, field_fn, plate_gap=plate_gap)
     elif policy == "theoretical":
-        trajectories = [stochastic_map(x, field_fn, _line_stream(seed, x), plate_gap=plate_gap,
-                                       limit_epsilon=limit_epsilon)[1]
-                        for x in points]
+        trajectories = _theoretical_lines(points, field_fn, seed, plate_gap, limit_epsilon)
     else:
         raise TransportError(f"unknown transport policy {policy!r}")
     mapped = np.full(points.shape, np.nan)

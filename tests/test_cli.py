@@ -232,6 +232,24 @@ class TestPipeline:
         assert "Traceback" not in err and "usage:" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_domain_error_leaves_no_out_directory(self, tmp_path, toy_config_file, plates,
+                                                  capsys, command):
+        pos, neg = plates
+        argv = {
+            "train": ["train", "--config", toy_config_file, "--data-pos", pos,
+                      "--data-neg", neg, "--steps", 1, "--hidden", 8, "--mc-subsample", 0],
+            "evaluate": ["evaluate", "--a", pos, "--b", neg, "--sliced-projections", 0],
+        }[command]
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        # a directory that was there before is left in place
+        (tmp_path / "kept").mkdir()
+        assert run(*argv, "--out", tmp_path / "kept") == 1
+        assert (tmp_path / "kept").is_dir()
+
     def test_field_grid(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
         out = tmp_path / "grid"

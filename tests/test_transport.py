@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efm.core import TransportError, default_limit_epsilon, seeded_stream
+from efm.core import TransportError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
 from efm.model import FieldApproximator
-from efm.transport import (DOMAIN_RADIUS_FACTOR, _line_stream, direction_probability,
-                           map_batch, stochastic_map, stop_probability, trace_line_t)
+from efm.transport import (DOMAIN_RADIUS_FACTOR, direction_probability, map_batch,
+                           stop_probability, trace_lines_t)
 
 
 def constant_field(*components):
@@ -29,6 +29,35 @@ def sideways(pts):
     pts = np.atleast_2d(pts)
     out = np.zeros_like(pts)
     out[:, 0] = 1.0
+    return out
+
+
+def trace_one(start, field_fn, **kwargs):
+    """trace_lines_t on a batch of one line."""
+    return trace_lines_t(np.asarray(start, dtype=float)[None], field_fn, **kwargs)[0]
+
+
+def mixed_field(pts):
+    """Elementwise field on (x, label, z) points. The label column never
+    moves and picks how a line ends: 0 reaches the plate, 1 runs away
+    sideways, 2 circles (x, z) = (0, 2) through z=0 until the step limit,
+    3 creeps into a sink at (0.5, 3), 4 vanishes above z=1 and 5 is zero."""
+    x, label, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    out = np.zeros_like(pts)
+    up = label < 0.5
+    out[up, 0] = 0.3 * np.sin(2.0 * x[up] + z[up])
+    out[up, 2] = 1.0 + 0.2 * np.cos(x[up])
+    side = (label >= 0.5) & (label < 1.5)
+    out[side, 0] = 1.0 + 0.1 * x[side] ** 2
+    circ = (label >= 1.5) & (label < 2.5)
+    out[circ, 0] = 2.0 - z[circ]
+    out[circ, 2] = x[circ]
+    sink = (label >= 2.5) & (label < 3.5)
+    out[sink, 0] = -(x[sink] - 0.5)
+    out[sink, 2] = -(z[sink] - 3.0)
+    low = (label >= 3.5) & (label < 4.5) & (z < 1.0)
+    out[low, 0] = 0.1 * x[low]
+    out[low, 2] = 1.0
     return out
 
 
@@ -172,7 +201,7 @@ class TestTraceLineZ:
 
 class TestTraceLineT:
     def test_uniform_field_stops_at_plate(self):
-        traj = trace_line_t(np.array([0.5, 0.001]), uniform_up_field, plate_gap=6.0)
+        traj = trace_one([0.5, 0.001], uniform_up_field, plate_gap=6.0)
         assert traj.termination == "reached_target_plate"
         assert traj.points[-1][-1] == pytest.approx(6.0, abs=1e-9)
         assert traj.points[-1][0] == pytest.approx(0.5, abs=1e-9)
@@ -185,23 +214,22 @@ class TestTraceLineT:
         field = two_point_capacitor(0.0, 1.5, 6.0, dim=1)
         fn = field.evaluate
         start = np.array([0.3, 0.5])
-        fwd = trace_line_t(start, fn, plate_gap=3.0)
+        fwd = trace_one(start, fn, plate_gap=3.0)
         mid = fwd.points[-1]
         assert mid[-1] == pytest.approx(3.0, abs=1e-9)
-        back = trace_line_t(mid, lambda p: -fn(p), plate_gap=0.5)
+        back = trace_one(mid, lambda p: -fn(p), plate_gap=0.5)
         end = back.points[-1]
         assert np.linalg.norm(end - start) < 10 * 1e-4
 
     def test_degenerate_field_flagged(self):
         zero_fn = lambda pts: np.zeros_like(np.atleast_2d(pts))
-        traj = trace_line_t(np.array([0.0, 0.5]), zero_fn, plate_gap=6.0)
+        traj = trace_one([0.0, 0.5], zero_fn, plate_gap=6.0)
         assert traj.termination == "field_degenerate"
 
     def test_runaway_line_leaves_domain(self):
         # a lateral field never reaches the plate, and its error-free steps
         # grow 5x each, so the line leaves the domain long before max_steps
-        traj = trace_line_t(np.array([0.0, 3.0]), sideways, plate_gap=6.0,
-                            max_steps=50)
+        traj = trace_one([0.0, 3.0], sideways, plate_gap=6.0, max_steps=50)
         assert traj.termination == "left_domain"
         assert np.all(np.isfinite(traj.points))
         assert np.linalg.norm(traj.points[-1] - [0.0, 3.0]) > DOMAIN_RADIUS_FACTOR * 9.0
@@ -213,8 +241,7 @@ class TestTraceLineT:
             pts = np.atleast_2d(pts)
             return np.stack([3.0 - pts[:, 1], pts[:, 0]], axis=1)
 
-        traj = trace_line_t(np.array([1.0, 3.0]), circulating, plate_gap=6.0,
-                            max_steps=50)
+        traj = trace_one([1.0, 3.0], circulating, plate_gap=6.0, max_steps=50)
         assert traj.termination == "step_limit"
         assert traj.n_field_evals <= 1 + 6 * 50
         radii = np.linalg.norm(traj.points - [0.0, 3.0], axis=1)
@@ -224,7 +251,7 @@ class TestTraceLineT:
         # no closed loops: the polyline never returns near an earlier point
         # after having moved away
         field = two_point_capacitor(-0.5, 0.5, 6.0, dim=1)
-        traj = trace_line_t(np.array([-0.5, 0.01]), field.evaluate, plate_gap=6.0)
+        traj = trace_one([-0.5, 0.01], field.evaluate, plate_gap=6.0)
         pts = traj.points
         assert traj.termination == "reached_target_plate"
         for i in range(len(pts)):
@@ -235,6 +262,61 @@ class TestTraceLineT:
             moved_away = np.maximum.accumulate(d) > 0.5
             returned = (d < 1e-6) & moved_away
             assert not returned.any()
+
+    def test_batch_equals_lines_traced_alone(self):
+        # every way a line ends, in one batch: each line's arithmetic is its
+        # own, so it equals the same line traced as a batch of one
+        starts = np.array([[x0, label, z0]
+                           for label, z0 in ((0, 0.01), (1, 3.0), (3, 1.0), (4, 0.01), (5, 0.5))
+                           for x0 in (-0.7, 0.2, 1.1)]
+                          + [[3.0 + 0.1 * x0, 2, 2.0] for x0 in (-0.7, 0.2, 1.1)])
+        batch = trace_lines_t(starts, mixed_field, plate_gap=6.0, max_steps=100)
+        assert [t.termination for t in batch] == (
+            ["reached_target_plate"] * 3 + ["left_domain"] * 3 + ["stalled"] * 3
+            + ["field_degenerate"] * 6 + ["step_limit"] * 3)
+        assert all(len(t.crossings) > 2 for t in batch[-3:])  # z=0, crossed back and forth
+        for start, traj in zip(starts, batch):
+            one = trace_one(start, mixed_field, plate_gap=6.0, max_steps=100)
+            assert traj.termination == one.termination
+            assert traj.crossings == one.crossings
+            assert traj.n_field_evals == one.n_field_evals
+            np.testing.assert_allclose(traj.points, one.points, rtol=1e-12)
+
+    def test_both_planes_crossed_in_one_step_are_met_in_time_order(self):
+        # at plate_gap 0.1 the fifth step spans both planes, upward for the
+        # line at x=0 and downward for the line at x=10
+        def field(pts):
+            out = np.tile([0.3, 1.0], (len(pts), 1))
+            out[pts[:, 0] > 5.0, 1] = -1.0
+            return out
+
+        starts = np.array([[0.0, -0.2], [10.0, 0.3]])
+        never = trace_lines_t(starts, field, plate_gap=0.1, max_steps=12,
+                              on_crossing=lambda idx, at, plate: np.zeros(len(idx), dtype=bool))
+        assert [t.crossings for t in never] == [[(5, 0.0), (6, 0.1)], [(5, 0.1), (6, 0.0)]]
+        assert never[0].points[5, 0] < never[0].points[6, 0]
+        default = trace_lines_t(starts, field, plate_gap=0.1)
+        assert [t.termination for t in default] == ["reached_target_plate"] * 2
+        assert [t.crossings for t in default] == [[(5, 0.0), (6, 0.1)], [(5, 0.1)]]
+
+    def test_one_field_call_per_stage(self):
+        # each Cash-Karp stage evaluates every line still moving in one call
+        stream = seeded_stream(2, "stage-calls")
+        field = EmpiricalField(PlateSet(stream.standard_normal((16, 1)), 0.0, +1),
+                               PlateSet(stream.standard_normal((16, 1)) + 1.0, 6.0, -1), 1e-4)
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return field.evaluate(pts)
+
+        starts = np.column_stack([stream.standard_normal(64), np.full(64, 0.006)])
+        trajs = trace_lines_t(starts, counting, plate_gap=6.0)
+        assert all(t.termination == "reached_target_plate" for t in trajs)
+        # a line's evaluations are 1 + 5 per attempt + 1 per accepted step
+        attempts = max((t.n_field_evals - 1) // 5 for t in trajs)
+        assert len(calls) <= 1 + 6 * attempts
+        assert sum(calls) == sum(t.n_field_evals for t in trajs)
 
 
 class TestStochasticMap:
@@ -249,11 +331,10 @@ class TestStochasticMap:
     def test_two_point_system_theoretical(self):
         field = two_point_capacitor(a=0.0, b=2.0, gap=6.0)
         for k in range(4):
-            x, traj = stochastic_map(np.array([0.05]), field.evaluate, seeded_stream(k, "t"),
-                                     plate_gap=6.0, limit_epsilon=default_limit_epsilon(6.0))
-            assert traj.termination in ("reached_target_plate",
-                                        "continued_past_plate_then_returned")
-            assert x[0] == pytest.approx(2.0, abs=0.05)
+            res = map_batch([[0.05]], field.evaluate, "theoretical", plate_gap=6.0, seed=k)
+            assert res.trajectories[0].termination in ("reached_target_plate",
+                                                       "continued_past_plate_then_returned")
+            assert res.mapped[0, 0] == pytest.approx(2.0, abs=0.05)
 
     def test_separated_targets_produce_multi_crossing_lines(self):
         # widely separated negative blobs push some lines past the far
@@ -264,25 +345,33 @@ class TestStochasticMap:
         neg = PlateSet((stream.standard_normal((400, 1)) * 0.5 + side[:, None] * 4.0),
                        6.0, -1)
         field = EmpiricalField(pos, neg, 1e-4)
-        multi = 0
-        for k in range(12):
-            x0 = np.array([stream.normal() * 0.3])
-            _, traj = stochastic_map(x0, field.evaluate, seeded_stream(k, "line"),
-                                     plate_gap=6.0, limit_epsilon=default_limit_epsilon(6.0))
-            far_crossings = [c for c in traj.crossings if c[1] == 6.0]
-            if len(far_crossings) >= 2:
-                multi += 1
+        x0 = stream.normal(size=(12, 1)) * 0.3
+        res = map_batch(x0, field.evaluate, "theoretical", plate_gap=6.0, seed=1)
+        multi = sum(len([c for c in traj.crossings if c[1] == 6.0]) >= 2
+                    for traj in res.trajectories)
         assert multi >= 1
 
 
 class TestMapBatch:
     def test_batch_of_one_matches_single_call(self):
+        # each line of a theoretical batch, two of them past the plate and
+        # back, equals its point mapped alone. The exact field is evaluated
+        # row by row: BLAS rounds a row differently inside a larger block,
+        # and lines that end in a point charge amplify that last bit.
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
-        x0 = np.array([0.2])
-        res = map_batch(x0[None], field.evaluate, "theoretical", plate_gap=6.0, seed=3)
-        x, _ = stochastic_map(x0, field.evaluate, _line_stream(3, x0), plate_gap=6.0,
-                              limit_epsilon=default_limit_epsilon(6.0))
-        np.testing.assert_allclose(res.mapped[0], x, rtol=1e-12)
+
+        def rowwise(pts):
+            return np.vstack([field.evaluate(row[None]) for row in pts])
+
+        pts = np.array([[0.2], [-0.4], [0.05], [0.7], [-1.5]])
+        res = map_batch(pts, rowwise, "theoretical", plate_gap=6.0, seed=3)
+        assert sum(len(t.crossings) > 1 for t in res.trajectories) >= 2
+        for i, x0 in enumerate(pts):
+            one = map_batch(x0[None], rowwise, "theoretical", plate_gap=6.0, seed=3)
+            np.testing.assert_allclose(res.mapped[i], one.mapped[0], rtol=1e-12)
+            assert res.trajectories[i].termination == one.trajectories[0].termination
+            assert res.trajectories[i].crossings == one.trajectories[0].crossings
+            assert res.trajectories[i].n_field_evals == one.trajectories[0].n_field_evals
 
     def test_permutation_equivariance(self):
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
@@ -316,9 +405,9 @@ class TestMapBatch:
         # flux-ratio stop does where the field has no jump.
         net = FieldApproximator.init_random([3, 16, 16, 3], seeded_stream(0, "weak"))
         pts = seeded_stream(1, "weak-pts").standard_normal((4, 2))
-        trajs = [trace_line_t(np.append(x, 0.006), net.forward, plate_gap=6.0,
-                              on_crossing=lambda point, plate: False)
-                 for x in pts]
+        trajs = trace_lines_t(np.column_stack([pts, np.full(4, 0.006)]), net.forward,
+                              plate_gap=6.0,
+                              on_crossing=lambda idx, at, plate: np.zeros(len(idx), dtype=bool))
         assert [t.termination for t in trajs] == ["stalled"] * 4
         assert all(any(plate == 6.0 for _, plate in t.crossings) for t in trajs)
         assert all(t.n_field_evals < 1000 for t in trajs)
@@ -335,7 +424,7 @@ class TestMapBatch:
         field = two_point_capacitor(a=0.0, b=1.0, gap=6.0)
         res = map_batch([[0.2]], field.evaluate, "adaptive", plate_gap=6.0,
                         limit_epsilon=0.01)
-        traj = trace_line_t(np.array([0.2, 0.01]), field.evaluate, plate_gap=6.0)
+        traj = trace_one([0.2, 0.01], field.evaluate, plate_gap=6.0)
         np.testing.assert_array_equal(res.trajectories[0].points, traj.points)
         assert res.trajectories[0].termination == "reached_target_plate"
         np.testing.assert_array_equal(res.mapped[0], traj.points[-1, :-1])
