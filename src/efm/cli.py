@@ -381,14 +381,15 @@ def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
 # ---------------------------------------------------------------------------
 # Parser and dispatch.
 
-def _int_at_least(lo):
-    """argparse type: an integer >= lo."""
+def _at_least(lo):
+    """argparse type: a number >= lo, read as an int or a float like lo."""
     def parse(text):
         try:
-            value = int(text)
+            value = type(lo)(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < lo:
+            what = "an integer" if isinstance(lo, int) else "a number"
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
+        if not value >= lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}: {text!r}")
         return value
     return parse
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
         if config:
             sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=_int_at_least(0), default=seed)
+        sp.add_argument("--seed", type=_at_least(0), default=seed)
         sp.add_argument("--out", required=out_required)
         sp.set_defaults(handler=handler)
         return sp
@@ -424,19 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
                 config=False, seed=0)
     g.add_argument("--kind", required=True,
                    choices=["gaussian", "swiss_roll", "two_gaussians"])
-    g.add_argument("--n", type=_int_at_least(1), required=True)
-    g.add_argument("--dim", type=_int_at_least(1), default=2)
+    g.add_argument("--n", type=_at_least(1), required=True)
+    g.add_argument("--dim", type=_at_least(1), default=2)
     g.add_argument("--mean", type=float, default=0.0)
-    g.add_argument("--std", type=float, default=1.0)
-    g.add_argument("--noise-std", type=float, default=0.0)
+    g.add_argument("--std", type=_at_least(0.0), default=1.0)
+    g.add_argument("--noise-std", type=_at_least(0.0), default=0.0)
     g.add_argument("--separation", type=float, default=8.0)
 
     t = command("train", "fit the normalized-field network", _cmd_train)
     t.add_argument("--data-pos", required=True)
     t.add_argument("--data-neg", required=True)
-    t.add_argument("--steps", type=_int_at_least(0), required=True)
+    t.add_argument("--steps", type=_at_least(0), required=True)
     t.add_argument("--batch-size", type=int, default=1024)
-    t.add_argument("--hidden", type=_comma_list(_int_at_least(1)), default=DEFAULT_HIDDEN_DIMS)
+    t.add_argument("--hidden", type=_comma_list(_at_least(1)), default=DEFAULT_HIDDEN_DIMS)
     t.add_argument("--mc-subsample", type=int, default=None)
 
     tr = command("transport", "move samples along field lines", _cmd_transport)
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data-pos")
     tr.add_argument("--data-neg")
     tr.add_argument("--policy", choices=["practical", "theoretical"], default="practical")
-    tr.add_argument("--nfe", type=_int_at_least(1), default=20)
+    tr.add_argument("--nfe", type=_at_least(1), default=20)
     tr.add_argument("--in", dest="infile", required=True)
     tr.add_argument("--dump-trajectories", action="store_true")
 
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     fg.add_argument("--data-neg", required=True)
     fg.add_argument("--grid-min", type=_comma_list(float), required=True)
     fg.add_argument("--grid-max", type=_comma_list(float), required=True)
-    fg.add_argument("--grid-shape", type=_comma_list(_int_at_least(1)), required=True)
+    fg.add_argument("--grid-shape", type=_comma_list(_at_least(1)), required=True)
 
     command("verify-physics", "run the electrostatics check suite", _cmd_verify_physics,
             out_required=False)

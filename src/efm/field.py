@@ -203,15 +203,14 @@ class PlateSet:
 class EmpiricalField:
     """Two-plate field: positive plate at z=0, negative plate at z=plate_gap.
 
-    `mc_subsample`, when set, makes each evaluation use a uniform
-    without-replacement subsample of each plate with weights renormalized
-    to total charge +-1 (the Monte Carlo estimate of the plate integrals).
+    The exact field of every weighted sample of both plates, by direct
+    summation. `subsample(n, stream)` returns the field of a random draw
+    of the charges: the Monte Carlo estimate of the plate integrals.
     """
 
     plate_pos: PlateSet
     plate_neg: PlateSet
     field_epsilon: float = 1e-4
-    mc_subsample: int | None = None
 
     def __post_init__(self):
         if self.plate_pos.sign != +1 or self.plate_neg.sign != -1:
@@ -222,8 +221,6 @@ class EmpiricalField:
             raise FieldError("negative plate must sit at z=plate_gap > 0")
         if self.plate_pos.dim != self.plate_neg.dim:
             raise FieldError("plates must share the data dimension")
-        if self.mc_subsample is not None and self.mc_subsample < 1:
-            raise FieldError("mc_subsample must be a positive integer")
 
     @property
     def dim(self) -> int:
@@ -233,7 +230,9 @@ class EmpiricalField:
     def plate_gap(self) -> float:
         return self.plate_neg.z_offset
 
-    def _static_sources(self):
+    def _sources(self):
+        """Every charge of both plates: (sources, charges, squared row norms
+        of sources), cached."""
         cached = self.__dict__.get("_cached_sources")
         if cached is None:
             sources = np.vstack([self.plate_pos.extended(), self.plate_neg.extended()])
@@ -242,46 +241,36 @@ class EmpiricalField:
             object.__setattr__(self, "_cached_sources", cached)
         return cached
 
-    def _sources(self, stream):
-        """Charges to sum over: (sources, charges, sources_sq).
+    def subsample(self, n: int, stream) -> "EmpiricalField":
+        """The field of a without-replacement draw of up to n rows per plate
+        from `stream`, positive plate first, with each plate's drawn
+        weights renormalized to total charge 1."""
+        if n < 1:
+            raise FieldError("mc_subsample must be a positive integer")
+        plates = []
+        for plate, name in ((self.plate_pos, "positive"), (self.plate_neg, "negative")):
+            idx = stream.choice(plate.n, size=min(n, plate.n), replace=False)
+            total = plate.weights[idx].sum()
+            if total == 0.0:
+                raise FieldError(f"mc_subsample drew only zero-weight samples of the {name} plate")
+            plates.append(PlateSet(plate.samples[idx], plate.z_offset, plate.sign,
+                                   plate.weights[idx] / total))
+        return EmpiricalField(*plates, self.field_epsilon)
 
-        `sources_sq` holds the squared row norms of `sources`, in both
-        branches. Without `mc_subsample` these are every sample of both
-        plates (cached). With it, each plate contributes a without-replacement
-        draw of up to `mc_subsample` rows from `stream`, and the drawn
-        charges are renormalized to total +1 and -1 over those rows.
-        """
-        if self.mc_subsample is None:
-            return self._static_sources()
-        if stream is None:
-            raise FieldError("mc_subsample requires a random stream")
-        ext_p, w_p = self._draw(self.plate_pos, "positive", stream)
-        ext_n, w_n = self._draw(self.plate_neg, "negative", stream)
-        sources = np.vstack([ext_p, ext_n])
-        charges = np.concatenate([w_p, -w_n])
-        return sources, charges, np.einsum("ij,ij->i", sources, sources)
-
-    def _draw(self, plate: PlateSet, name: str, stream):
-        idx = stream.choice(plate.n, size=min(self.mc_subsample, plate.n), replace=False)
-        total = plate.weights[idx].sum()
-        if total == 0.0:
-            raise FieldError(f"mc_subsample drew only zero-weight samples of the {name} plate")
-        return plate.extended()[idx], plate.weights[idx] / total
-
-    def scaled_evaluate(self, points, stream=None):
+    def scaled_evaluate(self, points):
         """(vec, log_scale) form of evaluate; see scaled_superposition."""
-        sources, charges, sources_sq = self._sources(stream)
+        sources, charges, sources_sq = self._sources()
         return scaled_superposition(points, sources, charges, self.field_epsilon,
                                     sources_sq=sources_sq)
 
-    def evaluate(self, points, stream=None) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
         """Field at one (D+1)-point or a batch of them, by direct summation."""
         squeeze = np.asarray(points).ndim == 1
-        vec, log_scale = self.scaled_evaluate(points, stream)
+        vec, log_scale = self.scaled_evaluate(points)
         out = vec * np.exp(log_scale)[:, None]
         return out[0] if squeeze else out
 
-    def normalized(self, points, stream=None):
+    def normalized(self, points):
         """Unit-norm field rows and the mask of degenerate (vanishing) rows."""
-        vec, _ = self.scaled_evaluate(points, stream)
+        vec, _ = self.scaled_evaluate(points)
         return normalize_rows(vec)

@@ -104,6 +104,7 @@ class FieldApproximator:
                 y = _act(y)
         return y[0] if squeeze else y
 
+
 def loss_and_gradient(net: FieldApproximator, points, targets):
     """Mean squared-error loss over a batch and its reverse-mode gradient.
 

@@ -77,18 +77,23 @@ def draw_training_points(field: EmpiricalField, cfg: CapacitorConfig,
 
 
 def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
-                  field: EmpiricalField, batch_size: int, cfg: CapacitorConfig, stream):
+                  field: EmpiricalField, batch_size: int, cfg: CapacitorConfig, stream,
+                  mc_subsample: int | None = None):
     """One optimization step against normalized exact-field targets.
 
-    Degenerate (vanishing-field) points are dropped from the batch and
-    counted; returns (loss, n_dropped).
+    With `mc_subsample`, the targets are the field of `field.subsample`,
+    drawn from `stream` after the training points. Degenerate
+    (vanishing-field) points are dropped from the batch and counted;
+    returns (loss, n_dropped).
     """
     if batch_size < 1:
         raise EfmError("batch_size must be >= 1")
     points = draw_training_points(field, cfg, batch_size, stream)
     if not np.all(np.isfinite(points)):
         raise EfmError("training produced non-finite points")
-    targets, degenerate = field.normalized(points, stream)
+    if mc_subsample is not None:
+        field = field.subsample(mc_subsample, stream)
+    targets, degenerate = field.normalized(points)
     keep = ~degenerate
     n_dropped = int(degenerate.sum())
     if not np.any(keep):
@@ -130,7 +135,9 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     neg = PlateSet(np.asarray(data_neg, dtype=float), cfg.plate_gap, -1)
     if pos.dim != cfg.dim_d:
         raise EfmError(f"data dimension {pos.dim} does not match dim_d {cfg.dim_d}")
-    field = EmpiricalField(pos, neg, cfg.field_epsilon, mc_subsample)
+    if mc_subsample is not None and mc_subsample < 1:
+        raise EfmError("mc_subsample must be a positive integer")
+    field = EmpiricalField(pos, neg, cfg.field_epsilon)
 
     dim = cfg.dim_d + 1
     net = FieldApproximator.init_random([dim, *hidden_dims, dim],
@@ -142,7 +149,7 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     curve = []
     for step in range(int(n_steps)):
         loss, dropped = training_step(net, optimizer, ema, field, batch_size, cfg,
-                                      loop_stream)
+                                      loop_stream, mc_subsample)
         curve.append((step, loss, dropped))
 
     ema_net = ema_apply(ema)

@@ -141,9 +141,10 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
     """Adaptive trace of d(point)/dt = field(point) for a batch of lines
     starting at the rows of `starts` (m, D+1); returns m Trajectories.
 
-    Every line keeps its own point, field, step size and counters, and each
-    Cash-Karp stage is one `field_fn` call on the rows of the lines still
-    moving, so a line's arithmetic does not depend on the batch around it.
+    Every line keeps its own point, field, step size and counters in
+    arrays indexed by line, and each Cash-Karp stage is one `field_fn` call
+    on the rows of the lines still moving, in line order, so a line's
+    arithmetic does not depend on the batch around it.
     Crossings of z=0 and z=plate_gap are located on each accepted step by
     sign change plus Hermite-interpolant bisection, and each line meets its
     crossings in time order. `on_crossing(line_idx, points, plate) -> bool
@@ -162,11 +163,9 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
 
     y = np.array(np.atleast_2d(starts), dtype=float)
     m = len(y)
-    points = [[row] for row in y.copy()]
-    crossings = [[] for _ in range(m)]
-    trajectories = [None] * m
-    ids = np.arange(m)
     origin = y.copy()
+    points = [[row] for row in origin]
+    crossings = [[] for _ in range(m)]
     reach = DOMAIN_RADIUS_FACTOR * (plate_gap + np.linalg.norm(origin, axis=1))
     k = np.array(field_fn(y), dtype=float)
     evals = np.ones(m, dtype=int)
@@ -174,50 +173,45 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
     h = 0.01 * plate_gap / np.maximum(speed, 1e-12)
     hits = np.zeros(m, dtype=int)  # z=plate_gap crossings continued past
     short = np.zeros(m, dtype=int)  # consecutive accepted steps shorter than 2 * STALL_RADIUS
-    ended = [(j, "field_degenerate") for j in np.flatnonzero(speed < TINY_FIELD_NORM)]
+    # a line holds "step_limit" while it runs, and its termination once it ends
+    terms = np.full(m, "step_limit", dtype=object)
+    terms[speed < TINY_FIELD_NORM] = "field_degenerate"
 
     for _ in range(max_steps):
-        if ended:
-            keep = np.ones(len(ids), dtype=bool)
-            for j, term in ended:
-                line = ids[j]
-                trajectories[line] = Trajectory(np.array(points[line]), term, crossings[line],
-                                                int(evals[j]))
-                keep[j] = False
-            ids, y, k, h, evals, hits, short, origin, reach = (
-                a[keep] for a in (ids, y, k, h, evals, hits, short, origin, reach))
-            ended = []
+        ids = np.flatnonzero(terms == "step_limit")
         if len(ids) == 0:
             break
 
         # embedded step attempt of every line still moving
-        ks = [k]
+        y_live, h_live = y[ids], h[ids]
+        ks = [k[ids]]
         for i in range(1, 6):
-            ks.append(field_fn(y + h[:, None] * _combo(_CK_A[i, :i], ks)))
-        evals += 5
+            ks.append(field_fn(y_live + h_live[:, None] * _combo(_CK_A[i, :i], ks)))
+        evals[ids] += 5
         with np.errstate(over="ignore", invalid="ignore"):
-            y5 = y + h[:, None] * _combo(_CK_B5, ks)
-            y4 = y + h[:, None] * _combo(_CK_B4, ks)
+            y5 = y_live + h_live[:, None] * _combo(_CK_B5, ks)
+            y4 = y_live + h_live[:, None] * _combo(_CK_B4, ks)
             err = np.abs(y5 - y4)
-            tol = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
+            tol = ATOL + RTOL * np.maximum(np.abs(y_live), np.abs(y5))
             ratio = np.max(err / tol, axis=1)
         finite = np.isfinite(ratio)
-        h[~finite] *= 0.2
+        h[ids[~finite]] *= 0.2
         rejected = finite & (ratio > 1.0)
-        h[rejected] *= np.maximum(0.1, 0.9 * ratio[rejected] ** -0.25)
+        h[ids[rejected]] *= np.maximum(0.1, 0.9 * ratio[rejected] ** -0.25)
         acc = np.flatnonzero(finite & (ratio <= 1.0))
         if len(acc) == 0:
             continue
 
-        y0, y1, k0, h_acc = y[acc], y5[acc], k[acc], h[acc]
+        lines = ids[acc]
+        y0, y1, k0, h_acc = y_live[acc], y5[acc], ks[0][acc], h_live[acc]
         k1 = field_fn(y1)
-        evals[acc] += 1
+        evals[lines] += 1
         stop = np.linalg.norm(k1, axis=1) < TINY_FIELD_NORM
         for j in np.flatnonzero(stop):
-            points[ids[acc[j]]].append(y1[j])
-            ended.append((acc[j], "field_degenerate"))
+            points[lines[j]].append(y1[j])
+        terms[lines[stop]] = "field_degenerate"
 
-        # plane crossings on this step: (rows of acc, s, points, plate, rank)
+        # plane crossings on this step: (rows of lines, s, points, plate, rank)
         events = []
         for plate in (0.0, plate_gap):
             g0, g1 = y0[:, -1] - plate, y1[:, -1] - plate
@@ -239,42 +233,36 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
                 if len(pick) == 0:
                     continue
                 rows, at = rows[pick], at[pick]
-                halt = np.asarray(on_crossing(ids[acc[rows]], at, plate), dtype=bool)
-                for j, point, halted in zip(rows, at, halt):
-                    line = ids[acc[j]]
+                halt = np.asarray(on_crossing(lines[rows], at, plate), dtype=bool)
+                for line, point in zip(lines[rows], at):
                     points[line].append(point)
                     crossings[line].append((len(points[line]) - 1, plate))
-                    if halted:
-                        term = ("reached_target_plate" if plate == plate_gap and hits[acc[j]] == 0
-                                else "continued_past_plate_then_returned")
-                        ended.append((acc[j], term))
+                done = lines[rows[halt]]
+                terms[done] = "continued_past_plate_then_returned"
                 if plate == plate_gap:
-                    hits[acc[rows[~halt]]] += 1
+                    terms[done[hits[done] == 0]] = "reached_target_plate"
+                    hits[lines[rows[~halt]]] += 1
                 stop[rows[halt]] = True
 
         go = np.flatnonzero(~stop)
-        moved = acc[go]
+        moved = lines[go]
         y1, k1 = y1[go], k1[go]
         # a window within STALL_RADIUS of its mean is a run of short steps
         step = np.linalg.norm(y1 - y0[go], axis=1)
         short[moved] = np.where(step < 2 * STALL_RADIUS, short[moved] + 1, 0)
         y[moved], k[moved] = y1, k1
-        for j, row in zip(moved, y1):
-            points[ids[j]].append(row)
+        for line, row in zip(moved, y1):
+            points[line].append(row)
         away = np.linalg.norm(y1 - origin[moved], axis=1) > reach[moved]
-        ended.extend((j, "left_domain") for j in moved[away])
-        for j in moved[~away & (short[moved] >= STALL_WINDOW - 1)]:
-            window = np.array(points[ids[j]][-STALL_WINDOW:])
+        terms[moved[away]] = "left_domain"
+        for line in moved[~away & (short[moved] >= STALL_WINDOW - 1)]:
+            window = np.array(points[line][-STALL_WINDOW:])
             if np.all(np.linalg.norm(window - window.mean(axis=0), axis=1) < STALL_RADIUS):
-                ended.append((j, "stalled"))
-        h[moved] *= np.minimum(5.0, 0.9 * np.maximum(ratio[moved], 1e-10) ** -0.2)
+                terms[line] = "stalled"
+        h[moved] *= np.minimum(5.0, 0.9 * np.maximum(ratio[acc[go]], 1e-10) ** -0.2)
 
-    last = dict(ended)
-    for j, line in enumerate(ids):
-        term = last.get(j, "step_limit")
-        trajectories[line] = Trajectory(np.array(points[line]), term, crossings[line],
-                                        int(evals[j]))
-    return trajectories
+    return [Trajectory(np.array(points[i]), terms[i], crossings[i], int(evals[i]))
+            for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +349,9 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     calls it on the rows of all lines still moving: "practical" once per
     z-step of its `nfe`, "adaptive" and "theoretical" once per Cash-Karp
     stage of `trace_lines_t`. A theoretical line draws its direction and
-    stops from a stream keyed by `seed` and its start point. Results are deterministic for a seed and
-    equivariant under reordering of the batch up to rounding. Per-line
-    failures are recorded and the batch continues.
+    stops from a stream keyed by `seed` and its start point. Results are
+    deterministic for a seed and equivariant under reordering of the batch
+    up to rounding. Per-line failures are recorded and the batch continues.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:

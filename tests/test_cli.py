@@ -198,6 +198,8 @@ class TestPipeline:
         ("transport", "--nfe", "0"),
         ("field-grid", "--grid-min", "0,0,x"),
         ("field-grid", "--grid-shape", "2,2,0"),
+        ("generate-data", "--kind", "gaussian", "--std", "-2"),
+        ("generate-data", "--kind", "swiss_roll", "--noise-std", "-0.5"),
     ])
     def test_malformed_number_is_usage_error(self, tmp_path, toy_config_file, plates,
                                              capsys, bad):
@@ -220,14 +222,16 @@ class TestPipeline:
         pos, neg = plates
         weights = tmp_path / "w.json"
         save_weights(FieldApproximator([3, 3]), weights)
-        common = ["--config", toy_config_file, "--out", tmp_path / "out"]
+        config = ["--config", toy_config_file]
         valid = {
-            "train": ["--data-pos", pos, "--data-neg", neg, "--steps", 1, "--hidden", 8],
-            "transport": ["--weights", weights, "--in", pos],
-            "field-grid": ["--data-pos", pos, "--data-neg", neg, "--grid-min", "0,0,1",
+            "train": [*config, "--data-pos", pos, "--data-neg", neg, "--steps", 1,
+                      "--hidden", 8],
+            "transport": [*config, "--weights", weights, "--in", pos],
+            "field-grid": [*config, "--data-pos", pos, "--data-neg", neg, "--grid-min", "0,0,1",
                            "--grid-max", "1,1,2", "--grid-shape", "2,2,2"],
+            "generate-data": ["--n", 4],
         }
-        assert run(command, *common, *valid[command], *override) == 2
+        assert run(command, "--out", tmp_path / "out", *valid[command], *override) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "usage:" in err
         assert not (tmp_path / "out").exists()

@@ -106,30 +106,21 @@ class TestEvaluate:
         with pytest.raises(FieldError, match="coincides with a charge"):
             field.evaluate(sources[0])
 
-    def test_mc_subsample_needs_stream(self):
-        field = EmpiricalField(PlateSet(np.zeros((4, 1)), 0.0, +1),
-                               PlateSet(np.ones((4, 1)), 2.0, -1),
-                               mc_subsample=2)
-        with pytest.raises(FieldError, match="stream"):
-            field.evaluate(np.array([0.0, 1.0]))
-
     def test_mc_subsample_zero_weight_draw_rejected(self):
         # a one-row draw of a zero-weight sample has no charge to renormalize
         field = EmpiricalField(PlateSet(np.arange(4.0)[:, None], 0.0, +1,
                                         np.array([1.0, 0.0, 0.0, 0.0])),
-                               PlateSet(np.ones((4, 1)), 2.0, -1), mc_subsample=1)
+                               PlateSet(np.ones((4, 1)), 2.0, -1))
         with pytest.raises(FieldError, match="zero-weight samples of the positive plate"):
-            field.evaluate(np.array([0.5, 1.0]), seeded_stream(0, "x"))
+            field.subsample(1, seeded_stream(0, "x"))
 
     def test_mc_subsample_full_size_matches_exact(self):
         stream = seeded_stream(2, "mc")
         pos = stream.standard_normal((8, 1))
         neg = stream.standard_normal((8, 1)) + 2
         exact = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 3.0, -1))
-        sub = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 3.0, -1),
-                             mc_subsample=8)
         pt = np.array([0.3, 1.1])
-        np.testing.assert_allclose(sub.evaluate(pt, seeded_stream(0, "s")),
+        np.testing.assert_allclose(exact.subsample(8, seeded_stream(0, "s")).evaluate(pt),
                                    exact.evaluate(pt), rtol=1e-12)
 
     def test_mc_subsample_sums_over_its_own_draw(self):
@@ -140,10 +131,9 @@ class TestEvaluate:
         w_pos, w_neg = stream.uniform(0.5, 1.5, 12), stream.uniform(0.5, 1.5, 10)
         w_pos, w_neg = w_pos / w_pos.sum(), w_neg / w_neg.sum()
         gap = 3.0
-        field = EmpiricalField(PlateSet(pos, 0.0, +1, w_pos),
-                               PlateSet(neg, gap, -1, w_neg), mc_subsample=5)
+        field = EmpiricalField(PlateSet(pos, 0.0, +1, w_pos), PlateSet(neg, gap, -1, w_neg))
         pts = np.column_stack([stream.uniform(-2, 2, (6, 2)), stream.uniform(0.5, 2.5, 6)])
-        got = field.evaluate(pts, seeded_stream(0, "draw"))
+        got = field.subsample(5, seeded_stream(0, "draw")).evaluate(pts)
 
         replay = seeded_stream(0, "draw")
         idx_p = replay.choice(12, size=5, replace=False)

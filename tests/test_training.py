@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from efm.core import CapacitorConfig, EfmError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
-from efm.model import EmaState, FieldApproximator, OptimizerState
+from efm.model import EmaState, FieldApproximator, OptimizerState, loss_and_gradient
 from efm.training import (CUBE_MARGIN, draw_training_points, sample_interpolant,
                           sample_noise, train, training_step)
 
@@ -129,6 +129,18 @@ class TestTrainingStep:
         training_step(net, opt, ema, field, 64, cfg, seeded_stream(11, "s"))
         for b, w in zip(before, net.weights):
             np.testing.assert_array_equal(b, w)
+
+    def test_mc_subsample_drawn_after_the_training_points(self):
+        # one stream feeds the training points, then the subsample; this
+        # order keeps weight files reproducible across versions
+        cfg, field, net, opt, ema = self.setup_step()
+        replay = seeded_stream(14, "s")
+        points = draw_training_points(field, cfg, 64, replay)
+        targets, degenerate = field.subsample(16, replay).normalized(points)
+        assert not degenerate.any()
+        want, _ = loss_and_gradient(net, points, targets)
+        loss, _ = training_step(net, opt, ema, field, 64, cfg, seeded_stream(14, "s"), 16)
+        assert loss == want
 
     def test_training_points_stay_finite(self):
         cfg = toy_config()

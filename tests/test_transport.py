@@ -247,6 +247,21 @@ class TestTraceLineT:
         radii = np.linalg.norm(traj.points - [0.0, 3.0], axis=1)
         np.testing.assert_allclose(radii, 1.0, atol=1e-2)
 
+    def test_zero_steps_leave_each_line_at_its_start(self):
+        # the field vanishes left of x=0 and points straight up right of it
+        def half_zero(pts):
+            out = uniform_up_field(pts)
+            out[pts[:, 0] < 0] = 0.0
+            return out
+
+        starts = np.array([[1.0, 0.5], [-1.0, 0.5], [2.0, 0.5]])
+        trajs = trace_lines_t(starts, half_zero, plate_gap=6.0, max_steps=0)
+        assert [t.termination for t in trajs] == ["step_limit", "field_degenerate",
+                                                  "step_limit"]
+        for traj, start in zip(trajs, starts):
+            np.testing.assert_array_equal(traj.points, start[None])
+            assert traj.n_field_evals == 1 and traj.crossings == []
+
     def test_no_revisiting_on_exact_field(self):
         # no closed loops: the polyline never returns near an earlier point
         # after having moved away
