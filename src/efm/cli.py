@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data-pos", required=True)
     t.add_argument("--data-neg", required=True)
     t.add_argument("--steps", type=_at_least(0), required=True)
-    t.add_argument("--batch-size", type=int, default=1024)
+    t.add_argument("--batch-size", type=_at_least(1), default=1024)
     t.add_argument("--hidden", type=_comma_list(_at_least(1)), default=DEFAULT_HIDDEN_DIMS)
     t.add_argument("--mc-subsample", type=int, default=None)
 

@@ -24,18 +24,20 @@ _ACTIVATION = "smooth_relu"
 _SOFTPLUS_CLIP = 40.0
 
 
-def _act(a):
-    """Hidden-layer activation (softplus); never modifies `a`."""
-    out = np.minimum(a, _SOFTPLUS_CLIP)
+def _act(a, out=None):
+    """Hidden-layer activation (softplus), into `out` (a new array by
+    default, never `a` itself); never modifies `a`."""
+    out = np.minimum(a, _SOFTPLUS_CLIP, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
     return np.maximum(out, a, out=out)
 
 
-def _act_deriv(y):
-    """Activation derivative, from the activation's output y = _act(a)."""
+def _act_deriv(y, out=None):
+    """Activation derivative, from the activation's output y = _act(a), into
+    `out` (a new array by default; `y` itself works)."""
     # softplus' = logistic sigmoid = 1 - exp(-softplus)
-    out = np.negative(y)
+    out = np.negative(y, out=out)
     np.expm1(out, out=out)
     return np.negative(out, out=out)
 
@@ -105,11 +107,33 @@ class FieldApproximator:
         return y[0] if squeeze else y
 
 
-def loss_and_gradient(net: FieldApproximator, points, targets):
+class FwdBwdBuffers:
+    """Work arrays of `loss_and_gradient` for batches of up to `rows` points,
+    allocated once so that repeated calls fault in no fresh pages.
+
+    `pre[i]` holds layer i's affine output, `post[i]` hidden layer i's
+    activation; the backward pass reuses both for its deltas. A batch of
+    n < rows points uses their leading n rows. `grad` is laid out like the
+    net's params and is overwritten by every call.
+    """
+
+    def __init__(self, net: FieldApproximator, rows: int):
+        widths = net.layer_dims[1:]
+        self.rows = int(rows)
+        self.pre = [np.empty((self.rows, w)) for w in widths]
+        self.post = [np.empty((self.rows, w)) for w in widths[:-1]]
+        self.grad = np.empty_like(net.params)
+
+
+def loss_and_gradient(net: FieldApproximator, points, targets,
+                      buffers: FwdBwdBuffers | None = None):
     """Mean squared-error loss over a batch and its reverse-mode gradient.
 
     loss = mean_i || f(x_i) - t_i ||^2 (sum over components, mean over the
-    batch). Returns (loss, grad), with grad laid out like net.params.
+    batch). Returns (loss, grad), with grad laid out like net.params. With
+    `buffers` (sized for `net` and at least this batch) every intermediate
+    and grad itself live in them; the results are bit-identical to a call
+    without.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -119,28 +143,35 @@ def loss_and_gradient(net: FieldApproximator, points, targets):
         raise EfmError("points and targets must pair up")
     n = len(x)
     last = len(net.weights) - 1
+    if buffers is None:
+        buffers = FwdBwdBuffers(net, n)
+    elif buffers.rows < n:
+        raise EfmError(f"buffers hold {buffers.rows} rows, batch has {n}")
+    pre = [a[:n] for a in buffers.pre]
+    post = [x, *(a[:n] for a in buffers.post)]  # layer inputs
 
-    post = [x]     # layer inputs (post-activation of previous layer)
-    y = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        y = y @ w
-        y += b
+        np.matmul(post[i], w, out=pre[i])
+        pre[i] += b
         if i != last:
-            y = _act(y)
-            post.append(y)
+            _act(pre[i], out=post[i + 1])
 
-    resid = y - t
+    resid = np.subtract(pre[last], t, out=pre[last])
     loss = float(np.einsum("ij,ij->", resid, resid) / n)
 
-    grad = np.empty_like(net.params)
+    grad = buffers.grad
     grad_w, grad_b = net.layers(grad)
-    delta = 2.0 * resid / n
+    delta = resid
+    delta *= 2.0
+    delta /= n
     for i in range(last, -1, -1):
         np.matmul(post[i].T, delta, out=grad_w[i])
         np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
-            delta = delta @ net.weights[i].T
-            delta *= _act_deriv(post[i])
+            # post[i] and pre[i - 1] are dead from here on: the first takes
+            # the activation's derivative, the second the next delta
+            delta = np.matmul(delta, net.weights[i].T, out=pre[i - 1])
+            delta *= _act_deriv(post[i], out=post[i])
     return loss, grad
 
 

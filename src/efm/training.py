@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import CapacitorConfig, EfmError, seeded_stream, validate_config
 from .field import EmpiricalField, PlateSet
-from .model import (EmaState, FieldApproximator, OptimizerState, ema_apply,
+from .model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, ema_apply,
                     ema_update, loss_and_gradient, optimizer_step, save_weights)
 
 DEFAULT_HIDDEN_DIMS = (128, 128, 128)
@@ -76,32 +78,47 @@ def draw_training_points(field: EmpiricalField, cfg: CapacitorConfig,
     return sample_interpolant(x_plus, x_minus, t, noise, cfg.plate_gap)
 
 
-def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
-                  field: EmpiricalField, batch_size: int, cfg: CapacitorConfig, stream,
-                  mc_subsample: int | None = None):
-    """One optimization step against normalized exact-field targets.
-
-    With `mc_subsample`, the targets are the field of `field.subsample`,
-    drawn from `stream` after the training points. Degenerate
-    (vanishing-field) points are dropped from the batch and counted;
-    returns (loss, n_dropped).
+def draw_batch(field: EmpiricalField, cfg: CapacitorConfig, batch_size: int, stream,
+               mc_subsample: int | None = None):
+    """The draw half of a training step: points from `draw_training_points`
+    and their normalized exact-field targets, with degenerate
+    (vanishing-field) rows dropped. With `mc_subsample`, the targets are the
+    field of `field.subsample`, drawn from `stream` after the points.
+    Returns (points, targets, n_dropped); never reads the net.
     """
-    if batch_size < 1:
-        raise EfmError("batch_size must be >= 1")
     points = draw_training_points(field, cfg, batch_size, stream)
     if not np.all(np.isfinite(points)):
         raise EfmError("training produced non-finite points")
     if mc_subsample is not None:
         field = field.subsample(mc_subsample, stream)
     targets, degenerate = field.normalized(points)
-    keep = ~degenerate
     n_dropped = int(degenerate.sum())
-    if not np.any(keep):
+    if n_dropped == len(points):
         raise EfmError("batch entirely degenerate: no usable field targets")
-    loss, grad = loss_and_gradient(net, points[keep], targets[keep])
+    if n_dropped:
+        points, targets = points[~degenerate], targets[~degenerate]
+    return points, targets, n_dropped
+
+
+def update_net(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
+               points, targets, buffers: FwdBwdBuffers | None = None) -> float:
+    """The update half of a training step: one Adam step on the squared
+    error against `targets`, then the EMA. Returns the batch loss."""
+    loss, grad = loss_and_gradient(net, points, targets, buffers)
     optimizer_step(net, grad, optimizer)
     ema_update(ema, net)
-    return loss, n_dropped
+    return loss
+
+
+def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
+                  field: EmpiricalField, batch_size: int, cfg: CapacitorConfig, stream,
+                  mc_subsample: int | None = None):
+    """One optimization step against normalized exact-field targets:
+    `draw_batch`, then `update_net`. Returns (loss, n_dropped)."""
+    if batch_size < 1:
+        raise EfmError("batch_size must be >= 1")
+    points, targets, n_dropped = draw_batch(field, cfg, batch_size, stream, mc_subsample)
+    return update_net(net, optimizer, ema, points, targets), n_dropped
 
 
 @dataclass
@@ -128,6 +145,12 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     data_pos / data_neg are (n, D) sample arrays for the positive and
     negative plates. Checkpoints and a loss-curve CSV land in out_dir when
     given. Fully deterministic for a fixed cfg (its seed included).
+
+    Each step's draw (`draw_batch`: points and their exact-field targets)
+    runs one step ahead on one worker thread, overlapping the main thread's
+    `update_net` of the net; the results equal a sequential replay of
+    `training_step` bit for bit. The worker is joined before this returns
+    or raises.
     """
     validate_config(cfg)
     seed = cfg.seed
@@ -135,6 +158,8 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     neg = PlateSet(np.asarray(data_neg, dtype=float), cfg.plate_gap, -1)
     if pos.dim != cfg.dim_d:
         raise EfmError(f"data dimension {pos.dim} does not match dim_d {cfg.dim_d}")
+    if batch_size < 1:
+        raise EfmError("batch_size must be >= 1")
     if mc_subsample is not None and mc_subsample < 1:
         raise EfmError("mc_subsample must be a positive integer")
     field = EmpiricalField(pos, neg, cfg.field_epsilon)
@@ -145,12 +170,23 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     optimizer = OptimizerState.for_net(net, LEARNING_RATE)
     ema = EmaState.from_net(net, EMA_DECAY)
 
-    loop_stream = seeded_stream(seed, "train/loop")
+    buffers = FwdBwdBuffers(net, batch_size)
+    draw = partial(draw_batch, field, cfg, batch_size, seeded_stream(seed, "train/loop"),
+                   mc_subsample)
+    n_steps = int(n_steps)
     curve = []
-    for step in range(int(n_steps)):
-        loss, dropped = training_step(net, optimizer, ema, field, batch_size, cfg,
-                                      loop_stream, mc_subsample)
-        curve.append((step, loss, dropped))
+    # The draw of step k + 1 runs on the worker while this thread updates
+    # the net with step k's batch: the targets never read the net, and the
+    # one worker reads the loop stream in step order. Leaving the block
+    # joins the worker, also when a step raises.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(draw) if n_steps else None
+        for step in range(n_steps):
+            points, targets, dropped = ahead.result()
+            if step + 1 < n_steps:
+                ahead = worker.submit(draw)
+            curve.append((step, update_net(net, optimizer, ema, points, targets, buffers),
+                          dropped))
 
     ema_net = ema_apply(ema)
     if out_dir is not None:

@@ -195,6 +195,7 @@ class TestPipeline:
     @pytest.mark.parametrize("bad", [
         ("train", "--hidden", "8,x"),
         ("train", "--steps", "-2"),
+        ("train", "--batch-size", "0"),
         ("transport", "--nfe", "0"),
         ("field-grid", "--grid-min", "0,0,x"),
         ("field-grid", "--grid-shape", "2,2,0"),

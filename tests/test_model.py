@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from efm.core import WeightFormatError, seeded_stream
-from efm.model import (EmaState, FieldApproximator, OptimizerState, _act, _act_deriv,
-                       ema_apply, ema_update, load_weights, loss_and_gradient,
+from efm.model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, _act,
+                       _act_deriv, ema_apply, ema_update, load_weights, loss_and_gradient,
                        optimizer_step, save_weights)
 
 
@@ -41,6 +41,31 @@ def finite_difference_grads(net, points, targets, h=1e-4):
         dn = flat0.copy(); dn[k] -= h
         grad[k] = (loss_of(up) - loss_of(dn)) / (2 * h)
     return grad
+
+
+def reference_loss_and_gradient(net, x, t):
+    """The allocating forward/backward pass that the buffered one replaced:
+    fresh arrays for every activation and delta."""
+    n, last = len(x), len(net.weights) - 1
+    post, y = [x], x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        y = y @ w
+        y += b
+        if i != last:
+            y = _act(y)
+            post.append(y)
+    resid = y - t
+    loss = float(np.einsum("ij,ij->", resid, resid) / n)
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = net.layers(grad)
+    delta = 2.0 * resid / n
+    for i in range(last, -1, -1):
+        np.matmul(post[i].T, delta, out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
+        if i > 0:
+            delta = delta @ net.weights[i].T
+            delta *= _act_deriv(post[i])
+    return loss, grad
 
 
 def reference_optimizer_steps(arrays, grads, learning_rate,
@@ -174,6 +199,46 @@ class TestLossAndGradient:
         numeric = finite_difference_grads(net, pts, tgt)
         denom = max(np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-7
+
+
+class TestFwdBwdBuffers:
+    NET = FieldApproximator.init_random([3, 16, 8, 3], seeded_stream(5, "buffered"))
+    STREAM = seeded_stream(6, "batch")
+    PTS = STREAM.standard_normal((40, 3))
+    TGT = STREAM.standard_normal((40, 3))
+
+    @pytest.mark.parametrize("rows", [40, 37, 1])
+    def test_bit_identical_to_the_allocating_pass(self, rows):
+        # rows < 40: a batch with dropped targets uses the buffers' leading rows
+        pts, tgt = self.PTS[:rows], self.TGT[:rows]
+        want_loss, want_grad = reference_loss_and_gradient(self.NET, pts, tgt)
+        buffers = FwdBwdBuffers(self.NET, 40)
+        loss_and_gradient(self.NET, self.PTS, self.TGT, buffers)  # leaves every row dirty
+        for got_loss, got_grad in (loss_and_gradient(self.NET, pts, tgt, buffers),
+                                   loss_and_gradient(self.NET, pts, tgt)):
+            assert got_loss == want_loss
+            np.testing.assert_array_equal(got_grad, want_grad)
+        assert loss_and_gradient(self.NET, pts, tgt, buffers)[1] is buffers.grad
+
+    def test_grad_aliases_no_params_or_moments(self):
+        net = self.NET.copy()
+        state = OptimizerState.for_net(net, 0.01)
+        _, grad = loss_and_gradient(net, self.PTS, self.TGT, FwdBwdBuffers(net, 40))
+        for other in (net.params, state.first_moment, state.second_moment):
+            assert not np.shares_memory(grad, other)
+        before = grad.copy()
+        optimizer_step(net, grad, state)
+        np.testing.assert_array_equal(grad, before)
+
+    def test_inputs_left_unmodified(self):
+        pts, tgt = self.PTS.copy(), self.TGT.copy()
+        loss_and_gradient(self.NET, pts, tgt, FwdBwdBuffers(self.NET, 40))
+        np.testing.assert_array_equal(pts, self.PTS)
+        np.testing.assert_array_equal(tgt, self.TGT)
+
+    def test_batch_larger_than_buffers_rejected(self):
+        with pytest.raises(Exception, match="buffers hold 8 rows"):
+            loss_and_gradient(self.NET, self.PTS, self.TGT, FwdBwdBuffers(self.NET, 8))
 
 
 class TestOptimizer:

@@ -1,15 +1,17 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efm import training
 from efm.core import CapacitorConfig, EfmError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
 from efm.model import EmaState, FieldApproximator, OptimizerState, loss_and_gradient
-from efm.training import (CUBE_MARGIN, draw_training_points, sample_interpolant,
-                          sample_noise, train, training_step)
+from efm.training import (CUBE_MARGIN, EMA_DECAY, LEARNING_RATE, draw_training_points,
+                          sample_interpolant, sample_noise, train, training_step)
 
 
 def toy_config(**kw):
@@ -191,3 +193,88 @@ class TestTrain:
         neg = stream.standard_normal((32, 2)) + 1
         result = train(cfg, pos, neg, n_steps=3, batch_size=16, hidden_dims=(8,))
         assert len(result.loss_curve) == 3
+
+
+def two_plates(seed):
+    stream = seeded_stream(seed, "d")
+    return stream.standard_normal((32, 2)), stream.standard_normal((32, 2)) + 1
+
+
+def replay_training_steps(cfg, pos, neg, n_steps, batch_size, hidden_dims, mc_subsample):
+    """train's loop run sequentially: one training_step after another on the
+    loop stream, from the same init."""
+    field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, cfg.plate_gap, -1),
+                           cfg.field_epsilon)
+    net = FieldApproximator.init_random([3, *hidden_dims, 3],
+                                        seeded_stream(cfg.seed, "train/init"))
+    opt = OptimizerState.for_net(net, LEARNING_RATE)
+    ema = EmaState.from_net(net, EMA_DECAY)
+    stream = seeded_stream(cfg.seed, "train/loop")
+    curve = [(step, *training_step(net, opt, ema, field, batch_size, cfg, stream, mc_subsample))
+             for step in range(n_steps)]
+    return curve, net, ema
+
+
+class TestTrainPipeline:
+    @pytest.mark.parametrize("volume_mode, mc_subsample", [("interpolant", 16),
+                                                            ("cube_mesh", None)])
+    def test_equals_sequential_training_steps(self, volume_mode, mc_subsample):
+        cfg = toy_config(seed=7, volume_mode=volume_mode)
+        pos, neg = two_plates(18)
+        result = train(cfg, pos, neg, n_steps=6, batch_size=24, hidden_dims=(8, 8),
+                       mc_subsample=mc_subsample)
+        curve, net, ema = replay_training_steps(cfg, pos, neg, 6, 24, (8, 8), mc_subsample)
+        assert result.loss_curve == curve
+        np.testing.assert_array_equal(result.net.params, net.params)
+        np.testing.assert_array_equal(result.ema_net.params, ema.shadow.params)
+
+    def test_draws_run_on_one_worker_thread(self, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        draw = training.draw_training_points
+
+        def watched(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return draw(*args)
+
+        monkeypatch.setattr(training, "draw_training_points", watched)
+        train(toy_config(), *two_plates(19), n_steps=4, batch_size=16, hidden_dims=(8,))
+        assert len(seen) == 4
+        assert len({thread for thread, _ in seen}) == 1
+        assert seen[0][0] is not threading.main_thread()
+        assert {count for _, count in seen} == {before + 1}
+        assert threading.active_count() == before
+
+    def test_failed_draw_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        before = threading.active_count()
+        calls = []
+        draw = training.draw_training_points
+
+        def third_draw_has_nan(*args):
+            calls.append(None)
+            points = draw(*args)
+            if len(calls) == 3:
+                points[0, 0] = np.nan
+            return points
+
+        monkeypatch.setattr(training, "draw_training_points", third_draw_has_nan)
+        with pytest.raises(EfmError, match="training produced non-finite points"):
+            train(toy_config(), *two_plates(20), n_steps=5, batch_size=16, hidden_dims=(8,),
+                  out_dir=tmp_path / "out")
+        assert len(calls) == 3
+        assert not (tmp_path / "out").exists()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    def test_batch_size_below_one_rejected_up_front(self, tmp_path, monkeypatch, n_steps):
+        before = threading.active_count()
+
+        def no_draw(*args):
+            raise AssertionError("drew a batch")
+
+        monkeypatch.setattr(training, "draw_training_points", no_draw)
+        with pytest.raises(EfmError, match="batch_size must be >= 1"):
+            train(toy_config(), *two_plates(21), n_steps=n_steps, batch_size=0,
+                  hidden_dims=(8,), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert threading.active_count() == before
