@@ -92,10 +92,11 @@ def load_csv(path) -> Dataset:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln.strip()]
+    # blank lines are skipped, but rows keep the line numbers of the file
+    lines = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
     if not lines:
         raise DataError(f"empty dataset: {path} has no header")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     dim = len(header)
     expect = [f"x_{i + 1}" for i in range(dim)]
     if header != expect:
@@ -103,13 +104,13 @@ def load_csv(path) -> Dataset:
     if len(lines) == 1:
         raise DataError(f"empty dataset: {path} has a header but no rows")
     rows = np.empty((len(lines) - 1, dim))
-    for i, ln in enumerate(lines[1:], start=2):
+    for row, (i, ln) in zip(rows, lines[1:]):
         cells = ln.split(",")
         if len(cells) != dim:
             raise DataError(f"ragged row at line {i} of {path}: "
                             f"{len(cells)} cells, expected {dim}")
         try:
-            rows[i - 2] = [float(c) for c in cells]
+            row[...] = [float(c) for c in cells]
         except ValueError as exc:
             raise DataError(f"non-numeric cell at line {i} of {path}") from exc
     return Dataset(rows)

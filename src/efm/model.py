@@ -5,11 +5,14 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EfmError, WeightFormatError
+from .field import _PAIR_BLOCK
 
 WEIGHT_FORMAT_VERSION = 1
 # The one hidden-layer activation, as the weight file names it.
@@ -91,20 +94,68 @@ class FieldApproximator:
         return FieldApproximator(self.layer_dims, self.weights, self.biases)
 
     def forward(self, x) -> np.ndarray:
-        """Network output for one point (d,) or a batch (n, d)."""
+        """Network output for one point (d,) or a batch (n, d).
+
+        Rows go through in blocks of `block` rows, the last one ragged, where
+        a (block, widest layer) float64 buffer holds `_PAIR_BLOCK` entries and
+        so stays in a core's L2 cache. Each block is forwarded with the same
+        operations in the same order as one unblocked pass, and its rows come
+        out bit-identical to forwarding that block on its own. They equal one
+        unblocked pass bit for bit wherever BLAS rounds a row the same in the
+        block as in the whole batch, as in every batch of the benchmark (2048
+        rows at D=2, 1024 at D=32). Not every BLAS does so for every batch:
+        OpenBLAS takes other kernels for one row and for small products, so a
+        one-row tail, a tail of a few hundred rows at D=32 or a batch of more
+        than 2604 rows at D=2 can differ from one pass in the last bits.
+
+        With more than one block and more than one CPU in the process's
+        affinity set, one worker thread forwards the trailing half of the
+        blocks while the caller forwards the leading half; which thread takes
+        a block never changes a bit. The worker is joined before this returns
+        or raises, so no thread is left running, and an exception in either
+        half propagates from here.
+        """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         y = np.atleast_2d(x)
         if y.shape[1] != self.layer_dims[0]:
             raise EfmError(f"input dimension {y.shape[1]} does not match "
                            f"network input {self.layer_dims[0]}")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            y = y @ w
-            y += b
-            if i != last:
-                y = _act(y)
-        return y[0] if squeeze else y
+        out = np.empty((len(y), self.layer_dims[-1]))
+        block = max(1, _PAIR_BLOCK // max(self.layer_dims[1:]))
+        if len(y) > block and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            cut = block * -(-len(y) // (2 * block))  # the leading half of the blocks
+            errstate = np.geterr()
+
+            def trailing_half():  # under the caller's floating-point error handling
+                with np.errstate(**errstate):
+                    self._forward_rows(y[cut:], out[cut:], block)
+
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                trail = worker.submit(trailing_half)
+                self._forward_rows(y[:cut], out[:cut], block)
+                trail.result()
+        else:
+            self._forward_rows(y, out, block)
+        return out[0] if squeeze else out
+
+    def _forward_rows(self, x, out, block):
+        """Forward the rows of `x` into `out`, `block` rows at a time. The
+        hidden layers ping-pong between two buffers: affine output, then
+        activation."""
+        rows = min(block, len(x))
+        width = max(self.layer_dims[1:-1], default=0)
+        pre, post = np.empty(rows * width), np.empty(rows * width)
+        *hidden, (w_out, b_out) = zip(self.weights, self.biases)
+        for i in range(0, len(x), block):
+            y = x[i:i + block]
+            for w, b in hidden:
+                shape = (len(y), w.shape[1])
+                a = np.matmul(y, w, out=pre[:shape[0] * shape[1]].reshape(shape))
+                a += b
+                y = _act(a, out=post[:shape[0] * shape[1]].reshape(shape))
+            ob = np.matmul(y, w_out, out=out[i:i + block])
+            ob += b_out
 
 
 class FwdBwdBuffers:

@@ -352,6 +352,13 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     stops from a stream keyed by `seed` and its start point. Results are
     deterministic for a seed and equivariant under reordering of the batch
     up to rounding. Per-line failures are recorded and the batch continues.
+
+    On the exact field, "theoretical" (the flux-ratio rule) is the oracle
+    map. "adaptive" stops each line at its first arrival at z=plate_gap and
+    matches that oracle only at D=2. Beyond it, many oracle lines cross the
+    target plate and come back, so first arrival lands elsewhere: at D=8 its
+    energy distance to the target reads 5.5 to 8.6 over charge counts,
+    smoothing and gaps, against the oracle's 0.033.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:

@@ -90,6 +90,21 @@ class TestCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x_1,x_2\n1,2\n\n\n3,abc\n", "non-numeric cell at line 5"),
+        ("\nx_1,x_2\n1,2\n\n3\n", "ragged row at line 5"),
+    ])
+    def test_line_numbers_count_blank_lines(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\nx_1,x_2\n1,2\n\n3,4\n\n")
+        np.testing.assert_array_equal(load_csv(path).points, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x_1,x_2\n")

@@ -1,9 +1,13 @@
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from efm import model
 from efm.core import WeightFormatError, seeded_stream
 from efm.model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, _act,
                        _act_deriv, ema_apply, ema_update, load_weights, loss_and_gradient,
@@ -95,6 +99,22 @@ def reference_ema_update(shadows, currents, decay):
         shadow += (1.0 - decay) * cur
 
 
+def block_rows(net):
+    """Rows per block of `forward` for `net`."""
+    return model._PAIR_BLOCK // max(net.layer_dims[1:])
+
+
+def multi_block_batch(net, seed):
+    """Two full blocks of `forward` plus a ragged tail of 37 rows."""
+    return seeded_stream(seed, "pts").standard_normal((2 * block_rows(net) + 37,
+                                                       net.layer_dims[0]))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def split(net, flat):
     """`flat` cut into net's per-layer arrays: all weights, then all biases."""
     weights, biases = net.layers(flat)
@@ -151,10 +171,10 @@ class TestForward:
         rows = np.stack([net.forward(x) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-14)
 
-    def test_input_left_unmodified(self):
+    def test_input_left_unmodified(self, two_cpus):
         net = FieldApproximator.init_random([3, 8, 8, 3], seeded_stream(6, "init"))
         batch = seeded_stream(7, "pts").standard_normal((4, 3))
-        for xs in (batch, np.array([0.3, -1.0, 2.0])):
+        for xs in (batch, np.array([0.3, -1.0, 2.0]), multi_block_batch(net, 8)):
             before = xs.copy()
             net.forward(xs)
             np.testing.assert_array_equal(xs, before)
@@ -168,6 +188,75 @@ class TestForward:
         net = FieldApproximator([3, 4, 3])
         with pytest.raises(Exception, match="dimension"):
             net.forward(np.zeros(5))
+
+
+class TestForwardBlocks:
+    """`forward` in row blocks, the trailing half of them on a worker thread."""
+
+    @pytest.fixture
+    def net(self):
+        return FieldApproximator.init_random([3, 128, 128, 3], seeded_stream(11, "init"))
+
+    def test_equals_its_blocks_forwarded_alone(self, net, two_cpus):
+        xs = multi_block_batch(net, 12)
+        rows = block_rows(net)
+        before = threading.active_count()
+        got = net.forward(xs)
+        assert threading.active_count() == before
+        want = np.concatenate([net.forward(xs[i:i + rows]) for i in range(0, len(xs), rows)])
+        np.testing.assert_array_equal(got, want)
+
+    def test_empty_batch(self, net, two_cpus):
+        assert net.forward(np.empty((0, 3))).shape == (0, 3)
+
+    def test_one_cpu_starts_no_thread(self, net, monkeypatch, two_cpus):
+        xs = multi_block_batch(net, 13)
+        built = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(model, "ThreadPoolExecutor", CountingPool)
+        two = net.forward(xs)
+        assert built == [{"max_workers": 1}]
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("forward started a worker thread on one CPU")
+
+        monkeypatch.setattr(model, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        one = net.forward(xs)
+        assert threading.active_count() == before
+        assert one.tobytes() == two.tobytes()
+
+    def test_worker_exception_propagates(self, net, monkeypatch, two_cpus):
+        caller = threading.current_thread()
+        inline = FieldApproximator._forward_rows
+
+        def fail_off_caller(self, *args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker half failed")
+            return inline(self, *args)
+
+        monkeypatch.setattr(FieldApproximator, "_forward_rows", fail_off_caller)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            net.forward(multi_block_batch(net, 14))
+        assert threading.active_count() == before
+
+    def test_worker_keeps_callers_error_state(self, net, two_cpus):
+        # only a worker row turns NaN; under the caller's "ignore" it must
+        # not warn (pytest turns a RuntimeWarning into an error)
+        xs = multi_block_batch(net, 15)
+        xs[-1] = [np.inf, -np.inf, np.inf]
+        with np.errstate(all="ignore"):
+            got = net.forward(xs)
+        assert np.any(np.isnan(got[-1]))
+        assert np.all(np.isfinite(got[:-1]))
 
 
 class TestLossAndGradient:
