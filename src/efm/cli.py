@@ -104,12 +104,13 @@ def write_trajectories_csv(trajectories, path) -> None:
     cols = ["line_id", "step", "z"] + [f"x_{i + 1}" for i in range(dim)] + ["termination"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
+        row = "%d,%d," + ",".join(["%.17g"] * (dim + 1)) + ",%s\n"
         for i, traj in enumerate(trajectories):
             last = len(traj.points) - 1
-            for k, pt in enumerate(traj.points):
+            z_first = np.roll(traj.points, 1, axis=1)
+            for k, values in enumerate(z_first.tolist()):
                 term = traj.termination if k == last else ""
-                coords = ",".join("%.17g" % v for v in pt[:-1])
-                fh.write(f"{i},{k},{'%.17g' % pt[-1]},{coords},{term}\n")
+                fh.write(row % (i, k, *values, term))
 
 
 def _load_config(args) -> CapacitorConfig:

@@ -82,8 +82,8 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write header x_1..x_D then one sample per line at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(",".join(f"x_{i + 1}" for i in range(dataset.dim)) + "\n")
-        for row in dataset.points:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        row = ",".join(["%.17g"] * dataset.dim) + "\n"
+        fh.writelines(row % tuple(values) for values in dataset.points.tolist())
 
 
 def load_csv(path) -> Dataset:

@@ -1,20 +1,28 @@
 """Two-sample distances used to test distribution transport quantitatively.
 
 The energy distance and its permutation null come from one pooled pass.
-`_energy_statistics(pool, labels)` builds the pooled N×N Euclidean distance
-matrix once, in row blocks, and reads every labelling's E|a-b|, E|a-a'| and
-E|b-b'| from indicator products with each block (Székely & Rizzo, energy
-statistics). `energy_distance` is that kernel with one labelling, and the
-null is the same kernel with one label column per permutation.
+`_energy_statistics(pool, labels)` computes each unordered pair of the
+pooled N×N Euclidean distance matrix once, in row blocks sized to a core's
+L2 cache, and reads every labelling's E|a-b|, E|a-a'| and E|b-b'| from the
+row sums and one indicator product per label column (Székely & Rizzo,
+energy statistics). `energy_distance` is that kernel with one labelling,
+and the null is the same kernel with one label column per permutation.
 
 `permutation_null` calls its `statistic_fn(pool, labels)` once: `pool` is the
 (N, D) stack of both samples and `labels` an (N, k) boolean matrix whose
 column j marks the rows of sample a in labelling j. It returns k values.
 
+`sliced_w1` projects both samples on a chunk of directions at a time, sorts
+each side, merges the two sorted runs with one stable argsort and reads both
+empirical CDFs from a running count of the merged rows that came from a.
+
 Memory: the float temporaries stay bounded in bytes at any N, D and number
-of permutations. A distance block holds at most `_PAIR_BLOCK` entries, and
-label columns are reduced in chunks of at most `_PAIR_BLOCK // 8` entries
-per float temporary. Only the boolean label matrix grows with `n_perm`.
+of permutations. A distance block holds at most `_PAIR_BLOCK` entries (the
+field kernel's L2-sized block), and label columns are reduced in chunks of
+at most `_LABEL_BLOCK` entries per float temporary. Only the boolean label
+matrix grows with `n_perm`. A sliced-W1 chunk of directions holds at most
+`_PAIR_BLOCK` projections, or one direction's N when N is larger, so its
+temporaries stay O(N) whatever the number of directions.
 """
 
 from __future__ import annotations
@@ -24,15 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import wasserstein_distance
 
 from .core import DataError
+from .field import _PAIR_BLOCK
 
 # Exact O(n^2) sums get expensive past this; larger inputs are subsampled.
 MAX_EXACT_SIDE = 4096
 
-# Entries per block of the pooled distance matrix (32 MB of float64).
-_PAIR_BLOCK = 4_000_000
+# Float entries per chunk of label columns (4 MB of float64).
+_LABEL_BLOCK = 500_000
 
 NULL_QUANTILES = (0.50, 0.90, 0.95, 0.99)
 
@@ -92,29 +100,42 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     pool: (N, D) points; labels: (N, k) bool, column j marks sample a of
     labelling j (every column needs at least one True and one False row).
     Returns k V-statistics, clamped at 0.
+
+    Each unordered pair's distance is computed once. Row block r0:r1 is
+    `cdist`-ed against rows r0: only, a (rows, N - r0) block of at most
+    `_PAIR_BLOCK` entries that fits in a core's L2 cache. Its diagonal part
+    is halved in place, so 2·x_rᵀ(block · x_r0:) adds both orders of every
+    pair the block holds. The statistic is symmetric in a and b, so x marks
+    each column's smaller sample and y its larger one: with the full row
+    sums r and S_xx = xᵀDx, S_xy = rᵀx - S_xx and S_yy = Σr - S_xx - 2 S_xy,
+    whose rounding is then divided by the larger n_y². Label columns are
+    taken in chunks of at most `_LABEL_BLOCK` float entries; each chunk
+    recomputes the distances.
     """
     n = len(pool)
     n_a = labels.sum(axis=0)
-    n_b = n - n_a
+    flip = n_a > n - n_a
+    n_x = np.where(flip, n - n_a, n_a)
+    n_y = n - n_x
     k = labels.shape[1]
-    # rows of sample a with a, rows of sample b with a, rows of b with b
-    s_aa, s_ba, s_bb = np.zeros(k), np.zeros(k), np.zeros(k)
+    row_sum = np.zeros(n)
+    s_xx, s_xy = np.zeros(k), np.zeros(k)
     rows = max(1, _PAIR_BLOCK // n)
-    cols = max(1, _PAIR_BLOCK // 8 // n)
-    for r0 in range(0, n, rows):
-        dist = cdist(pool[r0:r0 + rows], pool)
-        row_sum = dist.sum(axis=1)
-        for c0 in range(0, k, cols):
-            c = slice(c0, c0 + cols)
-            in_a = labels[:, c].astype(float)
-            to_a = dist @ in_a
-            in_b = 1.0 - in_a[r0:r0 + rows]
-            s_aa[c] += np.einsum("ij,ij->j", in_a[r0:r0 + rows], to_a)
-            ba = np.einsum("ij,ij->j", in_b, to_a)
-            s_ba[c] += ba
-            s_bb[c] += row_sum @ in_b - ba
-        del dist  # free this block before cdist allocates the next one
-    stat = 2.0 * s_ba / (n_a * n_b) - s_aa / (n_a * n_a) - s_bb / (n_b * n_b)
+    cols = max(1, _LABEL_BLOCK // n)
+    for c0 in range(0, k, cols):
+        c = slice(c0, c0 + cols)
+        in_x = (labels[:, c] != flip[c]).astype(float)
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            dist = cdist(pool[r0:r1], pool[r0:])
+            if c0 == 0:
+                row_sum[r0:r1] += dist.sum(axis=1)
+                row_sum[r1:] += dist[:, r1 - r0:].sum(axis=0)
+            dist[:, :r1 - r0] *= 0.5
+            s_xx[c] += 2.0 * np.einsum("ij,ij->j", in_x[r0:r1], dist @ in_x[r0:])
+        s_xy[c] = row_sum @ in_x - s_xx[c]
+    s_yy = row_sum.sum() - s_xx - 2.0 * s_xy
+    stat = 2.0 * s_xy / (n_x * n_y) - s_xx / (n_x * n_x) - s_yy / (n_y * n_y)
     return np.maximum(stat, 0.0)
 
 
@@ -136,8 +157,22 @@ def sliced_w1(a, b, n_projections: int = 64, stream=None) -> DistanceReport:
     dim = pa.shape[1]
     dirs = stream.standard_normal((n_projections, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = [wasserstein_distance(pa @ u, pb @ u) for u in dirs]
-    return DistanceReport(float(np.mean(vals)), len(pa), len(pb))
+    n_a, n_b = len(pa), len(pb)
+    chunk = max(1, _PAIR_BLOCK // (n_a + n_b))
+    vals = np.empty(n_projections)
+    for p0 in range(0, n_projections, chunk):
+        u = dirs[p0:p0 + chunk]
+        # each side sorted, then one stable merge of the two sorted runs
+        both = np.concatenate([np.sort(u @ pa.T, axis=1), np.sort(u @ pb.T, axis=1)], axis=1)
+        order = np.argsort(both, axis=1, kind="stable")
+        merged = np.take_along_axis(both, order, axis=1)
+        # CDF counts at each step between merged values; a tie is a 0 step, so
+        # the order within it is moot
+        below_a = np.cumsum(order[:, :-1] < n_a, axis=1)
+        below_b = np.arange(1, n_a + n_b) - below_a
+        cdf_diff = np.abs(below_a / n_a - below_b / n_b)
+        vals[p0:p0 + chunk] = np.einsum("ij,ij->i", cdf_diff, np.diff(merged, axis=1))
+    return DistanceReport(float(np.mean(vals)), n_a, n_b)
 
 
 def permutation_null(a, b, statistic_fn, n_perm: int, stream) -> dict:

@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.stats import wasserstein_distance
 
+from efm import metrics
 from efm.core import DataError, seeded_stream
 from efm.metrics import (NULL_QUANTILES, _energy_statistics, energy_distance,
                          energy_distance_with_null, permutation_null, sliced_w1)
@@ -60,10 +63,59 @@ class TestEnergyDistance:
         assert rep.n_a == 4096
         assert np.isfinite(list(rep.null_quantiles.values())).all()
 
-    @pytest.mark.parametrize("n_side,dim,n_perm", [(2000, 33, 50), (100, 2, 20000)])
-    def test_memory_bounded(self, n_side, dim, n_perm):
+    def test_kernel_across_blocks_matches_reference(self, monkeypatch):
+        # 115 pooled rows in row blocks of 40, 40 and 35, and 60 label columns
+        # in chunks of 9 with a last one of 6; duplicated points give ties and
+        # zero distances, and some columns have the larger sample as a
+        n, n_a = 115, 70
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", n * 40)
+        monkeypatch.setattr(metrics, "_LABEL_BLOCK", n * 9)
+        stream = seeded_stream(28, "e")
+        pool = stream.standard_normal((n, 3))
+        pool[n_a:] = pool[n_a:] * 1.3 + 0.2
+        pool[10:20] = pool[0]
+        pool[n_a:n_a + 5] = pool[30:35]
+        pool[-3:] = pool[-4]
+        labels = np.zeros((n, 60), dtype=bool)
+        labels[:n_a, 0] = True
+        for j in range(1, 60):
+            labels[stream.permutation(n)[:1 + (j * 7) % (n - 1)], j] = True
+        stats = _energy_statistics(pool, labels)
+        for j in range(60):
+            ref, scale = _energy_reference(pool[labels[:, j]], pool[~labels[:, j]])
+            assert abs(stats[j] - ref) <= 1e-12 * scale
+
+    def test_unbalanced_samples_match_reference(self):
+        # the subtracted sums of a 2000-point sample must not swamp the
+        # within-sample term of a 4-point one
+        stream = seeded_stream(31, "e")
+        a = stream.standard_normal((2000, 2))
+        b = stream.standard_normal((4, 2)) + 0.5
+
+        def mean(x, y):
+            return sum(cdist(x[i:i + 250], y).sum() for i in range(0, len(x), 250)) / (
+                len(x) * len(y))
+
+        ab, aa, bb = mean(a, b), mean(a, a), mean(b, b)
+        ref, scale = 2.0 * ab - aa - bb, 2.0 * ab + aa + bb
+        for x, y in ((a, b), (b, a)):
+            assert abs(energy_distance(x, y).statistic - ref) <= 1e-12 * scale
+
+    def test_null_draws_one_permutation_each(self):
+        stream = seeded_stream(29, "e")
+        a = stream.standard_normal((70, 2))
+        b = stream.standard_normal((45, 2))
+        used, ref = seeded_stream(30, "perm"), seeded_stream(30, "perm")
+        energy_distance_with_null(a, b, 60, used)
+        for _ in range(60):
+            ref.permutation(len(a) + len(b))
+        assert used.random() == ref.random()
+
+    @pytest.mark.parametrize("n_side,dim,n_perm,mib", [(2000, 33, 50, 6), (100, 2, 20000, 16)])
+    def test_memory_bounded(self, n_side, dim, n_perm, mib):
         # (2000, 33, 50) spans several distance row blocks; (100, 2, 20000)
-        # spans several label-column chunks
+        # spans several label-column chunks, and its peak is mostly the
+        # (200, 20000) label matrix and one (200, 2500) float chunk
         stream = seeded_stream(24, "e")
         a = stream.standard_normal((n_side, dim))
         b = stream.standard_normal((n_side, dim))
@@ -73,7 +125,7 @@ class TestEnergyDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2**20
+        assert peak <= mib * 2**20
 
     def test_identical_multisets_zero(self):
         pts = seeded_stream(0, "e").standard_normal((64, 2))
@@ -131,8 +183,36 @@ class TestSlicedW1:
         rep = sliced_w1(a, b, 8, seeded_stream(10, "proj"))
         assert rep.statistic == pytest.approx(0.75, rel=1e-9)
 
+    @pytest.mark.parametrize("dim", [1, 2, 33])
+    def test_matches_per_direction_scipy(self, dim, monkeypatch):
+        # chunks of 3 directions, so 10 directions end in a ragged chunk
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 115 * 3)
+        stream = seeded_stream(40 + dim, "s")
+        a = np.round(stream.standard_normal((70, dim)), 1)
+        b = np.round(stream.standard_normal((45, dim)) * 1.3 + 0.2, 1)
+        a[10:20] = a[0]
+        b[:5] = a[30:35]
+        dirs = seeded_stream(50, "proj").standard_normal((10, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        ref = np.mean([wasserstein_distance(a @ u, b @ u) for u in dirs])
+        rep = sliced_w1(a, b, 10, seeded_stream(50, "proj"))
+        assert rep.statistic == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_memory_bounded(self):
+        # one direction per chunk at this size; all 8 at once would take
+        # about 200 MiB
+        stream = seeded_stream(51, "s")
+        a = stream.standard_normal((200_000, 2))
+        b = stream.standard_normal((200_000, 2))
+        tracemalloc.start()
+        try:
+            sliced_w1(a, b, 8, seeded_stream(52, "proj"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 2**20
+
     def test_matches_exact_w1_in_1d(self):
-        from scipy.stats import wasserstein_distance
         stream = seeded_stream(11, "s")
         a = stream.standard_normal((100, 1))
         b = stream.standard_normal((80, 1)) + 0.3
