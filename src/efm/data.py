@@ -86,6 +86,12 @@ def save_csv(dataset: Dataset, path) -> None:
         fh.writelines(row % tuple(values) for values in dataset.points.tolist())
 
 
+def _parse_rows(rows) -> np.ndarray:
+    """Comma-separated float rows as an (n, D) array, by numpy's C parser.
+    With comments=None a "#" is a bad cell, not the start of a comment."""
+    return np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+
+
 def load_csv(path) -> Dataset:
     try:
         with open(path) as fh:
@@ -101,17 +107,24 @@ def load_csv(path) -> Dataset:
     expect = [f"x_{i + 1}" for i in range(dim)]
     if header != expect:
         raise DataError(f"bad header in {path}: expected {','.join(expect)}")
-    if len(lines) == 1:
+    body = lines[1:]
+    if not body:
         raise DataError(f"empty dataset: {path} has a header but no rows")
-    rows = np.empty((len(lines) - 1, dim))
-    for row, (i, ln) in zip(rows, lines[1:]):
-        cells = ln.split(",")
-        if len(cells) != dim:
-            raise DataError(f"ragged row at line {i} of {path}: "
-                            f"{len(cells)} cells, expected {dim}")
+    # rows before the first ragged one are parsed first, so the error named
+    # is the first bad line of the file, whichever kind it is
+    cut = next((k for k, (_, ln) in enumerate(body) if ln.count(",") != dim - 1), len(body))
+    if cut:
         try:
-            row[...] = [float(c) for c in cells]
+            points = _parse_rows([ln for _, ln in body[:cut]])
         except ValueError as exc:
-            raise DataError(f"non-numeric cell at line {i} of {path}") from exc
-    return Dataset(rows)
-
+            for i, ln in body[:cut]:
+                try:
+                    _parse_rows([ln])
+                except ValueError:
+                    raise DataError(f"non-numeric cell at line {i} of {path}") from exc
+            raise
+    if cut < len(body):
+        i, ln = body[cut]
+        raise DataError(f"ragged row at line {i} of {path}: "
+                        f"{ln.count(',') + 1} cells, expected {dim}")
+    return Dataset(points)

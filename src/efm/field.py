@@ -6,6 +6,7 @@ oracle used both for training targets and for transport on small problems.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ LOG_ACCUMULATION_DIM = 32
 # Max pairwise entries materialized at once. A (rows, n) float64 temporary
 # then takes 512 KiB, so a block's temporaries stay in a core's L2 cache.
 _PAIR_BLOCK = 65_536
+
+# Per-thread scratch buffers of the hot loops, by slot name (`_workspace`).
+_WORKSPACE = threading.local()
 
 
 def sphere_surface_area(n: int) -> float:
@@ -52,6 +56,22 @@ def point_charge_field(x, source, q: float, field_epsilon: float = 0.0) -> np.nd
     return q / sphere_surface_area(d - 1) * diff / r2 ** (0.5 * d)
 
 
+def _workspace(slot: str, size: int, dtype=float) -> np.ndarray:
+    """This thread's flat scratch buffer named `slot`, of at least `size`
+    entries of `dtype`.
+
+    A buffer holds max(_PAIR_BLOCK, size) entries and is replaced only by a
+    larger request, so a hot loop faults in its pages once per thread, not
+    once per call. Work that can be live at the same time on one thread
+    uses different slots.
+    """
+    buf = getattr(_WORKSPACE, slot, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(max(_PAIR_BLOCK, size), dtype)
+        setattr(_WORKSPACE, slot, buf)
+    return buf
+
+
 def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
                          sources_sq=None):
     """Direct-sum field of many charges, split as (vec, log_scale).
@@ -63,8 +83,10 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     plain powers and log_scale = 0. Above it only the weights change: they
     are formed in log space and shifted by their row maximum, which is
     returned as log_scale, so the direction stays representable even when
-    the magnitude under- or overflows. Every float temporary is a
-    (rows, n) float64 block of at most _PAIR_BLOCK entries, whatever the
+    the magnitude under- or overflows. Every (rows, n) temporary is written
+    in place into this thread's workspace (`_workspace`): two float64
+    buffers and one bool buffer of max(_PAIR_BLOCK, n) entries each, kept
+    between calls, so a warm call faults in no fresh pages whatever the
     dimension. `sources_sq` may carry precomputed row norms of `sources`
     for hot loops. With field_epsilon == 0 an evaluation point on a charge,
     up to rounding, raises FieldError.
@@ -82,29 +104,52 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     log_scale = np.zeros(m)
     block = max(1, _PAIR_BLOCK // max(n, 1))
     s_sq = sources_sq if sources_sq is not None else np.einsum("ij,ij->i", sources, sources)
+    size = min(block, m) * n
+    r2_buf, sum_buf = _workspace("kernel_r2", size), _workspace("kernel_sum", size)
+    if d > LOG_ACCUMULATION_DIM:
+        with np.errstate(divide="ignore"):
+            log_c = np.log(np.abs(charges))
+        sign_c = np.sign(charges)
     for i0 in range(0, m, block):
         i1 = min(i0 + block, m)
         blk = points[i0:i1]
-        blk_sq = np.einsum("ij,ij->i", blk, blk)[:, None]
-        # pairwise squared distances via the quadratic expansion; rounding
-        # can push tiny values slightly negative, so clamp at zero
-        r2 = blk_sq + s_sq[None, :] - 2.0 * (blk @ sources.T)
+        rows = i1 - i0
+        r2, sums = r2_buf[:rows * n].reshape(rows, n), sum_buf[:rows * n].reshape(rows, n)
+        # pairwise squared distances via the quadratic expansion, in the
+        # order (|p|^2 + |s|^2) - 2 (p . s); rounding can push tiny values
+        # slightly negative, so clamp at zero
+        np.matmul(blk, sources.T, out=r2)
+        r2 *= 2.0
+        np.add(np.einsum("ij,ij->i", blk, blk)[:, None], s_sq, out=sums)
+        np.subtract(sums, r2, out=r2)
         np.maximum(r2, 0.0, out=r2)
         # an r2 within the expansion's rounding error of 0 is a point on a charge
-        if eps2 == 0.0 and np.any(r2 <= 4.0 * np.finfo(float).eps * (blk_sq + s_sq[None, :])):
-            raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
+        if eps2 == 0.0:
+            sums *= 4.0 * np.finfo(float).eps
+            near = _workspace("kernel_near", size, bool)[:rows * n].reshape(rows, n)
+            if np.less_equal(r2, sums, out=near).any():
+                raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
         r2 += eps2
+        # the weights c_j / r_ij^d, formed in place over r2
+        w = r2
         if d > LOG_ACCUMULATION_DIM:
             with np.errstate(divide="ignore"):
-                logw = np.log(np.abs(charges))[None, :] - (0.5 * d) * np.log(r2)
-            shift = np.max(logw, axis=1)
+                np.log(w, out=w)
+            w *= 0.5 * d
+            np.subtract(log_c, w, out=w)
+            shift = np.max(w, axis=1, out=log_scale[i0:i1])
             shift[~np.isfinite(shift)] = 0.0
-            w = np.sign(charges)[None, :] * np.exp(logw - shift[:, None])
-            log_scale[i0:i1] = shift
+            w -= shift[:, None]
+            np.exp(w, out=w)
+            w *= sign_c
         elif d % 2 == 0:
-            w = charges[None, :] / r2 ** (d // 2)
+            w **= d // 2
+            np.divide(charges, w, out=w)
         else:
-            w = charges[None, :] / (r2 ** (d // 2) * np.sqrt(r2))
+            root = np.sqrt(w, out=sums)
+            w **= d // 2
+            w *= root
+            np.divide(charges, w, out=w)
         vec[i0:i1] = inv_area * (blk * w.sum(axis=1)[:, None] - w @ sources)
     return vec, log_scale
 

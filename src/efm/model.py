@@ -7,12 +7,12 @@ import binascii
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import EfmError, WeightFormatError
-from .field import _PAIR_BLOCK
+from .field import _PAIR_BLOCK, _workspace
 
 WEIGHT_FORMAT_VERSION = 1
 # The one hidden-layer activation, as the weight file names it.
@@ -114,6 +114,12 @@ class FieldApproximator:
         a block never changes a bit. The worker is joined before this returns
         or raises, so no thread is left running, and an exception in either
         half propagates from here.
+
+        Each thread keeps its blocks' temporaries in its own workspace
+        (`efm.field._workspace`): two ping-pong buffers of _PAIR_BLOCK
+        entries (block x widest hidden layer never exceeds it). The caller's
+        pair lives between calls, so a warm call that starts no worker
+        allocates only its output; the worker's pair ends with its thread.
         """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -141,11 +147,10 @@ class FieldApproximator:
 
     def _forward_rows(self, x, out, block):
         """Forward the rows of `x` into `out`, `block` rows at a time. The
-        hidden layers ping-pong between two buffers: affine output, then
-        activation."""
-        rows = min(block, len(x))
-        width = max(self.layer_dims[1:-1], default=0)
-        pre, post = np.empty(rows * width), np.empty(rows * width)
+        hidden layers ping-pong between two buffers of this thread's
+        workspace: affine output, then activation."""
+        size = min(block, len(x)) * max(self.layer_dims[1:-1], default=0)
+        pre, post = _workspace("forward_pre", size), _workspace("forward_post", size)
         *hidden, (w_out, b_out) = zip(self.weights, self.biases)
         for i in range(0, len(x), block):
             y = x[i:i + block]
@@ -235,12 +240,17 @@ ADAM_EPS = 1e-8
 @dataclass
 class OptimizerState:
     """Adaptive-moment optimizer state; each moment is one vector laid out
-    like the net's params."""
+    like the net's params. `optimizer_step` writes its intermediates into
+    two more such vectors, allocated here once."""
 
     learning_rate: float
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
+    _work: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._work = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
     @classmethod
     def for_net(cls, net, learning_rate) -> "OptimizerState":
@@ -248,18 +258,29 @@ class OptimizerState:
 
 
 def optimizer_step(net: FieldApproximator, grad, state: OptimizerState):
-    """One bias-corrected moment update; mutates net and state in place."""
+    """One bias-corrected moment update; mutates net and state in place and
+    allocates no param-sized array. Each element sees the same operations in
+    the same order as the textbook expressions m += (1-b1)*g,
+    v += (1-b2)*g*g and p -= lr * (m/c1) / (sqrt(v/c2) + eps)."""
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
     m, v = state.first_moment, state.second_moment
+    a, b = state._work
     m *= BETA1
-    m += (1.0 - BETA1) * grad
+    m += np.multiply(grad, 1.0 - BETA1, out=a)
     v *= BETA2
-    v += (1.0 - BETA2) * grad * grad
-    step = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    net.params -= state.learning_rate * step
+    np.multiply(grad, 1.0 - BETA2, out=a)
+    a *= grad
+    v += a
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    np.divide(m, c1, out=a)
+    a /= b
+    a *= state.learning_rate
+    net.params -= a
     return net, state
 
 
@@ -270,10 +291,12 @@ class EmaState:
 
     decay: float
     shadow: FieldApproximator
+    _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.decay < 1.0):
             raise EfmError("ema decay must lie in [0, 1)")
+        self._work = np.empty_like(self.shadow.params)
 
     @classmethod
     def from_net(cls, net: FieldApproximator, decay: float) -> "EmaState":
@@ -281,9 +304,10 @@ class EmaState:
 
 
 def ema_update(ema: EmaState, net: FieldApproximator) -> EmaState:
-    """shadow <- decay * shadow + (1 - decay) * current, in place."""
+    """shadow <- decay * shadow + (1 - decay) * current, in place, with no
+    param-sized allocation."""
     ema.shadow.params *= ema.decay
-    ema.shadow.params += (1.0 - ema.decay) * net.params
+    ema.shadow.params += np.multiply(net.params, 1.0 - ema.decay, out=ema._work)
     return ema
 
 

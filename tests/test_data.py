@@ -93,11 +93,23 @@ class TestCsv:
     @pytest.mark.parametrize("text, message", [
         ("x_1,x_2\n1,2\n\n\n3,abc\n", "non-numeric cell at line 5"),
         ("\nx_1,x_2\n1,2\n\n3\n", "ragged row at line 5"),
+        # the first bad line of the file is named, whichever kind it is
+        ("x_1,x_2\n1,2\n3,x\n4\n", "non-numeric cell at line 3"),
+        ("x_1,x_2\n1,2\n4\n3,x\n", "ragged row at line 3"),
     ])
     def test_line_numbers_count_blank_lines(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=message):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1#2", "#", "1_0", ""])
+    def test_cell_that_float_syntax_rejects(self, tmp_path, cell):
+        # "#" starts no comment, so it cannot silently truncate a row;
+        # Python's digit-grouping underscore is not part of the CSV format
+        path = tmp_path / "d.csv"
+        path.write_text(f"x_1,x_2\n1,2\n3,4\n5,{cell}\n6,7\n")
+        with pytest.raises(DataError, match="non-numeric cell at line 4"):
             load_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):

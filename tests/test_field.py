@@ -1,4 +1,10 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,10 +12,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import efm.field
 from efm.core import seeded_stream
-from efm.field import (EmpiricalField, FieldError, PlateSet, normalize_rows,
-                       one_sided_ez, point_charge_field, scaled_superposition,
+from efm.field import (_PAIR_BLOCK, LOG_ACCUMULATION_DIM, EmpiricalField, FieldError, PlateSet,
+                       normalize_rows, one_sided_ez, point_charge_field, scaled_superposition,
                        sphere_surface_area, superposition_field)
+
+
+def allocating_scaled_superposition(points, sources, charges, field_epsilon=0.0,
+                                    sources_sq=None):
+    """Frozen copy of `scaled_superposition` as it was before its temporaries
+    moved into a per-thread workspace, with every (rows, n) temporary freshly
+    allocated: the bit-for-bit reference of the kernel tests."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    sources = np.atleast_2d(np.asarray(sources, dtype=float))
+    charges = np.asarray(charges, dtype=float)
+    m, d = points.shape
+    if sources.shape[1] != d:
+        raise FieldError("points and sources must share a dimension")
+    n = sources.shape[0]
+    inv_area = 1.0 / sphere_surface_area(d - 1)
+    eps2 = field_epsilon * field_epsilon
+    vec = np.empty((m, d))
+    log_scale = np.zeros(m)
+    block = max(1, _PAIR_BLOCK // max(n, 1))
+    s_sq = sources_sq if sources_sq is not None else np.einsum("ij,ij->i", sources, sources)
+    for i0 in range(0, m, block):
+        i1 = min(i0 + block, m)
+        blk = points[i0:i1]
+        blk_sq = np.einsum("ij,ij->i", blk, blk)[:, None]
+        r2 = blk_sq + s_sq[None, :] - 2.0 * (blk @ sources.T)
+        np.maximum(r2, 0.0, out=r2)
+        if eps2 == 0.0 and np.any(r2 <= 4.0 * np.finfo(float).eps * (blk_sq + s_sq[None, :])):
+            raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
+        r2 += eps2
+        if d > LOG_ACCUMULATION_DIM:
+            with np.errstate(divide="ignore"):
+                logw = np.log(np.abs(charges))[None, :] - (0.5 * d) * np.log(r2)
+            shift = np.max(logw, axis=1)
+            shift[~np.isfinite(shift)] = 0.0
+            w = np.sign(charges)[None, :] * np.exp(logw - shift[:, None])
+            log_scale[i0:i1] = shift
+        elif d % 2 == 0:
+            w = charges[None, :] / r2 ** (d // 2)
+        else:
+            w = charges[None, :] / (r2 ** (d // 2) * np.sqrt(r2))
+        vec[i0:i1] = inv_area * (blk * w.sum(axis=1)[:, None] - w @ sources)
+    return vec, log_scale
+
+
+def kernel_inputs(seed, m, n, dim):
+    """m points and n charges in `dim` dimensions, every fifth charge of
+    zero weight (log|c| = -inf on the log-accumulation branch)."""
+    stream = seeded_stream(seed, f"kernel/{m}/{n}/{dim}")
+    sources = stream.standard_normal((n, dim))
+    charges = stream.uniform(-1.0, 1.0, n)
+    charges[::5] = 0.0
+    return 1.5 * stream.standard_normal((m, dim)), sources, charges
 
 
 def two_point_capacitor(gap=6.0, field_epsilon=0.0):
@@ -258,6 +317,112 @@ class TestHighDimensionalStability:
         unit, degenerate = normalize_rows(vec)
         assert not degenerate[0]
         np.testing.assert_allclose(unit[0, 0], 1.0, rtol=1e-12)
+
+
+class TestKernelWorkspace:
+    """`scaled_superposition` writes its temporaries into a per-thread
+    workspace; it must equal the allocating kernel bit for bit."""
+
+    DIMS = [2, 3, 4, 9, 32, 33, 65]  # even and odd, both sides of the log branch
+
+    @staticmethod
+    def assert_same(got, want):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("field_epsilon", [0.0, 1e-4])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bit_identical_to_allocating_kernel(self, dim, field_epsilon):
+        n = 3000
+        block = _PAIR_BLOCK // n
+        for m in (1, block - 1, block, block + 1, 3 * block + 5):
+            pts, sources, charges = kernel_inputs(dim, m, n, dim)
+            self.assert_same(scaled_superposition(pts, sources, charges, field_epsilon),
+                             allocating_scaled_superposition(pts, sources, charges,
+                                                             field_epsilon))
+
+    @pytest.mark.parametrize("field_epsilon", [0.0, 1e-4])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bit_identical_with_one_row_blocks(self, dim, field_epsilon):
+        # more charges than _PAIR_BLOCK: a block is one row, and the
+        # workspace grows to hold that row
+        pts, sources, charges = kernel_inputs(dim, 8, _PAIR_BLOCK + 3, dim)
+        sq = np.einsum("ij,ij->i", sources, sources)
+        for m in (1, 2, 8):
+            self.assert_same(scaled_superposition(pts[:m], sources, charges, field_epsilon, sq),
+                             allocating_scaled_superposition(pts[:m], sources, charges,
+                                                             field_epsilon, sq))
+
+    @pytest.mark.parametrize("dim", [3, 33])
+    def test_coincidence_in_a_later_block_raises_and_leaves_no_trace(self, dim):
+        pts, sources, charges = kernel_inputs(1, 3 * (_PAIR_BLOCK // 3000) + 5, 3000, dim)
+        pts[-1] = sources[7]
+        with pytest.raises(FieldError, match="coincides with a charge"):
+            scaled_superposition(pts, sources, charges, 0.0)
+        self.assert_same(scaled_superposition(pts[:-1], sources, charges, 0.0),
+                         allocating_scaled_superposition(pts[:-1], sources, charges, 0.0))
+
+    def test_concurrent_threads_match_sequential_calls(self):
+        # more threads than cores, switching often, each cycling through
+        # shapes that need different workspace sizes
+        cases = [kernel_inputs(k, 200, 700 + 50 * k, dim) for k, dim in enumerate((3, 33, 4, 65))]
+        want = [scaled_superposition(*case, 1e-4) for case in cases]
+        start = threading.Barrier(4, timeout=60)
+        got = {}
+
+        def run(name):
+            start.wait()
+            got[name] = [(k, scaled_superposition(*cases[k], 1e-4))
+                         for r in range(5) for k in np.roll(range(4), name + r)]
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for results in got.values():
+            for k, result in results:
+                self.assert_same(result, want[k])
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                        reason="per-thread rusage is Linux-only")
+    def test_warm_calls_fault_in_no_pages(self):
+        # in a fresh interpreter, where the allocator still has its default
+        # thresholds: a (rows, n) temporary allocated per call is then
+        # mmapped and faulted in anew on every call
+        probe = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from efm.field import scaled_superposition
+            faults = []
+            for m, n, dim in ((512, 512, 3), (512, 512, 33), (23, 4096, 3)):
+                rng = np.random.default_rng(m + n + dim)
+                pts, sources = rng.standard_normal((m, dim)), rng.standard_normal((n, dim))
+                charges = np.full(n, 1.0 / n)
+                charges[n // 2:] *= -1.0
+                sq = np.einsum("ij,ij->i", sources, sources)
+                for _ in range(3):
+                    scaled_superposition(pts, sources, charges, 1e-4, sq)
+                before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+                for _ in range(10):
+                    scaled_superposition(pts, sources, charges, 1e-4, sq)
+                faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+            print(*faults)
+        """)
+        src = os.path.dirname(os.path.dirname(efm.field.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        # 512x512 at D+1=3 and 33, and an exact-oracle-sized 23x4096 call
+        assert run.stdout.split() == ["0", "0", "0"]
 
 
 class TestPlateSetInvariants:

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,6 +91,29 @@ def reference_optimizer_steps(arrays, grads, learning_rate,
             step = (m / c1) / (np.sqrt(v / c2) + eps_opt)
             p -= learning_rate * step
     return ms, vs
+
+
+def textbook_optimizer_step(net, grad, state):
+    """Adam as the textbook writes it (Kingma & Ba, arXiv 1412.6980), every
+    intermediate a fresh array: the bit-for-bit reference of optimizer_step."""
+    state.step_count += 1
+    t = state.step_count
+    m, v = state.first_moment, state.second_moment
+    m *= model.BETA1
+    m += (1.0 - model.BETA1) * grad
+    v *= model.BETA2
+    v += (1.0 - model.BETA2) * grad * grad
+    c1, c2 = 1.0 - model.BETA1 ** t, 1.0 - model.BETA2 ** t
+    net.params -= state.learning_rate * ((m / c1) / (np.sqrt(v / c2) + model.ADAM_EPS))
+    return net, state
+
+
+def textbook_ema_update(ema, net):
+    """The EMA with a fresh (1 - decay) * params array: the bit-for-bit
+    reference of ema_update."""
+    ema.shadow.params *= ema.decay
+    ema.shadow.params += (1.0 - ema.decay) * net.params
+    return ema
 
 
 def reference_ema_update(shadows, currents, decay):
@@ -363,6 +387,55 @@ class TestOptimizer:
             optimizer_step(net, grad, state)
         assert loss < 1e-3
         np.testing.assert_allclose(net.weights[0], w_star, atol=0.05)
+
+
+class TestInPlaceUpdates:
+    """optimizer_step and ema_update write into work vectors their states own."""
+
+    def test_five_optimizer_steps_equal_textbook_adam(self):
+        net = FieldApproximator.init_random([3, 16, 16, 3], seeded_stream(28, "i"))
+        ref = net.copy()
+        stream = seeded_stream(29, "g")
+        grads = [stream.standard_normal(net.params.shape) for _ in range(5)]
+        for g in grads:
+            g[::3] = 0.0  # zero entries next to negative and positive ones
+        state, ref_state = (OptimizerState.for_net(n, 0.01) for n in (net, ref))
+        for g in grads:
+            optimizer_step(net, g, state)
+            textbook_optimizer_step(ref, g, ref_state)
+        assert state.step_count == ref_state.step_count == 5
+        for got, want in ((net.params, ref.params),
+                          (state.first_moment, ref_state.first_moment),
+                          (state.second_moment, ref_state.second_moment)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_ema_updates_equal_textbook_ema(self):
+        net = FieldApproximator.init_random([3, 16, 3], seeded_stream(30, "i"))
+        ema, ref = EmaState.from_net(net, 0.99), EmaState.from_net(net, 0.99)
+        stream = seeded_stream(31, "p")
+        for _ in range(5):
+            net.params += stream.standard_normal(net.params.shape)
+            ema_update(ema, net)
+            textbook_ema_update(ref, net)
+        np.testing.assert_array_equal(ema.shadow.params, ref.shadow.params)
+
+    def test_no_param_sized_allocation_after_the_first_step(self):
+        net = FieldApproximator.init_random([3, 128, 128, 3], seeded_stream(32, "i"))
+        stream = seeded_stream(33, "g")
+        state, ema = OptimizerState.for_net(net, 0.01), EmaState.from_net(net, 0.99)
+
+        tracemalloc.start()
+        try:
+            for k in range(5):
+                grad = stream.standard_normal(net.params.shape)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                optimizer_step(net, grad, state)
+                ema_update(ema, net)
+                if k:  # the first step may set up its work vectors
+                    assert tracemalloc.get_traced_memory()[1] - base < net.params.nbytes // 4
+        finally:
+            tracemalloc.stop()
 
 
 class TestEma:

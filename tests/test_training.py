@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 
@@ -6,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efm import field as efm_field
 from efm import training
 from efm.core import CapacitorConfig, EfmError, seeded_stream
+from efm.data import gen_gaussian, gen_swiss_roll
 from efm.field import EmpiricalField, PlateSet
 from efm.model import EmaState, FieldApproximator, OptimizerState, loss_and_gradient
 from efm.training import (CUBE_MARGIN, EMA_DECAY, LEARNING_RATE, draw_training_points,
                           sample_interpolant, sample_noise, train, training_step)
+from test_field import allocating_scaled_superposition
+from test_model import textbook_ema_update, textbook_optimizer_step
 
 
 def toy_config(**kw):
@@ -278,3 +283,32 @@ class TestTrainPipeline:
                   hidden_dims=(8,), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
         assert threading.active_count() == before
+
+
+class TestTrainOutputs:
+    @pytest.mark.parametrize("dim, n_plate, n_steps", [(2, 2048, 10), (32, 1024, 12)])
+    def test_files_equal_the_allocating_kernel_and_textbook_updates(
+            self, tmp_path, monkeypatch, dim, n_plate, n_steps):
+        # the benchmark's swissroll_train and gauss_d32 training sizes, fewer
+        # steps at D=2; the reference run swaps in the allocating field
+        # kernel and the textbook Adam and EMA
+        cfg = CapacitorConfig(dim_d=dim, plate_gap=6.0, seed=1)
+        stream = seeded_stream(34, "plates")
+        if dim == 2:
+            pos = gen_gaussian(n_plate, 2, stream=stream).points
+            neg = gen_swiss_roll(n_plate, noise_std=0.05, stream=stream).points
+        else:
+            pos = gen_gaussian(n_plate, dim, stream=stream).points
+            neg = gen_gaussian(n_plate, dim, mean=2.0, cov_diag=0.25, stream=stream).points
+
+        def run(out):
+            train(cfg, pos, neg, n_steps=n_steps, batch_size=512, mc_subsample=256,
+                  out_dir=out)
+            return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("weights.json", "weights_ema.json", "loss_curve.csv")]
+
+        got = run(tmp_path / "workspace")
+        monkeypatch.setattr(efm_field, "scaled_superposition", allocating_scaled_superposition)
+        monkeypatch.setattr(training, "optimizer_step", textbook_optimizer_step)
+        monkeypatch.setattr(training, "ema_update", textbook_ema_update)
+        assert run(tmp_path / "reference") == got
