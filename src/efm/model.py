@@ -197,6 +197,12 @@ def loss_and_gradient(net: FieldApproximator, points, targets,
         raise EfmError("empty batch")
     if x.shape[0] != t.shape[0]:
         raise EfmError("points and targets must pair up")
+    if x.shape[1] != net.layer_dims[0]:
+        raise EfmError(f"input dimension {x.shape[1]} does not match "
+                       f"network input {net.layer_dims[0]}")
+    if t.shape[1] != net.layer_dims[-1]:
+        raise EfmError(f"target dimension {t.shape[1]} does not match "
+                       f"network output {net.layer_dims[-1]}")
     n = len(x)
     last = len(net.weights) - 1
     if buffers is None:
@@ -309,11 +315,6 @@ def ema_update(ema: EmaState, net: FieldApproximator) -> EmaState:
     ema.shadow.params *= ema.decay
     ema.shadow.params += np.multiply(net.params, 1.0 - ema.decay, out=ema._work)
     return ema
-
-
-def ema_apply(ema: EmaState) -> FieldApproximator:
-    """Materialize the shadow parameters as a fresh network."""
-    return ema.shadow.copy()
 
 
 def _encode(arr: np.ndarray) -> str:

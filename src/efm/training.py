@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import CapacitorConfig, EfmError, seeded_stream, validate_config
 from .field import EmpiricalField, PlateSet
-from .model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, ema_apply,
-                    ema_update, loss_and_gradient, optimizer_step, save_weights)
+from .model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, ema_update,
+                    loss_and_gradient, optimizer_step, save_weights)
 
 DEFAULT_HIDDEN_DIMS = (128, 128, 128)
 LEARNING_RATE = 2e-3
@@ -188,7 +188,7 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
             curve.append((step, update_net(net, optimizer, ema, points, targets, buffers),
                           dropped))
 
-    ema_net = ema_apply(ema)
+    ema_net = ema.shadow.copy()
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -114,7 +114,10 @@ class TestVerifyPhysics:
         out = tmp_path / "vp"
         assert run("verify-physics", "--config", toy_config_file, "--out", out) == 0
         report = json.loads((out / "physics_report.json").read_text())
-        assert report
+        assert [c["check_name"] for c in report] == [
+            *(f"gauss_sphere_{side}_dim{d}" for d in (2, 3, 4) for side in ("inside", "outside")),
+            "gauss_positive_plate", "gauss_neutral_pair", "circulation_relative",
+            "hemisphere_flux", "quarter_cap_flux", "plate_jump_density"]
         failed = [c["check_name"] for c in report if not c["pass"]]
         assert failed == []
 

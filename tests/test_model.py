@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from efm import model
-from efm.core import WeightFormatError, seeded_stream
+from efm.core import EfmError, WeightFormatError, seeded_stream
 from efm.model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, _act,
-                       _act_deriv, ema_apply, ema_update, load_weights, loss_and_gradient,
+                       _act_deriv, ema_update, load_weights, loss_and_gradient,
                        optimizer_step, save_weights)
 
 
@@ -296,10 +296,15 @@ class TestLossAndGradient:
         loss, _ = loss_and_gradient(net, np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
         assert loss == pytest.approx(1.0)
 
-    def test_empty_batch_rejected(self):
-        net = FieldApproximator([2, 2])
-        with pytest.raises(Exception, match="empty"):
-            loss_and_gradient(net, np.zeros((0, 2)), np.zeros((0, 2)))
+    @pytest.mark.parametrize("dims, points, targets, match", [
+        ([2, 2], np.zeros((0, 2)), np.zeros((0, 2)), "empty"),
+        ([3, 8, 3], np.zeros((4, 3)), np.zeros((4, 1)), "target dimension 1 does not match"),
+        ([3, 8, 3], np.zeros((4, 2)), np.zeros((4, 3)), "input dimension 2 does not match"),
+    ], ids=["empty", "target_width", "input_width"])
+    def test_malformed_batch_rejected(self, dims, points, targets, match):
+        net = FieldApproximator(dims)
+        with pytest.raises(EfmError, match=match):
+            loss_and_gradient(net, points, targets)
 
     @pytest.mark.parametrize("dims", [[3, 6, 3], [2, 5, 5, 2]])
     def test_gradient_matches_finite_differences(self, dims):
@@ -468,7 +473,7 @@ class TestEma:
         net = FieldApproximator.init_random([2, 4, 2], seeded_stream(8, "i"))
         before = [w.copy() for w in net.weights]
         ema = EmaState.from_net(net, 0.9)
-        snap = ema_apply(ema)
+        snap = ema.shadow.copy()
         snap.weights[0][...] = 99.0
         for b, w in zip(before, net.weights):
             np.testing.assert_array_equal(b, w)
@@ -539,15 +544,15 @@ class TestParams:
         net = FieldApproximator.init_random([3, 5, 4, 3], seeded_stream(20, "i"))
         save_weights(net, tmp_path / "w.json")
         ema = EmaState.from_net(net, 0.9)
-        for made in (net, load_weights(tmp_path / "w.json"), net.copy(), ema_apply(ema)):
+        for made in (net, load_weights(tmp_path / "w.json"), net.copy(), ema.shadow.copy()):
             self.assert_views_of_params(made)
 
     def test_copies_own_their_params(self):
         net = FieldApproximator.init_random([3, 4, 3], seeded_stream(21, "i"))
         ema = EmaState.from_net(net, 0.9)
-        for made in (net.copy(), ema_apply(ema), ema.shadow):
+        for made in (net.copy(), ema.shadow.copy(), ema.shadow):
             assert not np.shares_memory(made.params, net.params)
-        assert not np.shares_memory(ema_apply(ema).params, ema.shadow.params)
+        assert not np.shares_memory(ema.shadow.copy().params, ema.shadow.params)
 
     def test_constructor_copies_given_arrays(self):
         w, b = np.eye(2), np.zeros(2)
