@@ -59,6 +59,15 @@ class TestFluxThroughSphere:
         s4 = spread(4000, "se4")
         assert 1.4 < s1 / s4 < 2.9  # ideal ratio 2
 
+    @pytest.mark.parametrize("radius, n_mc, match", [
+        (0.0, 10, "radius must be positive"),
+        (1.0, 0, "n_mc must be >= 1"),
+    ], ids=["zero_radius", "no_samples"])
+    def test_degenerate_sphere_rejected(self, radius, n_mc, match):
+        with pytest.raises(EfmError, match=match):
+            flux_through_sphere(lambda p: p, np.zeros(2), radius, n_mc,
+                                seeded_stream(4, "f"))
+
 
 class TestPlateEnclosure:
     def test_plate_checks_pass_at_dim_32(self):
@@ -161,6 +170,10 @@ class TestSolidAngle:
                                seeded_stream(9, "zero"))
         assert rep.estimate == 0.0
         assert rep.target == 0.0
+
+    def test_polar_angle_out_of_range_rejected(self):
+        with pytest.raises(EfmError, match="polar_angle"):
+            CapSpec(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]), 1.5 * math.pi)
 
 
 class TestPlateJump:
