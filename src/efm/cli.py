@@ -8,20 +8,21 @@ Each stage of the method exists once; the subcommands and
 - `efm.training.train`, which writes `TRAIN_OUTPUTS`;
 - `_transport`: `map_batch` under one of its policies, then `mapped.csv`
   and, if asked, `trajectories.csv`. `transport --policy` picks "practical"
-  (z-Euler with `--nfe` steps) or "theoretical" (flux-ratio start and stop);
-  `trace-lines` is the "adaptive" policy with its trajectories written.
-  Every policy moves all of its lines as one batch, one field call per
-  step or Cash-Karp stage;
+  (z-Euler with `--nfe` steps), "adaptive" (Cash-Karp to the first arrival
+  at the target plate) or "theoretical" (flux-ratio start and stop; exact
+  field only). `trace-lines` is an alias of `transport --policy adaptive
+  --dump-trajectories`. Every policy moves all of its lines as one batch,
+  one field call per step or Cash-Karp stage;
 - `_evaluate`: energy distance (with a permutation null when `n_perm` > 0)
   and sliced W1, from a stream the caller passes in.
 
 A subcommand body returns a `_Run`. `_recorded` times it, creates its output
 directory (and removes it again, if still empty, when the body fails) and
 writes `manifest.json`: `subcommand`, `config`, `seed`, `inputs`
-(path -> SHA-256), `outputs`, `duration_seconds`. `transport` adds `nfe`,
-`policy` and `n_failed` to `config`, `trace-lines` adds `n_failed`; `run-preset`
-adds `n_steps`, `nfe` and `train_seconds`. `dispatch` prints the run's report;
-domain and OS errors exit 1.
+(path -> SHA-256), `outputs`, `duration_seconds`. `transport` and its alias
+add `nfe`, `policy` and `n_failed` to `config`; `run-preset` adds `n_steps`,
+`nfe` and `train_seconds`. `dispatch` prints the run's report; domain and OS
+errors exit 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import VOLUME_MODES, CapacitorConfig, EfmError, seeded_stream, validate_config
+from .core import VOLUME_MODES, CapacitorConfig, EfmError, seeded_stream
 from .data import (Dataset, gen_gaussian, gen_swiss_roll, gen_two_gaussians,
                    load_csv, save_csv)
 from .field import EmpiricalField, PlateSet
@@ -117,7 +118,6 @@ def _load_config(args) -> CapacitorConfig:
     cfg = CapacitorConfig.from_json_file(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    validate_config(cfg)
     return cfg
 
 
@@ -187,7 +187,7 @@ def _field_source(cfg, args):
     return field.evaluate, [args.data_pos, args.data_neg]
 
 
-def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int = 20,
+def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int,
                dump_trajectories: bool = False):
     """Move `points` along `field_fn` under the named `map_batch` policy;
     write mapped.csv and, if asked, trajectories.csv.
@@ -244,27 +244,15 @@ def _cmd_transport(out, args) -> _Run:
     points = load_csv(args.infile)
     # a network's field has no jump at the plate, so the flux-ratio
     # stop of the theoretical policy would never fire
-    if args.weights and args.policy != "practical":
-        raise EfmError("--weights transport supports only --policy practical")
+    if args.weights and args.policy == "theoretical":
+        raise EfmError("--weights transport does not support --policy theoretical")
     field_fn, field_inputs = _field_source(cfg, args)
     result, mapped, outputs = _transport(out, cfg, points.points, field_fn, args.policy,
                                          nfe=args.nfe, dump_trajectories=args.dump_trajectories)
     config = cfg.to_dict() | {"nfe": args.nfe, "policy": args.policy,
                               "n_failed": len(result.failures)}
-    return _Run("transport", config, cfg.seed, [args.config, args.infile, *field_inputs],
+    return _Run(args.command, config, cfg.seed, [args.config, args.infile, *field_inputs],
                 outputs, f"mapped {mapped.n}/{len(result.ok)} points -> {outputs[0]}")
-
-
-@_recorded
-def _cmd_trace_lines(out, args) -> _Run:
-    cfg = _load_config(args)
-    starts = load_csv(args.infile)
-    field_fn, field_inputs = _field_source(cfg, args)
-    result, _, outputs = _transport(out, cfg, starts.points, field_fn, "adaptive",
-                                    dump_trajectories=True)
-    return _Run("trace-lines", cfg.to_dict() | {"n_failed": len(result.failures)}, cfg.seed,
-                [args.config, args.infile, *field_inputs], outputs,
-                f"traced {len(result.ok)} lines -> {outputs[1]}")
 
 
 @_recorded
@@ -321,7 +309,6 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
     spec = PRESETS[name]
     cfg = CapacitorConfig(dim_d=2, plate_gap=spec["plate_gap"],
                           noise_sigma=PRESET_SIGMA, volume_mode=volume_mode, seed=seed)
-    validate_config(cfg)
 
     def target_sample(n, label_stream):
         if spec["target"] == "swiss_roll":
@@ -439,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--steps", type=_at_least(0), required=True)
     t.add_argument("--batch-size", type=_at_least(1), default=1024)
     t.add_argument("--hidden", type=_comma_list(_at_least(1)), default=DEFAULT_HIDDEN_DIMS)
-    t.add_argument("--mc-subsample", type=int, default=None)
+    t.add_argument("--mc-subsample", type=_at_least(1), default=None)
 
     tr = command("transport", "move samples along field lines", _cmd_transport)
     src = tr.add_mutually_exclusive_group(required=True)
@@ -447,16 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--exact-field", action="store_true")
     tr.add_argument("--data-pos")
     tr.add_argument("--data-neg")
-    tr.add_argument("--policy", choices=["practical", "theoretical"], default="practical")
+    tr.add_argument("--policy", choices=["practical", "adaptive", "theoretical"],
+                    default="practical")
     tr.add_argument("--nfe", type=_at_least(1), default=20)
     tr.add_argument("--in", dest="infile", required=True)
     tr.add_argument("--dump-trajectories", action="store_true")
 
-    tl = command("trace-lines", "adaptive field-line tracing", _cmd_trace_lines)
+    tl = command("trace-lines", "alias of transport --policy adaptive --dump-trajectories",
+                 _cmd_transport)
     tl.add_argument("--data-pos")
     tl.add_argument("--data-neg")
     tl.add_argument("--weights")
     tl.add_argument("--in", dest="infile", required=True)
+    tl.set_defaults(policy="adaptive", nfe=20, dump_trajectories=True)
 
     fg = command("field-grid", "evaluate the exact field on a grid", _cmd_field_grid)
     fg.add_argument("--data-pos", required=True)
@@ -472,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
                  config=False, seed=0)
     ev.add_argument("--a", required=True)
     ev.add_argument("--b", required=True)
-    ev.add_argument("--sliced-projections", type=int, default=64)
-    ev.add_argument("--n-perm", type=int, default=200)
+    ev.add_argument("--sliced-projections", type=_at_least(1), default=64)
+    ev.add_argument("--n-perm", type=_at_least(0), default=200)
 
     rp = command("run-preset", "end-to-end toy experiment",
                  lambda out, a: _run_preset(out, a.name, a.seed, a.volume_mode),

@@ -63,6 +63,8 @@ class CapacitorConfig:
     limit_epsilon defaults to default_limit_epsilon(plate_gap): small
     enough to act as a one-sided limit at a plate, large enough to stay
     clear of the field_epsilon regularization scale.
+    Construction runs `validate_config`, so `dataclasses.replace` and
+    `from_json_file` raise ConfigError on an invalid value too.
     """
 
     dim_d: int
@@ -77,6 +79,7 @@ class CapacitorConfig:
     def __post_init__(self):
         if self.limit_epsilon is None and _finite(self.plate_gap) and self.plate_gap > 0:
             object.__setattr__(self, "limit_epsilon", default_limit_epsilon(self.plate_gap))
+        validate_config(self)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

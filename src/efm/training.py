@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CapacitorConfig, EfmError, seeded_stream, validate_config
+from .core import CapacitorConfig, EfmError, seeded_stream
 from .field import EmpiricalField, PlateSet
 from .model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, ema_update,
                     loss_and_gradient, optimizer_step, save_weights)
@@ -152,7 +152,6 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     `training_step` bit for bit. The worker is joined before this returns
     or raises.
     """
-    validate_config(cfg)
     seed = cfg.seed
     pos = PlateSet(np.asarray(data_pos, dtype=float), 0.0, +1)
     neg = PlateSet(np.asarray(data_neg, dtype=float), cfg.plate_gap, -1)

@@ -143,8 +143,10 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
 
     Every line keeps its own point, field, step size and counters in
     arrays indexed by line, and each Cash-Karp stage is one `field_fn` call
-    on the rows of the lines still moving, in line order, so a line's
-    arithmetic does not depend on the batch around it.
+    on the rows of the lines still moving, in line order. The tracer adds
+    no dependence on the batch around a line, but `field_fn` may: a kernel
+    whose rounding depends on its block (BLAS paths differ by row count)
+    moves a line's endpoint and evaluation count with its batch.
     Crossings of z=0 and z=plate_gap are located on each accepted step by
     sign change plus Hermite-interpolant bisection, and each line meets its
     crossings in time order. `on_crossing(line_idx, points, plate) -> bool
@@ -350,8 +352,11 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     z-step of its `nfe`, "adaptive" and "theoretical" once per Cash-Karp
     stage of `trace_lines_t`. A theoretical line draws its direction and
     stops from a stream keyed by `seed` and its start point. Results are
-    deterministic for a seed and equivariant under reordering of the batch
-    up to rounding. Per-line failures are recorded and the batch continues.
+    deterministic for a seed and batch. The policies add no dependence on
+    the batch around a line, but `field_fn` may: the exact field's kernel
+    rounds a row by its block, and near a charge that moves a traced
+    endpoint by up to 1e-3. Per-line failures are recorded and the batch
+    continues.
 
     On the exact field, "theoretical" (the flux-ratio rule) is the oracle
     map. "adaptive" stops each line at its first arrival at z=plate_gap and

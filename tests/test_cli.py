@@ -185,7 +185,7 @@ class TestPipeline:
                    "--config", toy_config_file, "--policy", "theoretical",
                    "--in", pos, "--out", tmp_path / "tr")
         assert code == 1
-        assert "--policy practical" in capsys.readouterr().err
+        assert "--policy theoretical" in capsys.readouterr().err
 
     def test_exact_field_transport(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
@@ -204,6 +204,9 @@ class TestPipeline:
         ("field-grid", "--grid-shape", "2,2,0"),
         ("generate-data", "--kind", "gaussian", "--std", "-2"),
         ("generate-data", "--kind", "swiss_roll", "--noise-std", "-0.5"),
+        ("train", "--mc-subsample", "0"),
+        ("evaluate", "--sliced-projections", "0"),
+        ("evaluate", "--n-perm", "-1"),
     ])
     def test_malformed_number_is_usage_error(self, tmp_path, toy_config_file, plates,
                                              capsys, bad):
@@ -234,6 +237,7 @@ class TestPipeline:
             "field-grid": [*config, "--data-pos", pos, "--data-neg", neg, "--grid-min", "0,0,1",
                            "--grid-max", "1,1,2", "--grid-shape", "2,2,2"],
             "generate-data": ["--n", 4],
+            "evaluate": ["--a", pos, "--b", neg],
         }
         assert run(command, "--out", tmp_path / "out", *valid[command], *override) == 2
         err = capsys.readouterr().err
@@ -244,10 +248,14 @@ class TestPipeline:
     def test_domain_error_leaves_no_out_directory(self, tmp_path, toy_config_file, plates,
                                                   capsys, command):
         pos, neg = plates
+        config3 = tmp_path / "cfg3.json"
+        CapacitorConfig(dim_d=3, plate_gap=6.0, seed=0).to_json_file(config3)
         argv = {
-            "train": ["train", "--config", toy_config_file, "--data-pos", pos,
-                      "--data-neg", neg, "--steps", 1, "--hidden", 8, "--mc-subsample", 0],
-            "evaluate": ["evaluate", "--a", pos, "--b", neg, "--sliced-projections", 0],
+            # D=2 plates against a dim_d=3 config
+            "train": ["train", "--config", config3, "--data-pos", pos,
+                      "--data-neg", neg, "--steps", 1, "--hidden", 8],
+            # a permutation null needs at least 50 permutations
+            "evaluate": ["evaluate", "--a", pos, "--b", neg, "--n-perm", 10],
         }[command]
         assert run(*argv, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
@@ -278,6 +286,23 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [str(out / "mapped.csv"), str(out / "trajectories.csv")]
         assert load_csv(out / "mapped.csv").n == 64 - manifest["config"]["n_failed"]
+
+    def test_trace_lines_is_adaptive_transport(self, tmp_path, toy_config_file, plates):
+        # trace-lines is transport --policy adaptive --dump-trajectories
+        pos, _ = plates
+        weights = tmp_path / "w.json"
+        save_weights(FieldApproximator([3, 3], [0.2 * np.eye(3)], [[0.0, 0.0, 1.0]]), weights)
+        common = ["--weights", weights, "--config", toy_config_file, "--in", pos]
+        assert run("trace-lines", *common, "--out", tmp_path / "tl") == 0
+        assert run("transport", *common, "--policy", "adaptive", "--dump-trajectories",
+                   "--out", tmp_path / "tr") == 0
+        for name in ("mapped.csv", "trajectories.csv"):
+            assert (tmp_path / "tl" / name).read_bytes() == (tmp_path / "tr" / name).read_bytes()
+        assert "reached_target_plate" in (tmp_path / "tl" / "trajectories.csv").read_text()
+        manifest = json.loads((tmp_path / "tl" / "manifest.json").read_text())
+        assert manifest["subcommand"] == "trace-lines"
+        assert manifest["config"]["policy"] == "adaptive"
+        assert manifest["config"]["n_failed"] == 0
 
     @pytest.mark.parametrize("command", ["transport", "trace-lines"])
     def test_weights_with_plates_rejected(self, tmp_path, toy_config_file, plates, capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -36,6 +37,10 @@ class TestValidateConfig:
 
     def test_limit_epsilon_default(self):
         assert toy_config().limit_epsilon == pytest.approx(6e-3)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError, match="plate_gap must be positive"):
+            dataclasses.replace(toy_config(), plate_gap=-1.0)
 
     def test_bad_modes_rejected(self):
         with pytest.raises(ConfigError, match="noise_mean_mode"):
