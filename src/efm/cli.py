@@ -34,11 +34,13 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .core import VOLUME_MODES, CapacitorConfig, EfmError, seeded_stream
+from .core import (VOLUME_MODES, CapacitorConfig, DataError, EfmError, TransportError,
+                   seeded_stream)
 from .data import (Dataset, gen_gaussian, gen_swiss_roll, gen_two_gaussians,
                    load_csv, save_csv)
 from .field import EmpiricalField, PlateSet
@@ -190,11 +192,16 @@ def _field_source(cfg, args):
 def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int,
                dump_trajectories: bool = False):
     """Move `points` along `field_fn` under the named `map_batch` policy;
-    write mapped.csv and, if asked, trajectories.csv.
+    write mapped.csv and, if asked, trajectories.csv. A batch in which no
+    line arrives raises TransportError with its count per termination.
     Returns (MapResult, mapped Dataset, output paths)."""
     _check_dim(cfg, points.shape[1], "the transported points")
     result = map_batch(points, field_fn, policy, plate_gap=cfg.plate_gap, nfe=nfe,
                        seed=cfg.seed, limit_epsilon=cfg.limit_epsilon)
+    if not result.ok.any():
+        counts = Counter(term for _, term in result.failures)
+        raise TransportError("no line reached the target plate: "
+                             + ", ".join(f"{n} {term}" for term, n in sorted(counts.items())))
     mapped = Dataset(result.mapped[result.ok])
     outputs = [out / "mapped.csv"]
     save_csv(mapped, outputs[0])
@@ -213,6 +220,8 @@ def _evaluate(a, b, n_perm: int, n_projections: int, stream) -> dict:
 
 @_recorded
 def _cmd_generate_data(out, args) -> _Run:
+    if args.kind != "gaussian" and args.dim != 2:
+        raise DataError(f"--kind {args.kind} is 2-D only; got --dim {args.dim}")
     stream = seeded_stream(args.seed, f"generate-data/{args.kind}")
     if args.kind == "gaussian":
         ds = gen_gaussian(args.n, args.dim, args.mean, args.std ** 2, stream)

@@ -40,10 +40,6 @@ VOLUME_MODES = ("interpolant", "cube_mesh")
 LIMIT_EPSILON_FRACTION = 1e-3
 
 
-def default_limit_epsilon(plate_gap: float) -> float:
-    return float(plate_gap) * LIMIT_EPSILON_FRACTION
-
-
 def _finite(value) -> bool:
     """Whether `value` is a number, not a bool, with a finite float value."""
     if isinstance(value, bool):
@@ -60,9 +56,11 @@ class CapacitorConfig:
 
     dim_d is the data dimension D; plates live in the (D+1)-dimensional
     augmented space at z=0 (positive) and z=plate_gap (negative).
-    limit_epsilon defaults to default_limit_epsilon(plate_gap): small
-    enough to act as a one-sided limit at a plate, large enough to stay
-    clear of the field_epsilon regularization scale.
+    limit_epsilon None (`null` in a config file or manifest) means the
+    default plate_gap * LIMIT_EPSILON_FRACTION: small enough to act as a
+    one-sided limit at a plate, large enough to stay clear of the
+    field_epsilon regularization scale. `map_batch` resolves it from the gap
+    it transports with, so `dataclasses.replace` of plate_gap moves it too.
     Construction runs `validate_config`, so `dataclasses.replace` and
     `from_json_file` raise ConfigError on an invalid value too.
     """
@@ -77,8 +75,6 @@ class CapacitorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.limit_epsilon is None and _finite(self.plate_gap) and self.plate_gap > 0:
-            object.__setattr__(self, "limit_epsilon", default_limit_epsilon(self.plate_gap))
         validate_config(self)
 
     def to_dict(self) -> dict:
@@ -126,7 +122,8 @@ def validate_config(cfg: CapacitorConfig) -> None:
         raise ConfigError(f"volume_mode must be one of {VOLUME_MODES}")
     if not _finite(cfg.field_epsilon) or cfg.field_epsilon <= 0:
         raise ConfigError("field_epsilon must be positive")
-    if not _finite(cfg.limit_epsilon) or not (0 < cfg.limit_epsilon < cfg.plate_gap / 10):
+    if cfg.limit_epsilon is not None and (not _finite(cfg.limit_epsilon)
+                                          or not 0 < cfg.limit_epsilon < cfg.plate_gap / 10):
         raise ConfigError("limit_epsilon must lie in (0, plate_gap/10)")
     if not isinstance(cfg.seed, (int, np.integer)) or isinstance(cfg.seed, bool) or cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")

@@ -155,11 +155,9 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
 
 
 def superposition_field(points, sources, charges, field_epsilon: float = 0.0) -> np.ndarray:
-    """Direct-sum field of many point charges at many evaluation points."""
-    squeeze = np.asarray(points).ndim == 1
+    """Direct-sum field of many point charges at (m, d) evaluation points."""
     vec, log_scale = scaled_superposition(points, sources, charges, field_epsilon)
-    out = vec * np.exp(log_scale)[:, None]
-    return out[0] if squeeze else out
+    return vec * np.exp(log_scale)[:, None]
 
 
 def one_sided_ez(field_fn, x, plate_z: float, eps: float):
@@ -309,11 +307,9 @@ class EmpiricalField:
                                     sources_sq=sources_sq)
 
     def evaluate(self, points) -> np.ndarray:
-        """Field at one (D+1)-point or a batch of them, by direct summation."""
-        squeeze = np.asarray(points).ndim == 1
+        """Field at (m, D+1) points, by direct summation."""
         vec, log_scale = self.scaled_evaluate(points)
-        out = vec * np.exp(log_scale)[:, None]
-        return out[0] if squeeze else out
+        return vec * np.exp(log_scale)[:, None]
 
     def normalized(self, points):
         """Unit-norm field rows and the mask of degenerate (vanishing) rows."""

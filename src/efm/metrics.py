@@ -8,9 +8,9 @@ row sums and one indicator product per label column (Székely & Rizzo,
 energy statistics). `energy_distance` is that kernel with one labelling,
 and the null is the same kernel with one label column per permutation.
 
-`permutation_null` calls its `statistic_fn(pool, labels)` once: `pool` is the
-(N, D) stack of both samples and `labels` an (N, k) boolean matrix whose
-column j marks the rows of sample a in labelling j. It returns k values.
+`permutation_null` runs `_energy_statistics(pool, labels)` once: `pool` is
+the (N, D) stack of both samples and `labels` an (N, n_perm) boolean matrix
+whose column j marks the rows of sample a in permutation j.
 
 `sliced_w1` projects both samples on a chunk of directions at a time, sorts
 each side, merges the two sorted runs with one stable argsort and reads both
@@ -73,11 +73,6 @@ def _point_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if pa.shape[1] != pb.shape[1]:
         raise DataError("datasets must share a dimension")
     return pa, pb
-
-
-def _require_stream(stream, name):
-    if stream is None:
-        raise DataError(f"{name} needs a random stream (see efm.core.seeded_stream)")
 
 
 def _maybe_subsample(pts):
@@ -148,12 +143,12 @@ def energy_distance(a, b) -> DistanceReport:
     return DistanceReport(float(stat), len(pa), len(pb))
 
 
-def sliced_w1(a, b, n_projections: int = 64, stream=None) -> DistanceReport:
-    """Mean 1-D Wasserstein-1 over random unit projection directions."""
+def sliced_w1(a, b, n_projections: int, stream) -> DistanceReport:
+    """Mean 1-D Wasserstein-1 over n_projections unit directions drawn from
+    `stream` (see efm.core.seeded_stream)."""
     pa, pb = _point_pair(a, b)
     if n_projections < 1:
         raise DataError("n_projections must be >= 1")
-    _require_stream(stream, "sliced_w1")
     dim = pa.shape[1]
     dirs = stream.standard_normal((n_projections, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -175,33 +170,27 @@ def sliced_w1(a, b, n_projections: int = 64, stream=None) -> DistanceReport:
     return DistanceReport(float(np.mean(vals)), n_a, n_b)
 
 
-def permutation_null(a, b, statistic_fn, n_perm: int, stream) -> dict:
-    """Null quantiles of statistic_fn under pooled-relabel permutations.
+def permutation_null(a, b, n_perm: int, stream) -> dict:
+    """Null quantiles of the energy distance under pooled-relabel permutations.
 
     Draws stream.permutation(N) once per permutation; its first len(a)
-    entries are the rows of sample a. statistic_fn(pool, labels) gets the
-    (N, D) pool and the (N, n_perm) boolean label matrix, and returns
-    n_perm values.
+    entries are the rows of sample a. One `_energy_statistics` pass then
+    gives all n_perm statistics.
     """
     if n_perm < 50:
         raise DataError("n_perm must be >= 50")
     pa, pb = _point_pair(a, b)
-    _require_stream(stream, "permutation_null")
     pool = np.vstack([pa, pb])
     labels = np.zeros((len(pool), n_perm), dtype=bool)
     for j in range(n_perm):
         labels[stream.permutation(len(pool))[:len(pa)], j] = True
-    stats = np.asarray(statistic_fn(pool, labels), dtype=float)
-    if stats.shape != (n_perm,):
-        raise DataError(f"statistic_fn returned shape {stats.shape}, expected ({n_perm},)")
-    qs = np.quantile(stats, NULL_QUANTILES)
+    qs = np.quantile(_energy_statistics(pool, labels), NULL_QUANTILES)
     return {f"{int(q * 100)}%": float(v) for q, v in zip(NULL_QUANTILES, qs)}
 
 
-def energy_distance_with_null(a, b, n_perm: int = 200, stream=None) -> DistanceReport:
+def energy_distance_with_null(a, b, n_perm: int, stream) -> DistanceReport:
     """Energy distance plus its permutation null, both on one subsample per side."""
-    _require_stream(stream, "energy_distance_with_null")
     pa, pb = _subsampled_pair(a, b)
     rep = energy_distance(pa, pb)
-    rep.null_quantiles = permutation_null(pa, pb, _energy_statistics, n_perm, stream)
+    rep.null_quantiles = permutation_null(pa, pb, n_perm=n_perm, stream=stream)
     return rep

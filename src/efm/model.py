@@ -94,7 +94,7 @@ class FieldApproximator:
         return FieldApproximator(self.layer_dims, self.weights, self.biases)
 
     def forward(self, x) -> np.ndarray:
-        """Network output for one point (d,) or a batch (n, d).
+        """Network output for a batch (n, d) of points.
 
         Rows go through in blocks of `block` rows, the last one ragged, where
         a (block, widest layer) float64 buffer holds `_PAIR_BLOCK` entries and
@@ -121,9 +121,7 @@ class FieldApproximator:
         pair lives between calls, so a warm call that starts no worker
         allocates only its output; the worker's pair ends with its thread.
         """
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        y = np.atleast_2d(x)
+        y = np.atleast_2d(np.asarray(x, dtype=float))
         if y.shape[1] != self.layer_dims[0]:
             raise EfmError(f"input dimension {y.shape[1]} does not match "
                            f"network input {self.layer_dims[0]}")
@@ -143,7 +141,7 @@ class FieldApproximator:
                 trail.result()
         else:
             self._forward_rows(y, out, block)
-        return out[0] if squeeze else out
+        return out
 
     def _forward_rows(self, x, out, block):
         """Forward the rows of `x` into `out`, `block` rows at a time. The

@@ -22,8 +22,8 @@ EMA_DECAY = 0.99
 CUBE_MARGIN = 1.0
 
 
-def sample_noise(cfg: CapacitorConfig, stream, n: int | None = None) -> np.ndarray:
-    """Isotropic displacement noise for training points.
+def sample_noise(cfg: CapacitorConfig, stream, n: int) -> np.ndarray:
+    """(n, D+1) isotropic displacement noise for training points.
 
     Draws eps ~ N(mean, sigma^2 I) in D+1 dims (mean is plate_gap/2 per
     coordinate, or zero), then returns |eps| times an independent random
@@ -31,31 +31,27 @@ def sample_noise(cfg: CapacitorConfig, stream, n: int | None = None) -> np.ndarr
     near (plate_gap/2) * sqrt(D+1).
     """
     d = cfg.dim_d + 1
-    rows = 1 if n is None else int(n)
     mean = cfg.plate_gap / 2.0 if cfg.noise_mean_mode == "per_coordinate_L_half" else 0.0
-    eps = mean + cfg.noise_sigma * stream.standard_normal((rows, d))
+    eps = mean + cfg.noise_sigma * stream.standard_normal((n, d))
     radius = np.linalg.norm(eps, axis=1, keepdims=True)
-    m = stream.standard_normal((rows, d))
+    m = stream.standard_normal((n, d))
     m_norm = np.linalg.norm(m, axis=1, keepdims=True)
     m_norm[m_norm == 0] = 1.0
-    out = radius * m / m_norm
-    return out[0] if n is None else out
+    return radius * m / m_norm
 
 
 def sample_interpolant(x_plus, x_minus, t, noise, plate_gap: float) -> np.ndarray:
-    """Training point between plate samples: convex combination plus noise.
+    """Training points between plate samples: row-wise convex combinations
+    of the (m, D+1) x_plus and x_minus at the (m,) heights t, plus noise.
 
     With zero noise the z-coordinate equals t exactly (t=0 at the positive
     plate, t=plate_gap at the negative plate).
     """
-    x_plus = np.atleast_2d(np.asarray(x_plus, dtype=float))
-    x_minus = np.atleast_2d(np.asarray(x_minus, dtype=float))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    if np.any(t_arr < 0) or np.any(t_arr > plate_gap):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0) or np.any(t > plate_gap):
         raise EfmError("t must lie in [0, plate_gap]")
-    w = t_arr / plate_gap
-    out = w * x_minus + (1.0 - w) * x_plus + np.atleast_2d(noise)
-    return out[0] if np.asarray(t).ndim == 0 else out
+    w = (t / plate_gap)[:, None]
+    return w * x_minus + (1.0 - w) * x_plus + noise
 
 
 def draw_training_points(field: EmpiricalField, cfg: CapacitorConfig,
@@ -110,17 +106,6 @@ def update_net(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
     return loss
 
 
-def training_step(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
-                  field: EmpiricalField, batch_size: int, cfg: CapacitorConfig, stream,
-                  mc_subsample: int | None = None):
-    """One optimization step against normalized exact-field targets:
-    `draw_batch`, then `update_net`. Returns (loss, n_dropped)."""
-    if batch_size < 1:
-        raise EfmError("batch_size must be >= 1")
-    points, targets, n_dropped = draw_batch(field, cfg, batch_size, stream, mc_subsample)
-    return update_net(net, optimizer, ema, points, targets), n_dropped
-
-
 @dataclass
 class TrainResult:
     net: FieldApproximator
@@ -149,8 +134,8 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     Each step's draw (`draw_batch`: points and their exact-field targets)
     runs one step ahead on one worker thread, overlapping the main thread's
     `update_net` of the net; the results equal a sequential replay of
-    `training_step` bit for bit. The worker is joined before this returns
-    or raises.
+    `draw_batch` then `update_net` bit for bit. The worker is joined before
+    this returns or raises.
     """
     seed = cfg.seed
     pos = PlateSet(np.asarray(data_pos, dtype=float), 0.0, +1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import TransportError, default_limit_epsilon, seeded_stream
+from .core import LIMIT_EPSILON_FRACTION, TransportError, seeded_stream
 from .field import TINY_FIELD_NORM, one_sided_ez
 
 _SUCCESS = ("reached_target_plate", "continued_past_plate_then_returned")
@@ -356,7 +356,7 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     the batch around a line, but `field_fn` may: the exact field's kernel
     rounds a row by its block, and near a charge that moves a traced
     endpoint by up to 1e-3. Per-line failures are recorded and the batch
-    continues.
+    continues. `limit_epsilon` None means plate_gap * LIMIT_EPSILON_FRACTION.
 
     On the exact field, "theoretical" (the flux-ratio rule) is the oracle
     map. "adaptive" stops each line at its first arrival at z=plate_gap and
@@ -369,7 +369,7 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     if len(points) == 0:
         raise TransportError("empty batch")
     if limit_epsilon is None:
-        limit_epsilon = default_limit_epsilon(plate_gap)
+        limit_epsilon = float(plate_gap) * LIMIT_EPSILON_FRACTION
     if policy == "practical":
         if nfe < 1:
             raise TransportError("nfe must be at least 1")

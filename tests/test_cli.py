@@ -139,6 +139,13 @@ class TestGenerateData:
                    "--noise-std", "0.05", "--seed", 1, "--out", out) == 0
         assert load_csv(out / "data.csv").dim == 2
 
+    @pytest.mark.parametrize("kind", ["swiss_roll", "two_gaussians"])
+    def test_two_d_kind_rejects_other_dim(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        assert run("generate-data", "--kind", kind, "--n", 8, "--dim", 5, "--out", out) == 1
+        assert f"--kind {kind} is 2-D only; got --dim 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -186,6 +193,20 @@ class TestPipeline:
                    "--in", pos, "--out", tmp_path / "tr")
         assert code == 1
         assert "--policy theoretical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transport", "trace-lines"])
+    def test_every_line_failing_is_a_transport_error(self, tmp_path, toy_config_file, plates,
+                                                     capsys, command):
+        # an all-zero net has no field for any line to follow
+        pos, _ = plates
+        weights = tmp_path / "zero.json"
+        save_weights(FieldApproximator([3, 8, 3]), weights)
+        out = tmp_path / "tr"
+        assert run(command, "--weights", weights, "--config", toy_config_file,
+                   "--in", pos, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no line reached the target plate: 64 field_degenerate\n"
+        assert not out.exists()
 
     def test_exact_field_transport(self, tmp_path, toy_config_file, plates):
         pos, neg = plates

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efm.core import (CapacitorConfig, ConfigError, seeded_stream, validate_config)
+from efm.core import (LIMIT_EPSILON_FRACTION, CapacitorConfig, ConfigError, seeded_stream,
+                      validate_config)
+from efm.transport import map_batch
 
 
 def toy_config(**kw):
@@ -36,7 +38,17 @@ class TestValidateConfig:
             validate_config(toy_config(limit_epsilon=1.0))  # >= plate_gap/10
 
     def test_limit_epsilon_default(self):
-        assert toy_config().limit_epsilon == pytest.approx(6e-3)
+        assert toy_config().limit_epsilon is None
+
+    def test_replace_rederives_limit_epsilon(self):
+        # the default is resolved by map_batch from the gap it transports with
+        up = lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1))
+        for gap in (600.0, 0.05):
+            cfg = dataclasses.replace(CapacitorConfig(dim_d=2, plate_gap=6.0), plate_gap=gap)
+            result = map_batch(np.zeros((1, 2)), up, "adaptive", plate_gap=cfg.plate_gap,
+                               limit_epsilon=cfg.limit_epsilon)
+            assert result.trajectories[0].points[0, -1] == gap * LIMIT_EPSILON_FRACTION
+            assert result.ok.all()
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="plate_gap must be positive"):

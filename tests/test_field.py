@@ -120,7 +120,7 @@ class TestEvaluate:
         # oracle: two explicit inverse-power terms summed by hand
         gap = 6.0
         field = two_point_capacitor(gap)
-        got = field.evaluate(np.array([0.0, gap / 2]))
+        got, = field.evaluate(np.array([[0.0, gap / 2]]))
         s1 = 2 * math.pi
         term_pos = (1 / s1) * np.array([0.0, gap / 2]) / (gap / 2) ** 2
         term_neg = (-1 / s1) * np.array([0.0, -gap / 2]) / (gap / 2) ** 2
@@ -163,7 +163,7 @@ class TestEvaluate:
                 superposition_field(s[:1], s, np.array([1.0, -1.0]), 0.0)
         field = EmpiricalField(PlateSet(samples, 0.0, +1), PlateSet(samples, 2.0, -1), 0.0)
         with pytest.raises(FieldError, match="coincides with a charge"):
-            field.evaluate(sources[0])
+            field.evaluate(sources[:1])
 
     def test_mc_subsample_zero_weight_draw_rejected(self):
         # a one-row draw of a zero-weight sample has no charge to renormalize
@@ -178,7 +178,7 @@ class TestEvaluate:
         pos = stream.standard_normal((8, 1))
         neg = stream.standard_normal((8, 1)) + 2
         exact = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 3.0, -1))
-        pt = np.array([0.3, 1.1])
+        pt = np.array([[0.3, 1.1]])
         np.testing.assert_allclose(exact.subsample(8, seeded_stream(0, "s")).evaluate(pt),
                                    exact.evaluate(pt), rtol=1e-12)
 
@@ -271,10 +271,9 @@ class TestZLimits:
         e_lo, e_hi = one_sided_ez(counting, x, 6.0, 1e-3)
         assert calls == [10]
         for i in range(5):
-            assert e_lo[i] == pytest.approx(field.evaluate(np.append(x[i], 6.0 - 1e-3))[-1],
-                                            rel=1e-12)
-            assert e_hi[i] == pytest.approx(field.evaluate(np.append(x[i], 6.0 + 1e-3))[-1],
-                                            rel=1e-12)
+            lo, hi = field.evaluate(np.column_stack([[x[i], x[i]], [6.0 - 1e-3, 6.0 + 1e-3]]))
+            assert e_lo[i] == pytest.approx(lo[-1], rel=1e-12)
+            assert e_hi[i] == pytest.approx(hi[-1], rel=1e-12)
 
 
 class TestHighDimensionalStability:

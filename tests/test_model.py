@@ -171,11 +171,11 @@ class TestSoftplus:
 class TestForward:
     def test_zero_net_maps_to_zero(self):
         net = FieldApproximator([3, 5, 3])
-        np.testing.assert_array_equal(net.forward(np.array([1.0, -2.0, 0.5])), np.zeros(3))
+        np.testing.assert_array_equal(net.forward(np.array([[1.0, -2.0, 0.5]])), np.zeros((1, 3)))
 
     def test_identity_single_layer(self):
         net = FieldApproximator([3, 3], weights=[np.eye(3)], biases=[np.zeros(3)])
-        x = np.array([0.3, -1.2, 2.0])
+        x = np.array([[0.3, -1.2, 2.0]])
         np.testing.assert_array_equal(net.forward(x), x)
 
     def test_tiny_net_matches_scalar_arithmetic(self):
@@ -185,33 +185,33 @@ class TestForward:
         b2 = np.array([-0.3, 0.6])
         net = FieldApproximator([2, 3, 2], [w1, w2], [b1, b2])
         x = np.array([0.7, -1.1])
-        np.testing.assert_allclose(net.forward(x), scalar_forward(net, x),
+        np.testing.assert_allclose(net.forward(x[None]), scalar_forward(net, x)[None],
                                    rtol=1e-12, atol=1e-14)
 
     def test_batch_matches_rowwise(self):
         net = FieldApproximator.init_random([3, 8, 3], seeded_stream(0, "init"))
         xs = seeded_stream(1, "pts").standard_normal((5, 3))
         batch = net.forward(xs)
-        rows = np.stack([net.forward(x) for x in xs])
+        rows = np.concatenate([net.forward(x[None]) for x in xs])
         np.testing.assert_allclose(batch, rows, rtol=1e-14)
 
     def test_input_left_unmodified(self, two_cpus):
         net = FieldApproximator.init_random([3, 8, 8, 3], seeded_stream(6, "init"))
         batch = seeded_stream(7, "pts").standard_normal((4, 3))
-        for xs in (batch, np.array([0.3, -1.0, 2.0]), multi_block_batch(net, 8)):
+        for xs in (batch, np.array([[0.3, -1.0, 2.0]]), multi_block_batch(net, 8)):
             before = xs.copy()
             net.forward(xs)
             np.testing.assert_array_equal(xs, before)
 
     def test_finite_on_huge_inputs(self):
         net = FieldApproximator.init_random([3, 16, 16, 3], seeded_stream(2, "init"))
-        x = np.array([1e6, -1e6, 1e6])
+        x = np.array([[1e6, -1e6, 1e6]])
         assert np.all(np.isfinite(net.forward(x)))
 
     def test_dimension_mismatch_rejected(self):
         net = FieldApproximator([3, 4, 3])
         with pytest.raises(Exception, match="dimension"):
-            net.forward(np.zeros(5))
+            net.forward(np.zeros((1, 5)))
 
 
 class TestForwardBlocks:
@@ -535,7 +535,7 @@ class TestParams:
     def assert_views_of_params(self, net):
         for a in net.weights + net.biases:
             assert np.shares_memory(a, net.params)
-        x = np.array([0.3, -0.7, 1.1])
+        x = np.array([[0.3, -0.7, 1.1]])
         before = net.forward(x)
         net.params += 0.25
         assert not np.array_equal(net.forward(x), before)

@@ -13,8 +13,9 @@ from efm.core import CapacitorConfig, EfmError, seeded_stream
 from efm.data import gen_gaussian, gen_swiss_roll
 from efm.field import EmpiricalField, PlateSet
 from efm.model import EmaState, FieldApproximator, OptimizerState, loss_and_gradient
-from efm.training import (CUBE_MARGIN, EMA_DECAY, LEARNING_RATE, draw_training_points,
-                          sample_interpolant, sample_noise, train, training_step)
+from efm.training import (CUBE_MARGIN, EMA_DECAY, LEARNING_RATE, draw_batch,
+                          draw_training_points, sample_interpolant, sample_noise, train,
+                          update_net)
 from test_field import allocating_scaled_superposition
 from test_model import textbook_ema_update, textbook_optimizer_step
 
@@ -34,8 +35,8 @@ def small_field(stream, n=64, gap=6.0, dim=2):
 class TestSampleNoise:
     def test_zero_sigma_zero_mean_gives_zero(self):
         cfg = toy_config(noise_sigma=0.0, noise_mean_mode="zero")
-        out = sample_noise(cfg, seeded_stream(0, "n"))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out = sample_noise(cfg, seeded_stream(0, "n"), 1)
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_norm_concentrates_at_half_gap_times_sqrt_dim(self):
         # oracle: |N(L/2 * 1, sigma^2 I)| concentrates at (L/2) sqrt(D+1)
@@ -61,28 +62,29 @@ class TestSampleNoise:
 
 class TestSampleInterpolant:
     def test_endpoints(self):
-        xp = np.array([1.0, 2.0, 0.0])
-        xm = np.array([-1.0, 0.5, 6.0])
-        np.testing.assert_array_equal(sample_interpolant(xp, xm, 0.0, 0.0, 6.0), xp)
-        np.testing.assert_array_equal(sample_interpolant(xp, xm, 6.0, 0.0, 6.0), xm)
+        xp = np.array([[1.0, 2.0, 0.0]])
+        xm = np.array([[-1.0, 0.5, 6.0]])
+        np.testing.assert_array_equal(sample_interpolant(xp, xm, [0.0], 0.0, 6.0), xp)
+        np.testing.assert_array_equal(sample_interpolant(xp, xm, [6.0], 0.0, 6.0), xm)
 
     def test_midpoint(self):
-        xp = np.zeros(3)
-        xm = np.array([2.0, 2.0, 6.0])
-        np.testing.assert_allclose(sample_interpolant(xp, xm, 3.0, 0.0, 6.0),
-                                   [1.0, 1.0, 3.0])
+        xp = np.zeros((1, 3))
+        xm = np.array([[2.0, 2.0, 6.0]])
+        np.testing.assert_allclose(sample_interpolant(xp, xm, [3.0], 0.0, 6.0),
+                                   [[1.0, 1.0, 3.0]])
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(0.0, 6.0))
     def test_zero_noise_z_equals_t(self, t):
-        xp = np.array([0.4, -0.2, 0.0])
-        xm = np.array([1.0, 3.0, 6.0])
-        out = sample_interpolant(xp, xm, t, np.zeros(3), 6.0)
-        assert out[-1] == pytest.approx(t, abs=1e-12)
+        xp = np.array([[0.4, -0.2, 0.0]])
+        xm = np.array([[1.0, 3.0, 6.0]])
+        out = sample_interpolant(xp, xm, [t], np.zeros((1, 3)), 6.0)
+        assert out.shape == (1, 3)
+        assert out[0, -1] == pytest.approx(t, abs=1e-12)
 
     def test_t_out_of_range_rejected(self):
         with pytest.raises(EfmError, match="t must lie"):
-            sample_interpolant(np.zeros(2), np.ones(2), 7.0, 0.0, 6.0)
+            sample_interpolant(np.zeros((1, 2)), np.ones((1, 2)), [7.0], 0.0, 6.0)
 
 
 class TestCubeMesh:
@@ -115,6 +117,8 @@ class TestCubeMesh:
 
 
 class TestTrainingStep:
+    """One training step as `train` takes it: `draw_batch`, then `update_net`."""
+
     def setup_step(self, lr=1e-3):
         cfg = toy_config()
         field = small_field(seeded_stream(8, "f"))
@@ -125,15 +129,15 @@ class TestTrainingStep:
 
     def test_first_loss_finite_positive(self):
         cfg, field, net, opt, ema = self.setup_step()
-        loss, dropped = training_step(net, opt, ema, field, 64, cfg,
-                                      seeded_stream(10, "s"))
+        points, targets, dropped = draw_batch(field, cfg, 64, seeded_stream(10, "s"))
+        loss = update_net(net, opt, ema, points, targets)
         assert np.isfinite(loss) and loss > 0
         assert dropped == 0
 
     def test_zero_learning_rate_freezes_params(self):
         cfg, field, net, opt, ema = self.setup_step(lr=0.0)
         before = [w.copy() for w in net.weights]
-        training_step(net, opt, ema, field, 64, cfg, seeded_stream(11, "s"))
+        update_net(net, opt, ema, *draw_batch(field, cfg, 64, seeded_stream(11, "s"))[:2])
         for b, w in zip(before, net.weights):
             np.testing.assert_array_equal(b, w)
 
@@ -146,8 +150,8 @@ class TestTrainingStep:
         targets, degenerate = field.subsample(16, replay).normalized(points)
         assert not degenerate.any()
         want, _ = loss_and_gradient(net, points, targets)
-        loss, _ = training_step(net, opt, ema, field, 64, cfg, seeded_stream(14, "s"), 16)
-        assert loss == want
+        points, targets, _ = draw_batch(field, cfg, 64, seeded_stream(14, "s"), 16)
+        assert update_net(net, opt, ema, points, targets) == want
 
     def test_training_points_stay_finite(self):
         cfg = toy_config()
@@ -206,8 +210,8 @@ def two_plates(seed):
 
 
 def replay_training_steps(cfg, pos, neg, n_steps, batch_size, hidden_dims, mc_subsample):
-    """train's loop run sequentially: one training_step after another on the
-    loop stream, from the same init."""
+    """train's loop run sequentially: `draw_batch` then `update_net`, step
+    after step on the loop stream, from the same init."""
     field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, cfg.plate_gap, -1),
                            cfg.field_epsilon)
     net = FieldApproximator.init_random([3, *hidden_dims, 3],
@@ -215,8 +219,10 @@ def replay_training_steps(cfg, pos, neg, n_steps, batch_size, hidden_dims, mc_su
     opt = OptimizerState.for_net(net, LEARNING_RATE)
     ema = EmaState.from_net(net, EMA_DECAY)
     stream = seeded_stream(cfg.seed, "train/loop")
-    curve = [(step, *training_step(net, opt, ema, field, batch_size, cfg, stream, mc_subsample))
-             for step in range(n_steps)]
+    curve = []
+    for step in range(n_steps):
+        points, targets, dropped = draw_batch(field, cfg, batch_size, stream, mc_subsample)
+        curve.append((step, update_net(net, opt, ema, points, targets), dropped))
     return curve, net, ema
 
 
