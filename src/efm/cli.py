@@ -108,10 +108,10 @@ def write_trajectories_csv(trajectories, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         row = "%d,%d," + ",".join(["%.17g"] * (dim + 1)) + ",%s\n"
+        z_first = [dim, *range(dim)]  # points hold x_1..x_D, z
         for i, traj in enumerate(trajectories):
             last = len(traj.points) - 1
-            z_first = np.roll(traj.points, 1, axis=1)
-            for k, values in enumerate(z_first.tolist()):
+            for k, values in enumerate(traj.points[:, z_first].tolist()):
                 term = traj.termination if k == last else ""
                 fh.write(row % (i, k, *values, term))
 

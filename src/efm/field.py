@@ -6,7 +6,9 @@ oracle used both for training targets and for transport on small problems.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,42 @@ def _workspace(slot: str, size: int, dtype=float) -> np.ndarray:
         buf = np.empty(max(_PAIR_BLOCK, size), dtype)
         setattr(_WORKSPACE, slot, buf)
     return buf
+
+
+def _split(fn, pieces, costs, min_cost=0) -> list:
+    """[fn(p) for p in pieces], shared between the caller and one worker thread.
+
+    The pieces are cut in two where their `costs` balance best: the caller
+    runs the leading share, and one `ThreadPoolExecutor(max_workers=1)`
+    worker runs the trailing share at the same time, under the caller's
+    `np.errstate`. The results come back in piece order, whichever thread
+    made them. The worker is joined before this returns or raises, and its
+    exception propagates from here. No thread starts when the trailing share
+    would cost less than `min_cost` (or is empty), or when the process may
+    use only one CPU.
+
+    `fn` runs on both threads at once: it keeps its scratch in `_workspace`,
+    writes no state that another piece reads, and calls no function that the
+    benchmark's tracer wraps (the tracer keeps one span stack for all
+    threads).
+    """
+    if len(pieces) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return [fn(p) for p in pieces]
+    lead_cost = np.cumsum(costs, dtype=float)[:-1]  # the caller's share at each cut
+    trail_cost = sum(costs) - lead_cost
+    cut = int(np.argmin(np.maximum(lead_cost, trail_cost))) + 1
+    if trail_cost[cut - 1] < min_cost:
+        return [fn(p) for p in pieces]
+    errstate = np.geterr()
+
+    def trailing():
+        with np.errstate(**errstate):
+            return [fn(p) for p in pieces[cut:]]
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        trail = worker.submit(trailing)
+        lead = [fn(p) for p in pieces[:cut]]
+        return lead + trail.result()
 
 
 def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
@@ -143,11 +181,13 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
             np.exp(w, out=w)
             w *= sign_c
         elif d % 2 == 0:
-            w **= d // 2
+            if d > 2:  # pow(x, 1) is x: skip that pass
+                w **= d // 2
             np.divide(charges, w, out=w)
         else:
             root = np.sqrt(w, out=sums)
-            w **= d // 2
+            if d > 3:
+                w **= d // 2
             w *= root
             np.divide(charges, w, out=w)
         vec[i0:i1] = inv_area * (blk * w.sum(axis=1)[:, None] - w @ sources)

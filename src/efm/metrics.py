@@ -16,17 +16,31 @@ whose column j marks the rows of sample a in permutation j.
 each side, merges the two sorted runs with one stable argsort and reads both
 empirical CDFs from a running count of the merged rows that came from a.
 
+Threads: both metrics share their independent pieces (energy row blocks,
+sliced-W1 chunks of directions) between the caller and one worker thread
+through `efm.field._split`, and the caller reduces every piece's result in
+piece order, so each statistic is bit-identical to a one-thread run. Work
+too small or too fine-grained to gain (`_SPLIT_MIN_*`) starts no thread;
+at N=512, the size of the benchmark's trace workload, nothing does. The
+worker runs only numpy and `cdist`, never a function the benchmark's
+tracer wraps.
+
 Memory: the float temporaries stay bounded in bytes at any N, D and number
 of permutations. A distance block holds at most `_PAIR_BLOCK` entries (the
-field kernel's L2-sized block), and label columns are reduced in chunks of
-at most `_LABEL_BLOCK` entries per float temporary. Only the boolean label
-matrix grows with `n_perm`. A sliced-W1 chunk of directions holds at most
-`_PAIR_BLOCK` projections, or one direction's N when N is larger, so its
-temporaries stay O(N) whatever the number of directions.
+field kernel's L2-sized block; a permutation null's, at most twice that)
+and is written into each thread's own workspace. Label columns are reduced
+in chunks of at most `_LABEL_BLOCK` entries per float temporary. The
+partial sums of the row blocks that run at once are stored in rounds of at
+most `_PAIR_BLOCK` floats. Only the boolean label matrix grows with
+`n_perm`. A sliced-W1 chunk of directions holds at
+most `_PAIR_BLOCK` projections, or one direction's N when N is larger, so
+its temporaries stay O(N) whatever the number of directions; one-direction
+chunks run on the caller alone, so two of them are never alive at once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,13 +48,29 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import DataError
-from .field import _PAIR_BLOCK
+from .field import _PAIR_BLOCK, _split, _workspace
 
 # Exact O(n^2) sums get expensive past this; larger inputs are subsampled.
 MAX_EXACT_SIDE = 4096
 
 # Float entries per chunk of label columns (4 MB of float64).
 _LABEL_BLOCK = 500_000
+
+# Fewest rows per distance block of a permutation null, while a block stays
+# within 2 * _PAIR_BLOCK entries: with several label columns, OpenBLAS runs
+# a 16-row block's products at about half the rate of a 128-row block's.
+_NULL_MIN_ROWS = 32
+
+# When `efm.field._split` hands work to a second thread. Measured on a 2-vCPU
+# host with one BLAS thread (CHANGES.md): a thread's start costs 0.25-0.6 ms,
+# so the worker's share must hold at least _SPLIT_MIN_PAIRS pair distances
+# (energy) or _SPLIT_MIN_PROJECTIONS projected values (sliced W1); and an
+# energy block with fewer than _SPLIT_MIN_WIDTH coordinates plus label
+# columns per pair is so light that the two threads' hand-offs of the GIL
+# between its numpy calls cost what the second core saves.
+_SPLIT_MIN_PAIRS = 2 * _PAIR_BLOCK
+_SPLIT_MIN_PROJECTIONS = _PAIR_BLOCK // 2
+_SPLIT_MIN_WIDTH = 16
 
 NULL_QUANTILES = (0.50, 0.90, 0.95, 0.99)
 
@@ -89,6 +119,21 @@ def _subsampled_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return _maybe_subsample(pa), _maybe_subsample(pb)
 
 
+def _row_rounds(n, rows, floats):
+    """Starts of the row blocks of n rows, `rows` each, in runs whose stored
+    partials, `floats(r0)` floats per block, total at most `_PAIR_BLOCK`
+    (a run holds at least one block)."""
+    run, held = [], 0
+    for r0 in range(0, n, rows):
+        if run and held + floats(r0) > _PAIR_BLOCK:
+            yield run
+            run, held = [], 0
+        run.append(r0)
+        held += floats(r0)
+    if run:
+        yield run
+
+
 def _energy_statistics(pool, labels) -> np.ndarray:
     """Energy distance 2 E|a-b| - E|a-a'| - E|b-b'| for each labelling.
 
@@ -98,14 +143,26 @@ def _energy_statistics(pool, labels) -> np.ndarray:
 
     Each unordered pair's distance is computed once. Row block r0:r1 is
     `cdist`-ed against rows r0: only, a (rows, N - r0) block of at most
-    `_PAIR_BLOCK` entries that fits in a core's L2 cache. Its diagonal part
-    is halved in place, so 2·x_rᵀ(block · x_r0:) adds both orders of every
-    pair the block holds. The statistic is symmetric in a and b, so x marks
-    each column's smaller sample and y its larger one: with the full row
-    sums r and S_xx = xᵀDx, S_xy = rᵀx - S_xx and S_yy = Σr - S_xx - 2 S_xy,
-    whose rounding is then divided by the larger n_y². Label columns are
-    taken in chunks of at most `_LABEL_BLOCK` float entries; each chunk
-    recomputes the distances.
+    `_PAIR_BLOCK` entries that fits in a core's L2 cache (with k > 1, at
+    least `_NULL_MIN_ROWS` rows while that stays within twice as many
+    entries). Its diagonal part is halved in place, so 2·x_rᵀ(block · x_r0:)
+    adds both orders of every pair the block holds. The statistic is
+    symmetric in a and b, so x marks each column's smaller sample and y its
+    larger one: with the full row sums r and S_xx = xᵀDx, S_xy = rᵀx - S_xx
+    and S_yy = Σr - S_xx - 2 S_xy, whose rounding is then divided by the
+    larger n_y². Label columns are taken in chunks of at most `_LABEL_BLOCK`
+    float entries; each chunk recomputes the distances.
+
+    Threads: a block's partials (its row sums and column sums in the first
+    chunk, and its S_xx term per label column) depend on that block alone,
+    so the blocks go through `efm.field._split` in runs, the leading ones on
+    the caller and the trailing ones on one worker thread. The caller then
+    adds every block's partials in block order, so the result is
+    bit-identical to one thread's. Each thread `cdist`s into its own
+    workspace block, and a run's stored partials total at most
+    `_PAIR_BLOCK` floats. No thread starts when the worker's share of a run
+    holds fewer than `_SPLIT_MIN_PAIRS` pairs, or when D plus the chunk's
+    label columns is below `_SPLIT_MIN_WIDTH`.
     """
     n = len(pool)
     n_a = labels.sum(axis=0)
@@ -116,18 +173,33 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     row_sum = np.zeros(n)
     s_xx, s_xy = np.zeros(k), np.zeros(k)
     rows = max(1, _PAIR_BLOCK // n)
+    if k > 1:  # a null: its products are slow below _NULL_MIN_ROWS rows
+        rows = max(rows, min(_NULL_MIN_ROWS, 2 * _PAIR_BLOCK // n))
     cols = max(1, _LABEL_BLOCK // n)
     for c0 in range(0, k, cols):
         c = slice(c0, c0 + cols)
         in_x = (labels[:, c] != flip[c]).astype(float)
-        for r0 in range(0, n, rows):
+        first = c0 == 0  # the first chunk also collects the row sums
+
+        def partials(r0):
             r1 = min(r0 + rows, n)
-            dist = cdist(pool[r0:r1], pool[r0:])
-            if c0 == 0:
-                row_sum[r0:r1] += dist.sum(axis=1)
-                row_sum[r1:] += dist[:, r1 - r0:].sum(axis=0)
+            shape = (r1 - r0, n - r0)
+            dist = cdist(pool[r0:r1], pool[r0:], out=_workspace(
+                "energy_dist", rows * n)[:shape[0] * shape[1]].reshape(shape))
+            sums = (dist.sum(axis=1), dist[:, r1 - r0:].sum(axis=0)) if first else None
             dist[:, :r1 - r0] *= 0.5
-            s_xx[c] += 2.0 * np.einsum("ij,ij->j", in_x[r0:r1], dist @ in_x[r0:])
+            return sums, 2.0 * np.einsum("ij,ij->j", in_x[r0:r1], dist @ in_x[r0:])
+
+        width = pool.shape[1] + in_x.shape[1]
+        min_pairs = _SPLIT_MIN_PAIRS if width >= _SPLIT_MIN_WIDTH else math.inf
+        for run in _row_rounds(n, rows, lambda r0: (n - r0 if first else 0) + in_x.shape[1]):
+            costs = [min(rows, n - r0) * (n - r0) for r0 in run]
+            for r0, (sums, sxx) in zip(run, _split(partials, run, costs, min_pairs)):
+                if first:
+                    r1 = min(r0 + rows, n)
+                    row_sum[r0:r1] += sums[0]
+                    row_sum[r1:] += sums[1]
+                s_xx[c] += sxx
         s_xy[c] = row_sum @ in_x - s_xx[c]
     s_yy = row_sum.sum() - s_xx - 2.0 * s_xy
     stat = 2.0 * s_xy / (n_x * n_y) - s_xx / (n_x * n_x) - s_yy / (n_y * n_y)
@@ -145,7 +217,18 @@ def energy_distance(a, b) -> DistanceReport:
 
 def sliced_w1(a, b, n_projections: int, stream) -> DistanceReport:
     """Mean 1-D Wasserstein-1 over n_projections unit directions drawn from
-    `stream` (see efm.core.seeded_stream)."""
+    `stream` (see efm.core.seeded_stream).
+
+    The directions are drawn up front and taken in chunks of at most
+    `_PAIR_BLOCK` projected values; each chunk's distances depend on it
+    alone. The chunks go through `efm.field._split`: the leading ones on
+    the caller, the trailing ones on one worker thread, their distances
+    kept in direction order, so the mean is bit-identical to one thread's.
+    No thread starts when the worker's share holds fewer than
+    `_SPLIT_MIN_PROJECTIONS` projected values, or when a chunk holds one
+    direction: N alone then fills `_PAIR_BLOCK`, and two such chunks alive
+    at once would double the peak memory.
+    """
     pa, pb = _point_pair(a, b)
     if n_projections < 1:
         raise DataError("n_projections must be >= 1")
@@ -154,19 +237,30 @@ def sliced_w1(a, b, n_projections: int, stream) -> DistanceReport:
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     n_a, n_b = len(pa), len(pb)
     chunk = max(1, _PAIR_BLOCK // (n_a + n_b))
-    vals = np.empty(n_projections)
-    for p0 in range(0, n_projections, chunk):
+
+    def chunk_w1(p0):
+        # each side sorted, then one stable merge of the two sorted runs; a
+        # name is rebound as soon as its array is dead, so at most four
+        # (directions, N) temporaries are alive at once
         u = dirs[p0:p0 + chunk]
-        # each side sorted, then one stable merge of the two sorted runs
-        both = np.concatenate([np.sort(u @ pa.T, axis=1), np.sort(u @ pb.T, axis=1)], axis=1)
-        order = np.argsort(both, axis=1, kind="stable")
-        merged = np.take_along_axis(both, order, axis=1)
+        merged = np.concatenate([np.sort(u @ pa.T, axis=1), np.sort(u @ pb.T, axis=1)], axis=1)
+        order = np.argsort(merged, axis=1, kind="stable")
+        merged = np.take_along_axis(merged, order, axis=1)
         # CDF counts at each step between merged values; a tie is a 0 step, so
         # the order within it is moot
-        below_a = np.cumsum(order[:, :-1] < n_a, axis=1)
-        below_b = np.arange(1, n_a + n_b) - below_a
-        cdf_diff = np.abs(below_a / n_a - below_b / n_b)
-        vals[p0:p0 + chunk] = np.einsum("ij,ij->i", cdf_diff, np.diff(merged, axis=1))
+        below = np.cumsum(order[:, :-1] < n_a, axis=1)
+        del order
+        cdf_diff = below / n_a
+        below = np.subtract(np.arange(1, n_a + n_b), below, out=below)  # now from b
+        cdf_diff -= below / n_b
+        del below
+        np.abs(cdf_diff, out=cdf_diff)
+        return np.einsum("ij,ij->i", cdf_diff, np.diff(merged, axis=1))
+
+    starts = range(0, n_projections, chunk)
+    costs = [min(chunk, n_projections - p0) * (n_a + n_b) for p0 in starts]
+    min_cost = _SPLIT_MIN_PROJECTIONS if chunk > 1 else math.inf
+    vals = np.concatenate(_split(chunk_w1, starts, costs, min_cost))
     return DistanceReport(float(np.mean(vals)), n_a, n_b)
 
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import EfmError, WeightFormatError
-from .field import _PAIR_BLOCK, _workspace
+from .field import _PAIR_BLOCK, _split, _workspace
 
 WEIGHT_FORMAT_VERSION = 1
 # The one hidden-layer activation, as the weight file names it.
@@ -108,12 +106,13 @@ class FieldApproximator:
         one-row tail, a tail of a few hundred rows at D=32 or a batch of more
         than 2604 rows at D=2 can differ from one pass in the last bits.
 
-        With more than one block and more than one CPU in the process's
-        affinity set, one worker thread forwards the trailing half of the
-        blocks while the caller forwards the leading half; which thread takes
-        a block never changes a bit. The worker is joined before this returns
+        With more than one block, the blocks go through `efm.field._split`:
+        the caller forwards a leading run of them while one worker thread
+        forwards the rest, the two shares as near equal in rows as the blocks
+        allow, unless the process may use only one CPU; which thread takes a
+        block never changes a bit. The worker is joined before this returns
         or raises, so no thread is left running, and an exception in either
-        half propagates from here.
+        share propagates from here.
 
         Each thread keeps its blocks' temporaries in its own workspace
         (`efm.field._workspace`): two ping-pong buffers of _PAIR_BLOCK
@@ -127,38 +126,26 @@ class FieldApproximator:
                            f"network input {self.layer_dims[0]}")
         out = np.empty((len(y), self.layer_dims[-1]))
         block = max(1, _PAIR_BLOCK // max(self.layer_dims[1:]))
-        if len(y) > block and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            cut = block * -(-len(y) // (2 * block))  # the leading half of the blocks
-            errstate = np.geterr()
-
-            def trailing_half():  # under the caller's floating-point error handling
-                with np.errstate(**errstate):
-                    self._forward_rows(y[cut:], out[cut:], block)
-
-            with ThreadPoolExecutor(max_workers=1) as worker:
-                trail = worker.submit(trailing_half)
-                self._forward_rows(y[:cut], out[:cut], block)
-                trail.result()
-        else:
-            self._forward_rows(y, out, block)
+        starts = range(0, len(y), block)
+        _split(lambda i: self._forward_rows(y[i:i + block], out[i:i + block]),
+               starts, [min(block, len(y) - i) for i in starts])
         return out
 
-    def _forward_rows(self, x, out, block):
-        """Forward the rows of `x` into `out`, `block` rows at a time. The
-        hidden layers ping-pong between two buffers of this thread's
-        workspace: affine output, then activation."""
-        size = min(block, len(x)) * max(self.layer_dims[1:-1], default=0)
+    def _forward_rows(self, x, out):
+        """Forward the rows of `x`, at most one block, into `out`. The hidden
+        layers ping-pong between two buffers of this thread's workspace:
+        affine output, then activation."""
+        size = len(x) * max(self.layer_dims[1:-1], default=0)
         pre, post = _workspace("forward_pre", size), _workspace("forward_post", size)
         *hidden, (w_out, b_out) = zip(self.weights, self.biases)
-        for i in range(0, len(x), block):
-            y = x[i:i + block]
-            for w, b in hidden:
-                shape = (len(y), w.shape[1])
-                a = np.matmul(y, w, out=pre[:shape[0] * shape[1]].reshape(shape))
-                a += b
-                y = _act(a, out=post[:shape[0] * shape[1]].reshape(shape))
-            ob = np.matmul(y, w_out, out=out[i:i + block])
-            ob += b_out
+        y = x
+        for w, b in hidden:
+            shape = (len(y), w.shape[1])
+            a = np.matmul(y, w, out=pre[:shape[0] * shape[1]].reshape(shape))
+            a += b
+            y = _act(a, out=post[:shape[0] * shape[1]].reshape(shape))
+        np.matmul(y, w_out, out=out)
+        out += b_out
 
 
 class FwdBwdBuffers:

@@ -12,6 +12,7 @@ from efm.cli import dispatch
 from efm.core import CapacitorConfig, ConfigError, WeightFormatError, validate_config
 from efm.data import load_csv
 from efm.model import FieldApproximator, load_weights, save_weights
+from efm.transport import Trajectory
 
 
 @pytest.fixture
@@ -307,6 +308,19 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [str(out / "mapped.csv"), str(out / "trajectories.csv")]
         assert load_csv(out / "mapped.csv").n == 64 - manifest["config"]["n_failed"]
+
+    def test_trajectories_csv_layout(self, tmp_path):
+        # z first, every coordinate as %.17g, termination on a line's last row only
+        lines = [Trajectory(np.array([[0.5, -1.0, 0.0], [0.1, 1e-17, 3.0], [2.0, 0.25, 6.0]]),
+                            "reached_target_plate"),
+                 Trajectory(np.array([[1.0 / 3.0, 2.0, 0.0]]), "stalled")]
+        path = tmp_path / "trajectories.csv"
+        cli.write_trajectories_csv(lines, path)
+        assert path.read_text() == ("line_id,step,z,x_1,x_2,termination\n"
+                                    "0,0,0,0.5,-1,\n"
+                                    "0,1,3,0.10000000000000001,1.0000000000000001e-17,\n"
+                                    "0,2,6,2,0.25,reached_target_plate\n"
+                                    "1,0,0,0.33333333333333331,2,stalled\n")
 
     def test_trace_lines_is_adaptive_transport(self, tmp_path, toy_config_file, plates):
         # trace-lines is transport --policy adaptive --dump-trajectories

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import efm.field
 from efm.core import seeded_stream
 from efm.field import (_PAIR_BLOCK, LOG_ACCUMULATION_DIM, EmpiricalField, FieldError, PlateSet,
-                       normalize_rows, one_sided_ez, point_charge_field, scaled_superposition,
+                       _split, normalize_rows, one_sided_ez, point_charge_field, scaled_superposition,
                        sphere_surface_area, superposition_field)
 
 
@@ -422,6 +422,78 @@ class TestKernelWorkspace:
                              text=True, check=True)
         # 512x512 at D+1=3 and 33, and an exact-oracle-sized 23x4096 call
         assert run.stdout.split() == ["0", "0", "0"]
+
+
+class TestSplit:
+    """`_split`: the leading share of the pieces on the caller, the trailing
+    share on one worker thread, results in piece order."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return use
+
+    @staticmethod
+    def run(costs, min_cost=0):
+        """(results, [thread of each piece], threads alive before, after)."""
+        caller = threading.current_thread()
+        before = threading.active_count()
+        got = _split(lambda p: (p * p, threading.current_thread() is caller),
+                     list(range(len(costs))), costs, min_cost)
+        return [r for r, _ in got], [on for _, on in got], before, threading.active_count()
+
+    @pytest.mark.parametrize("costs,lead", [([5, 5], 1), ([1, 1, 1, 1, 1], 2),
+                                            ([9, 1, 1, 1], 1), ([1, 1, 1, 9], 3),
+                                            ([4, 3, 2, 1], 1), ([3, 3, 2, 2], 2)])
+    def test_cut_balances_costs(self, cpus, costs, lead):
+        cpus(2)
+        results, on_caller, before, after = self.run(costs)
+        assert results == [p * p for p in range(len(costs))]
+        assert on_caller == [True] * lead + [False] * (len(costs) - lead)
+        assert after == before
+
+    @pytest.mark.parametrize("n_cpus,costs,min_cost", [(1, [5, 5], 0), (2, [5], 0),
+                                                        (2, [], 0), (2, [9, 2, 2], 5)])
+    def test_no_thread(self, cpus, monkeypatch, n_cpus, costs, min_cost):
+        cpus(n_cpus)
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("_split started a worker thread")
+
+        monkeypatch.setattr(efm.field, "ThreadPoolExecutor", NoPool)
+        results, on_caller, _, _ = self.run(costs, min_cost)
+        assert results == [p * p for p in range(len(costs))]
+        assert all(on_caller)
+
+    def test_trailing_share_at_min_cost_splits(self, cpus):
+        cpus(2)
+        assert self.run([9, 2, 2], 4)[1] == [True, False, False]
+
+    @pytest.mark.parametrize("fail_on_caller", [False, True])
+    def test_exception_propagates_after_join(self, cpus, fail_on_caller):
+        cpus(2)
+        caller = threading.current_thread()
+        before = threading.active_count()
+
+        def piece(p):
+            if (threading.current_thread() is caller) == fail_on_caller:
+                raise RuntimeError(f"piece {p} failed")
+            return p
+
+        with pytest.raises(RuntimeError, match="piece [01] failed"):
+            _split(piece, [0, 1], [1, 1])
+        assert threading.active_count() == before
+
+    def test_worker_keeps_callers_error_state(self, cpus):
+        cpus(2)
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                _split(lambda p: np.float64(1.0) / np.float64(p), [1.0, 0.0], [1, 1])
+        with np.errstate(divide="ignore"):
+            assert _split(lambda p: np.float64(1.0) / np.float64(p), [1.0, 0.0], [1, 1]) == [
+                1.0, np.inf]
 
 
 class TestPlateSetInvariants:

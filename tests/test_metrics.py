@@ -1,12 +1,15 @@
+import os
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
-from efm import metrics
+from efm import field, metrics
 from efm.core import DataError, seeded_stream
 from efm.metrics import (NULL_QUANTILES, _energy_statistics, energy_distance,
                          energy_distance_with_null, permutation_null, sliced_w1)
@@ -246,6 +249,27 @@ class TestPermutationNull:
         assert np.abs(np.array(list(q.values())) - expected).max() <= 1e-12 * max(scales)
         assert new_stream.random() == ref_stream.random()
 
+    @pytest.mark.parametrize("min_rows,rows", [(6, 6), (20, 8)])
+    def test_null_row_floor_matches_reference(self, monkeypatch, min_rows, rows):
+        # 4-row blocks by _PAIR_BLOCK; the null's floor raises them to
+        # min_rows, capped where a block would pass 2 * _PAIR_BLOCK entries
+        n = 115
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", n * 4)
+        monkeypatch.setattr(metrics, "_NULL_MIN_ROWS", min_rows)
+        seen = []
+        monkeypatch.setattr(metrics, "cdist", lambda x, y, out: seen.append(len(x)) or cdist(
+            x, y, out=out))
+        stream = seeded_stream(32, "p")
+        pool = stream.standard_normal((n, 2))
+        labels = np.zeros((n, 3), dtype=bool)
+        for j in range(3):
+            labels[stream.permutation(n)[:40 + 10 * j], j] = True
+        stats = _energy_statistics(pool, labels)
+        assert max(seen) == rows
+        for j in range(3):
+            ref, scale = _energy_reference(pool[labels[:, j]], pool[~labels[:, j]])
+            assert abs(stats[j] - ref) <= 1e-12 * scale
+
     def test_deterministic_given_seed(self):
         stream = seeded_stream(16, "p")
         a = stream.standard_normal((32, 2))
@@ -269,3 +293,102 @@ class TestPermutationNull:
             q = permutation_null(a, b, 99, seeded_stream(k, "cov-perm"))
             hits += energy_distance(a, b).statistic < q["95%"]
         assert hits >= 32  # binomial(40, 0.95) has P(X < 32) ~ 2e-5
+
+
+class TestTwoThreads:
+    """Energy statistics and sliced W1 share their pieces between the caller
+    and one worker thread (`efm.field._split`); the bytes must not change."""
+
+    @staticmethod
+    def pools_built(monkeypatch):
+        built = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(field, "ThreadPoolExecutor", CountingPool)
+        return built
+
+    @staticmethod
+    def on_cpus(monkeypatch, n, fn):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        before = threading.active_count()
+        out = fn()
+        assert threading.active_count() == before
+        return out
+
+    @staticmethod
+    def calls(n, dim, seed, n_perm=60):
+        stream = seeded_stream(seed, "two")
+        a = stream.standard_normal((n // 2, dim))
+        b = stream.standard_normal((n - n // 2, dim)) * 1.2 + 0.3
+        return {"energy_distance": lambda: energy_distance(a, b).statistic,
+                "permutation_null": lambda: permutation_null(a, b, n_perm, seeded_stream(seed, "p")),
+                "sliced_w1": lambda: sliced_w1(a, b, 64, seeded_stream(seed, "proj")).statistic}
+
+    @pytest.mark.parametrize("name,n,dim", [("energy_distance", 768, 32),
+                                            ("permutation_null", 768, 2),
+                                            ("sliced_w1", 2048, 2)])
+    def test_byte_equal_to_one_cpu(self, monkeypatch, name, n, dim):
+        fn = self.calls(n, dim, n + dim)[name]
+        built = self.pools_built(monkeypatch)
+        two = self.on_cpus(monkeypatch, 2, fn)
+        assert built and all(kw == {"max_workers": 1} for kw in built)
+        del built[:]
+        one = self.on_cpus(monkeypatch, 1, fn)
+        assert not built
+        assert repr(two) == repr(one)
+
+    def test_many_rounds_byte_equal_and_exact(self, monkeypatch):
+        # 38 row blocks of 8 rows whose partials are stored in three rounds of
+        # at most 2408 floats, each round with a worker: the ordered
+        # reduction equals one thread's bit for bit, and the reference
+        n, n_a = 301, 140
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", n * 8)
+        monkeypatch.setattr(metrics, "_NULL_MIN_ROWS", 1)
+        monkeypatch.setattr(metrics, "_SPLIT_MIN_PAIRS", 0)
+        monkeypatch.setattr(metrics, "_SPLIT_MIN_WIDTH", 0)
+        stream = seeded_stream(61, "two")
+        pool = stream.standard_normal((n, 3))
+        labels = np.zeros((n, 5), dtype=bool)
+        labels[:n_a, 0] = True
+        for j in range(1, 5):
+            labels[stream.permutation(n)[:n_a + 20 * j], j] = True
+        built = self.pools_built(monkeypatch)
+        two = self.on_cpus(monkeypatch, 2, lambda: _energy_statistics(pool, labels))
+        assert len(built) == 3
+        one = self.on_cpus(monkeypatch, 1, lambda: _energy_statistics(pool, labels))
+        assert two.tobytes() == one.tobytes()
+        for j in range(5):
+            ref, scale = _energy_reference(pool[labels[:, j]], pool[~labels[:, j]])
+            assert abs(two[j] - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name,n,dim", [("energy_distance", 768, 32),
+                                            ("sliced_w1", 2048, 2)])
+    def test_worker_exception_propagates(self, monkeypatch, name, n, dim):
+        caller = threading.current_thread()
+        target, attr = (metrics, "cdist") if name == "energy_distance" else (np, "argsort")
+        inline = getattr(target, attr)
+
+        def fail_off_caller(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker share failed")
+            return inline(*args, **kwargs)
+
+        monkeypatch.setattr(target, attr, fail_off_caller)
+        fn = self.calls(n, dim, 62)[name]
+        with pytest.raises(RuntimeError, match="worker share failed"):
+            self.on_cpus(monkeypatch, 2, fn)
+
+    @pytest.mark.parametrize("dim", [2, 32])
+    def test_512_points_start_no_thread(self, monkeypatch, dim):
+        # the size of the benchmark's trace workload, with its 200 permutations
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a 512-point metric started a worker thread")
+
+        monkeypatch.setattr(field, "ThreadPoolExecutor", NoPool)
+        for fn in self.calls(512, dim, 63, n_perm=200).values():
+            self.on_cpus(monkeypatch, 2, fn)

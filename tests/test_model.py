@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from efm import model
+from efm import field, model
 from efm.core import EfmError, WeightFormatError, seeded_stream
 from efm.model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, _act,
                        _act_deriv, ema_update, load_weights, loss_and_gradient,
@@ -242,7 +242,7 @@ class TestForwardBlocks:
                 built.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(model, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(field, "ThreadPoolExecutor", CountingPool)
         two = net.forward(xs)
         assert built == [{"max_workers": 1}]
 
@@ -250,7 +250,7 @@ class TestForwardBlocks:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("forward started a worker thread on one CPU")
 
-        monkeypatch.setattr(model, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(field, "ThreadPoolExecutor", NoPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
         one = net.forward(xs)
