@@ -86,10 +86,13 @@ def _split(fn, pieces, costs, min_cost=0) -> list:
     would cost less than `min_cost` (or is empty), or when the process may
     use only one CPU.
 
-    `fn` runs on both threads at once: it keeps its scratch in `_workspace`,
-    writes no state that another piece reads, and calls no function that the
-    benchmark's tracer wraps (the tracer keeps one span stack for all
-    threads).
+    `fn` runs on both threads at once: it keeps its scratch in `_workspace`
+    and writes no state that another piece reads. It may call a function
+    that the benchmark's tracer wraps, as `efm.transport.map_batch`'s shares
+    call `field_fn` (a net's traced `forward` under `--trace 1`): the
+    tracer's one span stack for all threads stays balanced, but a span may
+    take the other thread's open span as its parent, and each share counts
+    as its own call.
     """
     if len(pieces) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [fn(p) for p in pieces]

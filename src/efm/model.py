@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EfmError, WeightFormatError
-from .field import _PAIR_BLOCK, _split, _workspace
+from .field import _PAIR_BLOCK, _workspace
 
 WEIGHT_FORMAT_VERSION = 1
 # The one hidden-layer activation, as the weight file names it.
@@ -106,19 +106,12 @@ class FieldApproximator:
         one-row tail, a tail of a few hundred rows at D=32 or a batch of more
         than 2604 rows at D=2 can differ from one pass in the last bits.
 
-        With more than one block, the blocks go through `efm.field._split`:
-        the caller forwards a leading run of them while one worker thread
-        forwards the rest, the two shares as near equal in rows as the blocks
-        allow, unless the process may use only one CPU; which thread takes a
-        block never changes a bit. The worker is joined before this returns
-        or raises, so no thread is left running, and an exception in either
-        share propagates from here.
-
-        Each thread keeps its blocks' temporaries in its own workspace
-        (`efm.field._workspace`): two ping-pong buffers of _PAIR_BLOCK
-        entries (block x widest hidden layer never exceeds it). The caller's
-        pair lives between calls, so a warm call that starts no worker
-        allocates only its output; the worker's pair ends with its thread.
+        The blocks run one after another on the calling thread, with their
+        temporaries in two ping-pong buffers of _PAIR_BLOCK entries of this
+        thread's workspace (`efm.field._workspace`; block x widest hidden
+        layer never exceeds it). A warm call allocates only its output, and
+        calls on two threads at once (`efm.transport.map_batch` makes them)
+        share no scratch.
         """
         y = np.atleast_2d(np.asarray(x, dtype=float))
         if y.shape[1] != self.layer_dims[0]:
@@ -126,9 +119,8 @@ class FieldApproximator:
                            f"network input {self.layer_dims[0]}")
         out = np.empty((len(y), self.layer_dims[-1]))
         block = max(1, _PAIR_BLOCK // max(self.layer_dims[1:]))
-        starts = range(0, len(y), block)
-        _split(lambda i: self._forward_rows(y[i:i + block], out[i:i + block]),
-               starts, [min(block, len(y) - i) for i in starts])
+        for i in range(0, len(y), block):
+            self._forward_rows(y[i:i + block], out[i:i + block])
         return out
 
     def _forward_rows(self, x, out):

@@ -14,6 +14,9 @@ both fit the callable unchanged.
 - "theoretical": the same batched trace with the flux-ratio start
   direction and stop at its plate-crossing events. Each line draws these
   from a stream keyed by its start point.
+
+Threads: the lines of a batch are independent, and `map_batch` is the one
+place that moves them on two cores, one share of the lines per thread.
 """
 
 from __future__ import annotations
@@ -24,12 +27,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .core import LIMIT_EPSILON_FRACTION, TransportError, seeded_stream
-from .field import TINY_FIELD_NORM, one_sided_ez
+from .field import _PAIR_BLOCK, TINY_FIELD_NORM, _split, one_sided_ez
 
 _SUCCESS = ("reached_target_plate", "continued_past_plate_then_returned")
 
 # Relative f_z threshold below which the z-stepped update is rejected.
 DEGENERACY_RATIO = 1e-8
+
+# `map_batch` cuts its line shares at a multiple of this many lines: one
+# forward block of the 128-wide net (`FieldApproximator.forward` takes
+# _PAIR_BLOCK // 128 rows at a time), so a row of a share meets the same
+# forward block as in the whole batch while no line of it has ended.
+_SHARE_LINES = _PAIR_BLOCK // 128
 
 # An adaptive line ends as "left_domain" once |x - start| exceeds this many
 # times (plate_gap + |start|). Exact-field lines on the swiss-roll preset
@@ -358,6 +367,15 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     endpoint by up to 1e-3. Per-line failures are recorded and the batch
     continues. `limit_epsilon` None means plate_gap * LIMIT_EPSILON_FRACTION.
 
+    Threads: a batch of at least 2 * _SHARE_LINES lines is cut at the
+    _SHARE_LINES boundary nearest its middle, whatever the CPU count, and
+    each share runs the policy's whole loop through `efm.field._split`: the
+    caller moves the leading share while one worker thread moves the
+    trailing one. `field_fn` is then called on both threads at once, each
+    time on rows of one share (the exact field and a net's `forward` keep
+    their scratch per thread). Results come back in line order and equal
+    one CPU's bit for bit. A smaller batch is one share and starts no thread.
+
     On the exact field, "theoretical" (the flux-ratio rule) is the oracle
     map. "adaptive" stops each line at its first arrival at z=plate_gap and
     matches that oracle only at D=2. Beyond it, many oracle lines cross the
@@ -373,14 +391,24 @@ def map_batch(points, field_fn, policy: str, *, plate_gap: float, nfe: int = 20,
     if policy == "practical":
         if nfe < 1:
             raise TransportError("nfe must be at least 1")
-        trajectories = _euler_lines(points, field_fn, nfe, plate_gap)
+
+        def move(share):
+            return _euler_lines(share, field_fn, nfe, plate_gap)
     elif policy == "adaptive":
-        starts = np.column_stack([points, np.full(len(points), limit_epsilon)])
-        trajectories = trace_lines_t(starts, field_fn, plate_gap=plate_gap)
+        def move(share):
+            starts = np.column_stack([share, np.full(len(share), limit_epsilon)])
+            return trace_lines_t(starts, field_fn, plate_gap=plate_gap)
     elif policy == "theoretical":
-        trajectories = _theoretical_lines(points, field_fn, seed, plate_gap, limit_epsilon)
+        def move(share):
+            return _theoretical_lines(share, field_fn, seed, plate_gap, limit_epsilon)
     else:
         raise TransportError(f"unknown transport policy {policy!r}")
+    shares = [points]
+    if len(points) >= 2 * _SHARE_LINES:
+        cut = _SHARE_LINES * ((len(points) + _SHARE_LINES) // (2 * _SHARE_LINES))
+        shares = [points[:cut], points[cut:]]
+    trajectories = [traj for lines in _split(move, shares, [len(s) for s in shares])
+                    for traj in lines]
     mapped = np.full(points.shape, np.nan)
     ok = np.zeros(len(points), dtype=bool)
     failures = []

@@ -1,15 +1,19 @@
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import efm.field
 from efm.core import TransportError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
 from efm.model import FieldApproximator
-from efm.transport import (DOMAIN_RADIUS_FACTOR, direction_probability, map_batch,
-                           stop_probability, trace_lines_t)
+from efm.transport import (_SHARE_LINES, DOMAIN_RADIUS_FACTOR, _euler_lines,
+                           direction_probability, map_batch, stop_probability, trace_lines_t)
 
 
 def constant_field(*components):
@@ -447,3 +451,159 @@ class TestMapBatch:
     def test_unknown_policy_rejected(self):
         with pytest.raises(TransportError, match="unknown transport policy"):
             map_batch([[0.0]], uniform_up_field, "forward_only", plate_gap=6.0)
+
+
+class TestLineShares:
+    """`map_batch` cuts a batch of at least 2 * _SHARE_LINES lines into a
+    leading share, moved by the caller, and a trailing share, moved by one
+    worker thread."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+        return use
+
+    @pytest.fixture
+    def net(self):
+        return FieldApproximator.init_random([3, 128, 128, 3], seeded_stream(11, "init"))
+
+    @staticmethod
+    def starts(m, seed):
+        return seeded_stream(seed, "share-starts").standard_normal((m, 2))
+
+    @staticmethod
+    def no_pool(monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("map_batch started a worker thread")
+
+        monkeypatch.setattr(efm.field, "ThreadPoolExecutor", NoPool)
+
+    @staticmethod
+    def assert_same_bytes(a, b):
+        assert a.mapped.tobytes() == b.mapped.tobytes()
+        assert a.ok.tobytes() == b.ok.tobytes()
+        assert a.failures == b.failures
+        for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
+            assert ta.points.tobytes() == tb.points.tobytes()
+            assert (ta.termination, ta.crossings, ta.n_field_evals) == (
+                tb.termination, tb.crossings, tb.n_field_evals)
+
+    @pytest.mark.parametrize("policy", ["practical", "adaptive", "theoretical"])
+    def test_one_cpu_starts_no_thread(self, net, cpus, monkeypatch, policy):
+        # one CPU moves the same two shares in turn: the bytes must not change
+        if policy == "theoretical":
+            stream = seeded_stream(21, "share-plates")
+            fn = EmpiricalField(PlateSet(stream.standard_normal((32, 2)), 0.0, +1),
+                                PlateSet(stream.standard_normal((32, 2)) + 1.0, 6.0, -1),
+                                1e-4).evaluate
+        else:
+            fn = net.forward
+        pts = self.starts(2 * _SHARE_LINES + 37, 22)
+        built = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(efm.field, "ThreadPoolExecutor", CountingPool)
+        cpus(2)
+        before = threading.active_count()
+        two = map_batch(pts, fn, policy, plate_gap=6.0, seed=3)
+        assert threading.active_count() == before
+        assert built == [{"max_workers": 1}]
+        assert two.ok.all()
+        self.no_pool(monkeypatch)
+        cpus(1)
+        one = map_batch(pts, fn, policy, plate_gap=6.0, seed=3)
+        assert threading.active_count() == before
+        self.assert_same_bytes(two, one)
+
+    def test_practical_net_shares_equal_the_whole_batch(self, net, cpus):
+        # each row meets the same forward block in its share as in the whole
+        # batch, so the shares change no bit of a net's Euler transport
+        pts = self.starts(4 * _SHARE_LINES, 23)
+        cpus(2)
+        got = map_batch(pts, net.forward, "practical", plate_gap=6.0)
+        whole = _euler_lines(pts, net.forward, 20, 6.0)
+        for traj, ref in zip(got.trajectories, whole, strict=True):
+            assert traj.points.tobytes() == ref.points.tobytes()
+
+    @pytest.mark.parametrize("m,rows", [(2 * _SHARE_LINES, [_SHARE_LINES, _SHARE_LINES]),
+                                        (2 * _SHARE_LINES + 1, [_SHARE_LINES, _SHARE_LINES + 1]),
+                                        (3 * _SHARE_LINES, [2 * _SHARE_LINES, _SHARE_LINES]),
+                                        (4 * _SHARE_LINES - 1,
+                                         [2 * _SHARE_LINES, 2 * _SHARE_LINES - 1])])
+    def test_cut_at_the_block_boundary_nearest_the_middle(self, cpus, m, rows):
+        caller = threading.current_thread()
+        seen = {}
+
+        def recording(pts):
+            seen.setdefault(threading.current_thread() is caller, len(pts))
+            return uniform_up_field(pts)
+
+        cpus(2)
+        res = map_batch(self.starts(m, 24), recording, "practical", plate_gap=6.0)
+        assert res.ok.all()
+        assert [seen[True], seen[False]] == rows
+
+    @pytest.mark.parametrize("policy", ["practical", "adaptive"])
+    def test_failure_in_trailing_share_has_its_global_index(self, cpus, policy):
+        # the field vanishes at lines 5 and 1500, one in each share
+        pts = self.starts(3 * _SHARE_LINES, 25)
+        pts[[5, 1500], 0] = 99.0
+
+        def holed(pts):
+            out = uniform_up_field(pts)
+            out[pts[:, 0] > 50.0] = 0.0
+            return out
+
+        cpus(2)
+        res = map_batch(pts, holed, policy, plate_gap=6.0)
+        assert res.failures == [(5, "field_degenerate"), (1500, "field_degenerate")]
+        assert np.flatnonzero(~res.ok).tolist() == [5, 1500]
+        assert np.isnan(res.mapped[[5, 1500]]).all()
+        np.testing.assert_allclose(res.mapped[1501], pts[1501], atol=1e-12)
+
+    def test_worker_exception_propagates(self, cpus):
+        caller = threading.current_thread()
+
+        def fail_off_caller(pts):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker share failed")
+            return uniform_up_field(pts)
+
+        cpus(2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker share failed"):
+            map_batch(self.starts(2 * _SHARE_LINES, 26), fail_off_caller, "practical",
+                      plate_gap=6.0)
+        assert threading.active_count() == before
+
+    def test_worker_keeps_callers_error_state(self, net, cpus):
+        # only a worker line's field turns NaN; under the caller's "ignore"
+        # it must not warn (pytest turns a RuntimeWarning into an error)
+        pts = self.starts(2 * _SHARE_LINES, 27)
+        pts[-1] = [np.inf, -np.inf]
+        cpus(2)
+        with np.errstate(all="ignore"):
+            res = map_batch(pts, net.forward, "practical", plate_gap=6.0)
+        assert np.isnan(res.mapped[-1]).all()
+        assert np.all(np.isfinite(res.mapped[:-1]))
+
+    def test_fewer_lines_start_no_thread(self, cpus, monkeypatch):
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return uniform_up_field(pts)
+
+        self.no_pool(monkeypatch)
+        cpus(2)
+        res = map_batch(self.starts(2 * _SHARE_LINES - 1, 28), counting, "practical",
+                        plate_gap=6.0)
+        assert res.ok.all()
+        assert calls == [2 * _SHARE_LINES - 1] * 20
