@@ -183,8 +183,8 @@ def _field_source(cfg, args):
         raise EfmError("the field needs --weights, or --data-pos and --data-neg")
     pos = load_csv(args.data_pos)
     neg = load_csv(args.data_neg)
-    field = EmpiricalField(PlateSet(pos.points, 0.0, +1),
-                           PlateSet(neg.points, cfg.plate_gap, -1), cfg.field_epsilon)
+    field = EmpiricalField(PlateSet(pos.points), PlateSet(neg.points), cfg.plate_gap,
+                           cfg.field_epsilon)
     _check_dim(cfg, field.dim, "the --data-pos/--data-neg plates")
     return field.evaluate, [args.data_pos, args.data_neg]
 
@@ -224,9 +224,9 @@ def _cmd_generate_data(out, args) -> _Run:
         raise DataError(f"--kind {args.kind} is 2-D only; got --dim {args.dim}")
     stream = seeded_stream(args.seed, f"generate-data/{args.kind}")
     if args.kind == "gaussian":
-        ds = gen_gaussian(args.n, args.dim, args.mean, args.std ** 2, stream)
+        ds = gen_gaussian(args.n, args.dim, args.mean, args.std ** 2, stream=stream)
     elif args.kind == "swiss_roll":
-        ds = gen_swiss_roll(args.n, args.noise_std, stream)
+        ds = gen_swiss_roll(args.n, args.noise_std, stream=stream)
     else:
         ds = gen_two_gaussians(args.n, args.separation, stream, std=args.std)
     path = out / "data.csv"
@@ -321,7 +321,7 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
 
     def target_sample(n, label_stream):
         if spec["target"] == "swiss_roll":
-            return gen_swiss_roll(n, PRESET_SWISS_NOISE, label_stream)
+            return gen_swiss_roll(n, PRESET_SWISS_NOISE, stream=label_stream)
         return gen_two_gaussians(n, PRESET_TWO_GAUSS_SEPARATION, label_stream)
 
     pos_train = gen_gaussian(PRESET_N_TRAIN, 2, stream=seeded_stream(seed, "preset/pos"))

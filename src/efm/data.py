@@ -38,8 +38,8 @@ class Dataset:
         return self.points.shape[1]
 
 
-def gen_gaussian(n: int, dim: int, mean=0.0, cov_diag=1.0, stream=None) -> Dataset:
-    """i.i.d. normal draws with diagonal covariance."""
+def gen_gaussian(n: int, dim: int, mean=0.0, cov_diag=1.0, *, stream) -> Dataset:
+    """i.i.d. normal draws with diagonal covariance, from `stream`."""
     if n < 1:
         raise DataError("n must be >= 1")
     mean = np.broadcast_to(np.asarray(mean, dtype=float), (dim,))
@@ -56,9 +56,9 @@ def swiss_roll_curve(theta) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-def gen_swiss_roll(n: int, noise_std: float = 0.0, stream=None) -> Dataset:
+def gen_swiss_roll(n: int, noise_std: float = 0.0, *, stream) -> Dataset:
     """2-D spiral: uniform angle on the declared range, linear radius,
-    plus isotropic Gaussian jitter."""
+    plus isotropic Gaussian jitter, from `stream`."""
     if n < 1:
         raise DataError("n must be >= 1")
     theta = stream.uniform(SWISS_ROLL_THETA_MIN, SWISS_ROLL_THETA_MAX, size=n)
@@ -68,8 +68,9 @@ def gen_swiss_roll(n: int, noise_std: float = 0.0, stream=None) -> Dataset:
     return Dataset(pts)
 
 
-def gen_two_gaussians(n: int, separation: float, stream=None, std: float = 1.0) -> Dataset:
-    """Equal-weight mixture of two isotropic Gaussians split along axis 0."""
+def gen_two_gaussians(n: int, separation: float, stream, std: float = 1.0) -> Dataset:
+    """Equal-weight mixture of two isotropic Gaussians split along axis 0,
+    from `stream`."""
     if n < 2:
         raise DataError("n must be >= 2")
     pts = std * stream.standard_normal((n, 2))

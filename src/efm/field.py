@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.special import gammaln
@@ -233,14 +233,14 @@ def normalize_rows(vals):
 
 @dataclass(frozen=True)
 class PlateSet:
-    """A plate's charge distribution: weighted samples at a fixed z offset.
+    """A plate's charge distribution: (N, D) samples with nonnegative
+    weights summing to 1, uniform 1/N by default.
 
-    Weights default to uniform 1/N so the total charge is exactly `sign`.
+    A plate carries no position or sign: `EmpiricalField` places the
+    positive plate at z=0 and the negative plate at z=plate_gap.
     """
 
     samples: np.ndarray
-    z_offset: float
-    sign: int
     weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -249,8 +249,6 @@ class PlateSet:
             raise FieldError("plate samples must be nonempty")
         if not np.all(np.isfinite(samples)):
             raise FieldError("plate samples must be finite")
-        if self.sign not in (+1, -1):
-            raise FieldError("plate sign must be +1 or -1")
         if self.weights is None:
             weights = np.full(len(samples), 1.0 / len(samples))
         else:
@@ -275,57 +273,48 @@ class PlateSet:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def extended(self) -> np.ndarray:
-        """Samples lifted to (D+1)-dim points at this plate's z offset."""
-        cached = self.__dict__.get("_cached_extended")
-        if cached is None:
-            cached = np.hstack([self.samples, np.full((self.n, 1), self.z_offset)])
-            cached.flags.writeable = False
-            object.__setattr__(self, "_cached_extended", cached)
-        return cached
-
 
 @dataclass(frozen=True)
 class EmpiricalField:
-    """Two-plate field: positive plate at z=0, negative plate at z=plate_gap.
+    """Two-plate field: `plate_pos` at z=0 with total charge +1, `plate_neg`
+    at z=plate_gap with total charge -1.
 
     The exact field of every weighted sample of both plates, by direct
-    summation. `subsample(n, stream)` returns the field of a random draw
-    of the charges: the Monte Carlo estimate of the plate integrals.
+    summation. The constructor lifts both plates into D+1 dimensions once:
+    `sources` holds the positive plate's rows, then the negative plate's,
+    `charges` their signed weights and `sources_sq` their squared norms.
+    `field_epsilon` 0 is the kernel's exact mode. `subsample(n, stream)`
+    returns the field of a random draw of the charges: the Monte Carlo
+    estimate of the plate integrals.
     """
 
     plate_pos: PlateSet
     plate_neg: PlateSet
+    plate_gap: float
     field_epsilon: float = 1e-4
+    sources: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    charges: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    sources_sq: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.plate_pos.sign != +1 or self.plate_neg.sign != -1:
-            raise FieldError("plate signs must be +1 (pos) and -1 (neg)")
-        if self.plate_pos.z_offset != 0.0:
-            raise FieldError("positive plate must sit at z=0")
-        if not self.plate_neg.z_offset > 0:
-            raise FieldError("negative plate must sit at z=plate_gap > 0")
         if self.plate_pos.dim != self.plate_neg.dim:
             raise FieldError("plates must share the data dimension")
+        if not (np.isfinite(self.plate_gap) and self.plate_gap > 0):
+            raise FieldError("plate_gap must be finite and > 0")
+        if not (np.isfinite(self.field_epsilon) and self.field_epsilon >= 0):
+            raise FieldError("field_epsilon must be finite and >= 0")
+        z = np.repeat([0.0, self.plate_gap], [self.plate_pos.n, self.plate_neg.n])
+        sources = np.column_stack([np.vstack([self.plate_pos.samples, self.plate_neg.samples]), z])
+        charges = np.concatenate([self.plate_pos.weights, -self.plate_neg.weights])
+        sources.flags.writeable = False
+        charges.flags.writeable = False
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "charges", charges)
+        object.__setattr__(self, "sources_sq", np.einsum("ij,ij->i", sources, sources))
 
     @property
     def dim(self) -> int:
         return self.plate_pos.dim
-
-    @property
-    def plate_gap(self) -> float:
-        return self.plate_neg.z_offset
-
-    def _sources(self):
-        """Every charge of both plates: (sources, charges, squared row norms
-        of sources), cached."""
-        cached = self.__dict__.get("_cached_sources")
-        if cached is None:
-            sources = np.vstack([self.plate_pos.extended(), self.plate_neg.extended()])
-            charges = np.concatenate([self.plate_pos.weights, -self.plate_neg.weights])
-            cached = (sources, charges, np.einsum("ij,ij->i", sources, sources))
-            object.__setattr__(self, "_cached_sources", cached)
-        return cached
 
     def subsample(self, n: int, stream) -> "EmpiricalField":
         """The field of a without-replacement draw of up to n rows per plate
@@ -339,15 +328,13 @@ class EmpiricalField:
             total = plate.weights[idx].sum()
             if total == 0.0:
                 raise FieldError(f"mc_subsample drew only zero-weight samples of the {name} plate")
-            plates.append(PlateSet(plate.samples[idx], plate.z_offset, plate.sign,
-                                   plate.weights[idx] / total))
-        return EmpiricalField(*plates, self.field_epsilon)
+            plates.append(PlateSet(plate.samples[idx], plate.weights[idx] / total))
+        return EmpiricalField(*plates, self.plate_gap, self.field_epsilon)
 
     def scaled_evaluate(self, points):
         """(vec, log_scale) form of evaluate; see scaled_superposition."""
-        sources, charges, sources_sq = self._sources()
-        return scaled_superposition(points, sources, charges, self.field_epsilon,
-                                    sources_sq=sources_sq)
+        return scaled_superposition(points, self.sources, self.charges, self.field_epsilon,
+                                    sources_sq=self.sources_sq)
 
     def evaluate(self, points) -> np.ndarray:
         """Field at (m, D+1) points, by direct summation."""

@@ -152,9 +152,9 @@ def plate_system(cfg, seed: int) -> EmpiricalField:
     d = cfg.dim_d
     spread = min(1.0, np.sqrt(6.0 / (d * (d + 1))))
     stream = seeded_stream(seed, "verify/plates")
-    pos = PlateSet(spread * stream.standard_normal((512, d)), 0.0, +1)
-    neg = PlateSet(spread * (stream.standard_normal((512, d)) + 1.0), cfg.plate_gap, -1)
-    return EmpiricalField(pos, neg, cfg.field_epsilon)
+    pos = PlateSet(spread * stream.standard_normal((512, d)))
+    neg = PlateSet(spread * (stream.standard_normal((512, d)) + 1.0))
+    return EmpiricalField(pos, neg, cfg.plate_gap, cfg.field_epsilon)
 
 
 def plate_enclosure_checks(system: EmpiricalField, seed: int,
@@ -251,9 +251,9 @@ def run_verification_suite(cfg, seed: int | None = None) -> list[CheckResult]:
     # E_z jump across a uniform plate on [-1, 1], whose density is 1/2.
     stream = seeded_stream(seed, "verify/jump")
     n_jump = 50_000
-    plate = PlateSet(stream.uniform(-1, 1, size=(n_jump, 1)), 0.0, +1)
-    far_neg = PlateSet(np.zeros((1, 1)), 40.0, -1)
-    jump_field = EmpiricalField(plate, far_neg, cfg.field_epsilon)
+    plate = PlateSet(stream.uniform(-1, 1, size=(n_jump, 1)))
+    far_neg = PlateSet(np.zeros((1, 1)))
+    jump_field = EmpiricalField(plate, far_neg, 40.0, cfg.field_epsilon)
     pts = np.linspace(-0.5, 0.5, 11)[:, None]
     e_lo, e_hi = one_sided_ez(jump_field.evaluate, pts, 0.0, 0.04)
     checks.append(_check("plate_jump_density", np.median(e_hi - e_lo), 0.5, 0.05))

@@ -67,8 +67,8 @@ def draw_training_points(field: EmpiricalField, cfg: CapacitorConfig,
                               size=(batch_size, cfg.dim_d + 1))
     idx_p = stream.choice(field.plate_pos.n, size=batch_size, p=field.plate_pos.weights)
     idx_n = stream.choice(field.plate_neg.n, size=batch_size, p=field.plate_neg.weights)
-    x_plus = field.plate_pos.extended()[idx_p]
-    x_minus = field.plate_neg.extended()[idx_n]
+    x_plus = field.sources[idx_p]
+    x_minus = field.sources[field.plate_pos.n + idx_n]
     t = stream.uniform(0.0, cfg.plate_gap, size=batch_size)
     noise = sample_noise(cfg, stream, batch_size)
     return sample_interpolant(x_plus, x_minus, t, noise, cfg.plate_gap)
@@ -138,15 +138,17 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     this returns or raises.
     """
     seed = cfg.seed
-    pos = PlateSet(np.asarray(data_pos, dtype=float), 0.0, +1)
-    neg = PlateSet(np.asarray(data_neg, dtype=float), cfg.plate_gap, -1)
+    pos = PlateSet(data_pos)
+    neg = PlateSet(data_neg)
     if pos.dim != cfg.dim_d:
         raise EfmError(f"data dimension {pos.dim} does not match dim_d {cfg.dim_d}")
     if batch_size < 1:
         raise EfmError("batch_size must be >= 1")
+    if n_steps < 0:
+        raise EfmError("n_steps must be >= 0")
     if mc_subsample is not None and mc_subsample < 1:
         raise EfmError("mc_subsample must be a positive integer")
-    field = EmpiricalField(pos, neg, cfg.field_epsilon)
+    field = EmpiricalField(pos, neg, cfg.plate_gap, cfg.field_epsilon)
 
     dim = cfg.dim_d + 1
     net = FieldApproximator.init_random([dim, *hidden_dims, dim],

@@ -58,34 +58,37 @@ class Trajectory:
     n_field_evals: int = 0
 
 
-def stop_probability(e_z_minus: float, e_z_plus: float) -> float:
-    """Probability of terminating at a z=plate_gap crossing.
+def stop_probability(*, below: float, above: float) -> float:
+    """Probability of terminating at a z=plate_gap crossing, from the
+    one-sided limits `below` (E_z at plate - eps) and `above` (at plate + eps).
 
     1 when the one-sided fields point at the plate from both sides (or
     either limit vanishes); otherwise the absorbed-flux fraction
-    (E_z_minus - E_z_plus) / E_z_minus, clamped to [0, 1].
+    (below - above) / below, clamped to [0, 1].
     """
-    if not (np.isfinite(e_z_minus) and np.isfinite(e_z_plus)):
+    if not (np.isfinite(below) and np.isfinite(above)):
         raise TransportError("z limits must be finite")
-    if e_z_minus == 0.0 or e_z_plus == 0.0 or (e_z_minus > 0) != (e_z_plus > 0):
+    if below == 0.0 or above == 0.0 or (below > 0) != (above > 0):
         return 1.0
-    return float(min(1.0, max(0.0, (e_z_minus - e_z_plus) / e_z_minus)))
+    return float(min(1.0, max(0.0, (below - above) / below)))
 
 
-def direction_probability(e_z_plus: float, e_z_minus: float) -> float:
-    """Probability of starting a line forward (toward the target plate).
+def direction_probability(*, below: float, above: float) -> float:
+    """Probability of starting a line forward (toward the target plate),
+    from the one-sided limits `below` (E_z at z=-eps) and `above` (at z=+eps)
+    at the source plate.
 
-    1 when both one-sided fields at the source plate share a sign (backward
-    movement impossible); otherwise the forward-flux fraction
-    E_z_plus / (E_z_plus + |E_z_minus|), clamped to [0, 1].
+    1 when both one-sided fields share a sign (backward movement
+    impossible); otherwise the forward-flux fraction
+    above / (above + |below|), clamped to [0, 1].
     """
-    if not (np.isfinite(e_z_minus) and np.isfinite(e_z_plus)):
+    if not (np.isfinite(below) and np.isfinite(above)):
         raise TransportError("z limits must be finite")
-    if e_z_minus >= 0.0:
+    if below >= 0.0:
         return 1.0  # backward movement impossible
-    if e_z_plus <= 0.0:
+    if above <= 0.0:
         return 0.0  # no forward flux
-    return float(min(1.0, e_z_plus / (e_z_plus + abs(e_z_minus))))
+    return float(min(1.0, above / (above + abs(below))))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +341,7 @@ def _theoretical_lines(points, field_fn, seed: int, plate_gap: float,
     """
     streams = [_line_stream(seed, x) for x in points]
     e_lo, e_hi = one_sided_ez(field_fn, points, 0.0, limit_epsilon)
-    forward = np.array([stream.uniform() < direction_probability(hi, lo)
+    forward = np.array([stream.uniform() < direction_probability(below=lo, above=hi)
                         for stream, lo, hi in zip(streams, e_lo, e_hi)])
     starts = np.column_stack([points, np.where(forward, limit_epsilon, -limit_epsilon)])
 
@@ -346,7 +349,7 @@ def _theoretical_lines(points, field_fn, seed: int, plate_gap: float,
         if plate != plate_gap:
             return np.zeros(len(line_idx), dtype=bool)
         e_lo, e_hi = one_sided_ez(field_fn, at[:, :-1], plate_gap, limit_epsilon)
-        return np.array([streams[i].uniform() < stop_probability(lo, hi)
+        return np.array([streams[i].uniform() < stop_probability(below=lo, above=hi)
                          for i, lo, hi in zip(line_idx, e_lo, e_hi)])
 
     return trace_lines_t(starts, field_fn, plate_gap=plate_gap, on_crossing=on_crossing)

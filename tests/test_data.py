@@ -70,6 +70,20 @@ class TestGenTwoGaussians:
         assert abs(n_left - n / 2) < 4 * np.sqrt(n * 0.25)
 
 
+class TestStreamRequired:
+    @pytest.mark.parametrize("gen, args", [(gen_gaussian, (3, 2)), (gen_swiss_roll, (3,)),
+                                           (gen_two_gaussians, (3, 1.0))])
+    def test_missing_stream_rejected(self, gen, args):
+        with pytest.raises(TypeError, match="stream"):
+            gen(*args)
+
+    def test_stream_after_defaults_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            gen_gaussian(3, 2, 0.0, 1.0, seeded_stream(0, "g"))
+        with pytest.raises(TypeError):
+            gen_swiss_roll(3, 0.0, seeded_stream(0, "s"))
+
+
 class TestCsv:
     def test_round_trip_lossless(self, tmp_path):
         ds = gen_gaussian(64, 3, stream=seeded_stream(9, "c"))

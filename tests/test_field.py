@@ -72,9 +72,9 @@ def kernel_inputs(seed, m, n, dim):
 
 
 def two_point_capacitor(gap=6.0, field_epsilon=0.0):
-    pos = PlateSet(np.zeros((1, 1)), 0.0, +1)
-    neg = PlateSet(np.zeros((1, 1)), gap, -1)
-    return EmpiricalField(pos, neg, field_epsilon)
+    pos = PlateSet(np.zeros((1, 1)))
+    neg = PlateSet(np.zeros((1, 1)))
+    return EmpiricalField(pos, neg, gap, field_epsilon)
 
 
 class TestSphereSurfaceArea:
@@ -131,8 +131,7 @@ class TestEvaluate:
         stream = seeded_stream(0, "midplane")
         samples = stream.standard_normal((64, 2))
         gap = 4.0
-        field = EmpiricalField(PlateSet(samples, 0.0, +1),
-                               PlateSet(samples, gap, -1), 0.0)
+        field = EmpiricalField(PlateSet(samples), PlateSet(samples), gap, 0.0)
         pts = np.column_stack([stream.uniform(-2, 2, (5, 2)), np.full(5, gap / 2)])
         vals = field.evaluate(pts)
         np.testing.assert_allclose(vals[:, :2], 0.0, atol=1e-14)
@@ -161,15 +160,15 @@ class TestEvaluate:
         for s in (sources, rounded):
             with pytest.raises(FieldError, match="coincides with a charge"):
                 superposition_field(s[:1], s, np.array([1.0, -1.0]), 0.0)
-        field = EmpiricalField(PlateSet(samples, 0.0, +1), PlateSet(samples, 2.0, -1), 0.0)
+        field = EmpiricalField(PlateSet(samples), PlateSet(samples), 2.0, 0.0)
         with pytest.raises(FieldError, match="coincides with a charge"):
             field.evaluate(sources[:1])
 
     def test_mc_subsample_zero_weight_draw_rejected(self):
         # a one-row draw of a zero-weight sample has no charge to renormalize
-        field = EmpiricalField(PlateSet(np.arange(4.0)[:, None], 0.0, +1,
+        field = EmpiricalField(PlateSet(np.arange(4.0)[:, None],
                                         np.array([1.0, 0.0, 0.0, 0.0])),
-                               PlateSet(np.ones((4, 1)), 2.0, -1))
+                               PlateSet(np.ones((4, 1))), 2.0)
         with pytest.raises(FieldError, match="zero-weight samples of the positive plate"):
             field.subsample(1, seeded_stream(0, "x"))
 
@@ -177,7 +176,7 @@ class TestEvaluate:
         stream = seeded_stream(2, "mc")
         pos = stream.standard_normal((8, 1))
         neg = stream.standard_normal((8, 1)) + 2
-        exact = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 3.0, -1))
+        exact = EmpiricalField(PlateSet(pos), PlateSet(neg), 3.0)
         pt = np.array([[0.3, 1.1]])
         np.testing.assert_allclose(exact.subsample(8, seeded_stream(0, "s")).evaluate(pt),
                                    exact.evaluate(pt), rtol=1e-12)
@@ -190,7 +189,7 @@ class TestEvaluate:
         w_pos, w_neg = stream.uniform(0.5, 1.5, 12), stream.uniform(0.5, 1.5, 10)
         w_pos, w_neg = w_pos / w_pos.sum(), w_neg / w_neg.sum()
         gap = 3.0
-        field = EmpiricalField(PlateSet(pos, 0.0, +1, w_pos), PlateSet(neg, gap, -1, w_neg))
+        field = EmpiricalField(PlateSet(pos, w_pos), PlateSet(neg, w_neg), gap)
         pts = np.column_stack([stream.uniform(-2, 2, (6, 2)), stream.uniform(0.5, 2.5, 6)])
         got = field.subsample(5, seeded_stream(0, "draw")).evaluate(pts)
 
@@ -235,7 +234,7 @@ class TestZLimits:
         stream = seeded_stream(3, "zlim")
         pos = stream.standard_normal((256, 1)) * 0.5
         neg = stream.standard_normal((256, 1)) * 0.5
-        field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 6.0, -1), 1e-6)
+        field = EmpiricalField(PlateSet(pos), PlateSet(neg), 6.0, 1e-6)
         e_lo, e_hi = one_sided_ez(field.evaluate, np.array([0.0]), 0.0, 5e-3)
         assert e_hi > 0
         assert e_lo < 0
@@ -247,9 +246,9 @@ class TestZLimits:
 
     def test_single_charge_jump_positive_and_stable(self):
         # oracle: direct summation with a shrinking one-sided limit
-        pos = PlateSet(np.zeros((1, 1)), 0.0, +1)
-        neg = PlateSet(np.full((1, 1), 100.0), 50.0, -1)
-        field = EmpiricalField(pos, neg, 0.0)
+        pos = PlateSet(np.zeros((1, 1)))
+        neg = PlateSet(np.full((1, 1), 100.0))
+        field = EmpiricalField(pos, neg, 50.0, 0.0)
         jumps = []
         for eps in (1e-2, 1e-3, 1e-4):
             e_lo, e_hi = one_sided_ez(field.evaluate, np.array([0.0]), 0.0, eps)
@@ -259,8 +258,8 @@ class TestZLimits:
 
     def test_one_call_matches_evaluate_row_by_row(self):
         stream = seeded_stream(5, "zlim")
-        field = EmpiricalField(PlateSet(stream.standard_normal((64, 2)), 0.0, +1),
-                               PlateSet(stream.standard_normal((64, 2)), 6.0, -1), 1e-4)
+        field = EmpiricalField(PlateSet(stream.standard_normal((64, 2))),
+                               PlateSet(stream.standard_normal((64, 2))), 6.0, 1e-4)
         x = stream.standard_normal((5, 2))
         calls = []
 
@@ -497,20 +496,39 @@ class TestSplit:
 
 
 class TestPlateSetInvariants:
-    def test_bad_sign_rejected(self):
-        with pytest.raises(FieldError, match="sign"):
-            PlateSet(np.zeros((2, 1)), 0.0, 2)
-
     def test_weights_must_sum_to_one(self):
         with pytest.raises(FieldError, match="sum to 1"):
-            PlateSet(np.zeros((2, 1)), 0.0, +1, weights=np.array([0.7, 0.7]))
+            PlateSet(np.zeros((2, 1)), weights=np.array([0.7, 0.7]))
 
     def test_empty_plate_rejected(self):
         with pytest.raises(FieldError, match="nonempty"):
-            PlateSet(np.zeros((0, 1)), 0.0, +1)
+            PlateSet(np.zeros((0, 1)))
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 20))
     def test_uniform_weights_total_unit_charge(self, n):
-        plate = PlateSet(np.zeros((n, 2)), 0.0, +1)
+        plate = PlateSet(np.zeros((n, 2)))
         assert plate.weights.sum() == pytest.approx(1.0)
+
+
+class TestEmpiricalFieldInvariants:
+    def test_sources_lift_positive_plate_to_zero_and_negative_to_gap(self):
+        pos, neg = np.array([[1.0], [2.0]]), np.array([[3.0]])
+        field = EmpiricalField(PlateSet(pos, np.array([0.25, 0.75])), PlateSet(neg), 5.0)
+        np.testing.assert_array_equal(field.sources, [[1.0, 0.0], [2.0, 0.0], [3.0, 5.0]])
+        np.testing.assert_array_equal(field.charges, [0.25, 0.75, -1.0])
+        np.testing.assert_array_equal(field.sources_sq, [1.0, 4.0, 34.0])
+
+    def test_plates_must_share_a_dimension(self):
+        with pytest.raises(FieldError, match="share the data dimension"):
+            EmpiricalField(PlateSet(np.zeros((1, 1))), PlateSet(np.zeros((1, 2))), 6.0)
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_gap_rejected(self, gap):
+        with pytest.raises(FieldError, match="plate_gap"):
+            two_point_capacitor(gap=gap, field_epsilon=1e-4)
+
+    @pytest.mark.parametrize("eps", [-1e-4, np.inf, np.nan])
+    def test_bad_field_epsilon_rejected(self, eps):
+        with pytest.raises(FieldError, match="field_epsilon"):
+            two_point_capacitor(field_epsilon=eps)

@@ -33,8 +33,8 @@ class TestFluxThroughSphere:
             fn, center = point_fn([5.0, 0.0, 0.0], 1.0, 3), np.zeros(3)
         else:
             # the exact two-plate field in the charge-free gap
-            field = EmpiricalField(PlateSet(np.zeros((1, 1)), 0.0, +1),
-                                   PlateSet(np.zeros((1, 1)), 6.0, -1))
+            field = EmpiricalField(PlateSet(np.zeros((1, 1))),
+                                   PlateSet(np.zeros((1, 1))), 6.0)
             fn, center = field.evaluate, np.array([1.0, 3.0])
         rep = flux_through_sphere(fn, center, 1.5, 50_000, seeded_stream(2, "f"))
         assert rep.estimate == pytest.approx(0.0, abs=0.02)
@@ -106,8 +106,8 @@ class TestCirculation:
         assert abs(circulation(fn, loop)) < 1e-6
 
     def test_loop_in_capacitor_midspace(self):
-        field = EmpiricalField(PlateSet(np.zeros((1, 1)), 0.0, +1),
-                               PlateSet(np.zeros((1, 1)), 6.0, -1))
+        field = EmpiricalField(PlateSet(np.zeros((1, 1))),
+                               PlateSet(np.zeros((1, 1))), 6.0)
         loop = self.circle(np.array([0.0, 3.0]), 1.0, 512)
         assert abs(circulation(field.evaluate, loop)) < 1e-6
 
@@ -180,9 +180,9 @@ class TestPlateJump:
     @staticmethod
     def uniform_plate_field(n, seed=0, gap=50.0):
         stream = seeded_stream(seed, "jump-plate")
-        plate = PlateSet(stream.uniform(-1, 1, (n, 1)), 0.0, +1)
-        far = PlateSet(np.zeros((1, 1)), gap, -1)
-        return EmpiricalField(plate, far, 1e-6)
+        plate = PlateSet(stream.uniform(-1, 1, (n, 1)))
+        far = PlateSet(np.zeros((1, 1)))
+        return EmpiricalField(plate, far, gap, 1e-6)
 
     @staticmethod
     def jumps(field, pts, limit_epsilon):

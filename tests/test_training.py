@@ -27,9 +27,9 @@ def toy_config(**kw):
 
 
 def small_field(stream, n=64, gap=6.0, dim=2):
-    pos = PlateSet(stream.standard_normal((n, dim)), 0.0, +1)
-    neg = PlateSet(stream.standard_normal((n, dim)) + 1.0, gap, -1)
-    return EmpiricalField(pos, neg, 1e-4)
+    pos = PlateSet(stream.standard_normal((n, dim)))
+    neg = PlateSet(stream.standard_normal((n, dim)) + 1.0)
+    return EmpiricalField(pos, neg, gap, 1e-4)
 
 
 class TestSampleNoise:
@@ -97,7 +97,7 @@ class TestCubeMesh:
         s = seeded_stream(3, "plates")
         pos = np.vstack([[-1.0, 1.0], s.uniform(-1.0, 1.0, (30, 2))])
         neg = np.vstack([[1.0, -1.0], s.uniform(-1.0, 1.0, (30, 2))])
-        field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, 6.0, -1), 1e-4)
+        field = EmpiricalField(PlateSet(pos), PlateSet(neg), 6.0, 1e-4)
         return draw_training_points(field, self.CFG, n, stream)
 
     def test_all_points_inside(self):
@@ -212,8 +212,7 @@ def two_plates(seed):
 def replay_training_steps(cfg, pos, neg, n_steps, batch_size, hidden_dims, mc_subsample):
     """train's loop run sequentially: `draw_batch` then `update_net`, step
     after step on the loop stream, from the same init."""
-    field = EmpiricalField(PlateSet(pos, 0.0, +1), PlateSet(neg, cfg.plate_gap, -1),
-                           cfg.field_epsilon)
+    field = EmpiricalField(PlateSet(pos), PlateSet(neg), cfg.plate_gap, cfg.field_epsilon)
     net = FieldApproximator.init_random([3, *hidden_dims, 3],
                                         seeded_stream(cfg.seed, "train/init"))
     opt = OptimizerState.for_net(net, LEARNING_RATE)
@@ -276,16 +275,18 @@ class TestTrainPipeline:
         assert not (tmp_path / "out").exists()
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n_steps", [0, 3])
-    def test_batch_size_below_one_rejected_up_front(self, tmp_path, monkeypatch, n_steps):
+    @pytest.mark.parametrize("n_steps, batch_size, bad", [(0, 0, "batch_size"),
+                                                          (3, 0, "batch_size"),
+                                                          (-3, 16, "n_steps")])
+    def test_bad_sizes_rejected_up_front(self, tmp_path, monkeypatch, n_steps, batch_size, bad):
         before = threading.active_count()
 
         def no_draw(*args):
             raise AssertionError("drew a batch")
 
         monkeypatch.setattr(training, "draw_training_points", no_draw)
-        with pytest.raises(EfmError, match="batch_size must be >= 1"):
-            train(toy_config(), *two_plates(21), n_steps=n_steps, batch_size=0,
+        with pytest.raises(EfmError, match=f"{bad} must be >= "):
+            train(toy_config(), *two_plates(21), n_steps=n_steps, batch_size=batch_size,
                   hidden_dims=(8,), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
         assert threading.active_count() == before

@@ -66,9 +66,9 @@ def mixed_field(pts):
 
 
 def two_point_capacitor(a=0.0, b=0.0, gap=6.0, dim=1, eps=1e-4):
-    pos = PlateSet(np.full((1, dim), float(a)), 0.0, +1)
-    neg = PlateSet(np.full((1, dim), float(b)), gap, -1)
-    return EmpiricalField(pos, neg, eps)
+    pos = PlateSet(np.full((1, dim), float(a)))
+    neg = PlateSet(np.full((1, dim), float(b)))
+    return EmpiricalField(pos, neg, gap, eps)
 
 
 class TestEulerStep:
@@ -93,38 +93,46 @@ class TestEulerStep:
 
 class TestStopProbability:
     def test_opposite_signs_stop(self):
-        assert stop_probability(2.0, -1.0) == 1.0
+        assert stop_probability(below=2.0, above=-1.0) == 1.0
 
     def test_same_sign_flux_fraction(self):
-        assert stop_probability(4.0, 1.0) == pytest.approx(0.75)
+        assert stop_probability(below=4.0, above=1.0) == pytest.approx(0.75)
 
     def test_equal_limits_continue(self):
-        assert stop_probability(3.0, 3.0) == 0.0
+        assert stop_probability(below=3.0, above=3.0) == 0.0
 
     def test_zero_limit_stops(self):
-        assert stop_probability(0.0, 1.0) == 1.0
-        assert stop_probability(1.0, 0.0) == 1.0
+        assert stop_probability(below=0.0, above=1.0) == 1.0
+        assert stop_probability(below=1.0, above=0.0) == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6))
     def test_always_in_unit_interval(self, a, b):
-        assert 0.0 <= stop_probability(a, b) <= 1.0
+        assert 0.0 <= stop_probability(below=a, above=b) <= 1.0
+
+    def test_positional_limits_rejected(self):
+        with pytest.raises(TypeError):
+            stop_probability(4.0, 1.0)
 
 
 class TestDirectionProbability:
     def test_opposite_signs_flux_split(self):
-        assert direction_probability(1.0, -3.0) == pytest.approx(0.25)
+        assert direction_probability(below=-3.0, above=1.0) == pytest.approx(0.25)
 
     def test_same_sign_always_forward(self):
-        assert direction_probability(2.0, 5.0) == 1.0
+        assert direction_probability(below=5.0, above=2.0) == 1.0
 
     def test_symmetric_split(self):
-        assert direction_probability(1.0, -1.0) == pytest.approx(0.5)
+        assert direction_probability(below=-1.0, above=1.0) == pytest.approx(0.5)
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-1e6, 1e6), b=st.floats(-1e6, 1e6))
     def test_always_in_unit_interval(self, a, b):
-        assert 0.0 <= direction_probability(a, b) <= 1.0
+        assert 0.0 <= direction_probability(below=a, above=b) <= 1.0
+
+    def test_positional_limits_rejected(self):
+        with pytest.raises(TypeError):
+            direction_probability(-3.0, 1.0)
 
 
 class TestTraceLineZ:
@@ -321,8 +329,8 @@ class TestTraceLineT:
     def test_one_field_call_per_stage(self):
         # each Cash-Karp stage evaluates every line still moving in one call
         stream = seeded_stream(2, "stage-calls")
-        field = EmpiricalField(PlateSet(stream.standard_normal((16, 1)), 0.0, +1),
-                               PlateSet(stream.standard_normal((16, 1)) + 1.0, 6.0, -1), 1e-4)
+        field = EmpiricalField(PlateSet(stream.standard_normal((16, 1))),
+                               PlateSet(stream.standard_normal((16, 1)) + 1.0), 6.0, 1e-4)
         calls = []
 
         def counting(pts):
@@ -359,11 +367,10 @@ class TestStochasticMap:
         # widely separated negative blobs push some lines past the far
         # plate before they curve back
         stream = seeded_stream(1, "sep")
-        pos = PlateSet(stream.standard_normal((400, 1)), 0.0, +1)
+        pos = PlateSet(stream.standard_normal((400, 1)))
         side = stream.integers(0, 2, size=400) * 2 - 1
-        neg = PlateSet((stream.standard_normal((400, 1)) * 0.5 + side[:, None] * 4.0),
-                       6.0, -1)
-        field = EmpiricalField(pos, neg, 1e-4)
+        neg = PlateSet((stream.standard_normal((400, 1)) * 0.5 + side[:, None] * 4.0))
+        field = EmpiricalField(pos, neg, 6.0, 1e-4)
         x0 = stream.normal(size=(12, 1)) * 0.3
         res = map_batch(x0, field.evaluate, "theoretical", plate_gap=6.0, seed=1)
         multi = sum(len([c for c in traj.crossings if c[1] == 6.0]) >= 2
@@ -496,8 +503,8 @@ class TestLineShares:
         # one CPU moves the same two shares in turn: the bytes must not change
         if policy == "theoretical":
             stream = seeded_stream(21, "share-plates")
-            fn = EmpiricalField(PlateSet(stream.standard_normal((32, 2)), 0.0, +1),
-                                PlateSet(stream.standard_normal((32, 2)) + 1.0, 6.0, -1),
+            fn = EmpiricalField(PlateSet(stream.standard_normal((32, 2))),
+                                PlateSet(stream.standard_normal((32, 2)) + 1.0), 6.0,
                                 1e-4).evaluate
         else:
             fn = net.forward
