@@ -1,7 +1,7 @@
 """Command-line pipeline with file-based interchange.
 
-Each stage of the method exists once; the subcommands and
-`run_experiment_preset` both call it:
+Each stage of the method exists once, and every subcommand that needs it
+calls it:
 
 - `_field_source`: `--weights`, or the exact field of `--data-pos`/`--data-neg`,
   as a batch callable `field_fn(pts)` plus the files it read;
@@ -315,6 +315,8 @@ def _cmd_evaluate(out, args) -> _Run:
 
 @_recorded
 def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
+    """`run-preset`: generate, train, transport and evaluate one end-to-end
+    2-D toy run at the PRESET_* sizes; its report is `metrics.json`."""
     spec = PRESETS[name]
     cfg = CapacitorConfig(dim_d=2, plate_gap=spec["plate_gap"],
                           noise_sigma=PRESET_SIGMA, volume_mode=volume_mode, seed=seed)
@@ -360,19 +362,6 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
     config = cfg.to_dict() | {"n_steps": spec["n_steps"], "nfe": PRESET_NFE,
                               "train_seconds": train_seconds}
     return _Run(f"run-preset/{name}", config, seed, [], outputs, payload)
-
-
-def run_experiment_preset(name: str, seed: int = 0, out_dir=".",
-                          volume_mode: str = "interpolant") -> dict:
-    """End-to-end toy run: generate, train, transport, evaluate.
-
-    Hyperparameters are the pinned 2-D toy settings (batch 1024, sigma 1e-3,
-    20 transport evaluations); swissroll_L30 widens the plate gap to 30.
-    Returns the metrics dict; artifacts land in out_dir.
-    """
-    if name not in PRESETS:
-        raise EfmError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return _run_preset(out_dir, name, seed, volume_mode).report
 
 
 # ---------------------------------------------------------------------------

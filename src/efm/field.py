@@ -65,7 +65,11 @@ def _workspace(slot: str, size: int, dtype=float) -> np.ndarray:
     A buffer holds max(_PAIR_BLOCK, size) entries and is replaced only by a
     larger request, so a hot loop faults in its pages once per thread, not
     once per call. Work that can be live at the same time on one thread
-    uses different slots.
+    uses different slots. Work that cannot may share one: the net's
+    `FieldApproximator.forward` ping-pongs through the layer-0 pair
+    `fwdbwd_pre0`/`fwdbwd_post0` of `efm.model.loss_and_gradient`. Neither
+    calls the other or returns a view of that pair, so on one thread the two
+    never hold it at once, and the net keeps one set of scratch per thread.
     """
     buf = getattr(_WORKSPACE, slot, None)
     if buf is None or buf.size < size:

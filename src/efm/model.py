@@ -107,11 +107,11 @@ class FieldApproximator:
         than 2604 rows at D=2 can differ from one pass in the last bits.
 
         The blocks run one after another on the calling thread, with their
-        temporaries in two ping-pong buffers of _PAIR_BLOCK entries of this
-        thread's workspace (`efm.field._workspace`; block x widest hidden
-        layer never exceeds it). A warm call allocates only its output, and
-        calls on two threads at once (`efm.transport.map_batch` makes them)
-        share no scratch.
+        temporaries in two ping-pong buffers of this thread's workspace
+        (`efm.field._workspace`): the layer-0 pair of `loss_and_gradient`,
+        which block x widest hidden layer never outgrows. A warm call
+        allocates only its output, and calls on two threads at once
+        (`efm.transport.map_batch` makes them) share no scratch.
         """
         y = np.atleast_2d(np.asarray(x, dtype=float))
         if y.shape[1] != self.layer_dims[0]:
@@ -125,48 +125,36 @@ class FieldApproximator:
 
     def _forward_rows(self, x, out):
         """Forward the rows of `x`, at most one block, into `out`. The hidden
-        layers ping-pong between two buffers of this thread's workspace:
-        affine output, then activation."""
-        size = len(x) * max(self.layer_dims[1:-1], default=0)
-        pre, post = _workspace("forward_pre", size), _workspace("forward_post", size)
+        layers ping-pong between the layer-0 pair of this thread's workspace
+        that `loss_and_gradient` also uses: affine output, then activation."""
         *hidden, (w_out, b_out) = zip(self.weights, self.biases)
         y = x
         for w, b in hidden:
-            shape = (len(y), w.shape[1])
-            a = np.matmul(y, w, out=pre[:shape[0] * shape[1]].reshape(shape))
+            a = np.matmul(y, w, out=_rows("fwdbwd_pre0", len(y), w.shape[1]))
             a += b
-            y = _act(a, out=post[:shape[0] * shape[1]].reshape(shape))
+            y = _act(a, out=_rows("fwdbwd_post0", len(y), w.shape[1]))
         np.matmul(y, w_out, out=out)
         out += b_out
 
 
-class FwdBwdBuffers:
-    """Work arrays of `loss_and_gradient` for batches of up to `rows` points,
-    allocated once so that repeated calls fault in no fresh pages.
-
-    `pre[i]` holds layer i's affine output, `post[i]` hidden layer i's
-    activation; the backward pass reuses both for its deltas. A batch of
-    n < rows points uses their leading n rows. `grad` is laid out like the
-    net's params and is overwritten by every call.
-    """
-
-    def __init__(self, net: FieldApproximator, rows: int):
-        widths = net.layer_dims[1:]
-        self.rows = int(rows)
-        self.pre = [np.empty((self.rows, w)) for w in widths]
-        self.post = [np.empty((self.rows, w)) for w in widths[:-1]]
-        self.grad = np.empty_like(net.params)
+def _rows(slot: str, n: int, width: int) -> np.ndarray:
+    """An (n, width) view of this thread's workspace slot `slot`."""
+    return _workspace(slot, n * width)[:n * width].reshape(n, width)
 
 
-def loss_and_gradient(net: FieldApproximator, points, targets,
-                      buffers: FwdBwdBuffers | None = None):
+def loss_and_gradient(net: FieldApproximator, points, targets):
     """Mean squared-error loss over a batch and its reverse-mode gradient.
 
     loss = mean_i || f(x_i) - t_i ||^2 (sum over components, mean over the
-    batch). Returns (loss, grad), with grad laid out like net.params. With
-    `buffers` (sized for `net` and at least this batch) every intermediate
-    and grad itself live in them; the results are bit-identical to a call
-    without.
+    batch). Returns (loss, grad), with grad laid out like net.params.
+
+    Every intermediate lives in this thread's workspace (`efm.field._workspace`):
+    layer i's affine output in slot `fwdbwd_pre{i}` and hidden layer i's
+    activation in `fwdbwd_post{i}`; the backward pass reuses both for its
+    deltas. `grad` is slot `fwdbwd_grad`, so this thread's next call
+    overwrites it: copy it to keep it. A call on a batch no larger than an
+    earlier one's reuses the slots, and calls on two threads at once share
+    no scratch.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -182,12 +170,10 @@ def loss_and_gradient(net: FieldApproximator, points, targets,
                        f"network output {net.layer_dims[-1]}")
     n = len(x)
     last = len(net.weights) - 1
-    if buffers is None:
-        buffers = FwdBwdBuffers(net, n)
-    elif buffers.rows < n:
-        raise EfmError(f"buffers hold {buffers.rows} rows, batch has {n}")
-    pre = [a[:n] for a in buffers.pre]
-    post = [x, *(a[:n] for a in buffers.post)]  # layer inputs
+    widths = net.layer_dims[1:]
+    pre = [_rows(f"fwdbwd_pre{i}", n, w) for i, w in enumerate(widths)]
+    # layer inputs: the batch, then each hidden layer's activation
+    post = [x, *(_rows(f"fwdbwd_post{i}", n, w) for i, w in enumerate(widths[:-1]))]
 
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         np.matmul(post[i], w, out=pre[i])
@@ -198,7 +184,7 @@ def loss_and_gradient(net: FieldApproximator, points, targets,
     resid = np.subtract(pre[last], t, out=pre[last])
     loss = float(np.einsum("ij,ij->", resid, resid) / n)
 
-    grad = buffers.grad
+    grad = _workspace("fwdbwd_grad", net.params.size)[:net.params.size]
     grad_w, grad_b = net.layers(grad)
     delta = resid
     delta *= 2.0
@@ -339,14 +325,18 @@ def load_weights(path) -> FieldApproximator:
     if payload["format_version"] != WEIGHT_FORMAT_VERSION:
         raise WeightFormatError(f"weight file version {payload['format_version']} "
                                 f"not supported (expected {WEIGHT_FORMAT_VERSION})")
+    dims = payload.get("layer_dims")
+    if (not isinstance(dims, list) or len(dims) < 2
+            or not all(type(d) is int and d > 0 for d in dims)):
+        raise WeightFormatError("corrupt weight file: layer_dims must be a list of at least "
+                                "two positive integers")
     try:
-        dims = [int(d) for d in payload["layer_dims"]]
         activation = payload["activation"]
         layers = payload["layers"]
         if not isinstance(layers, list):
             raise TypeError("layers must be a list")
         arrays = [(layer["weight"], layer["bias"]) for layer in layers]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise WeightFormatError(f"corrupt weight file: bad header or layers ({exc})") from exc
     if activation != _ACTIVATION:
         raise WeightFormatError(f"activation {activation!r} not supported "

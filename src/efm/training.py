@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import CapacitorConfig, EfmError, seeded_stream
 from .field import EmpiricalField, PlateSet
-from .model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, ema_update,
-                    loss_and_gradient, optimizer_step, save_weights)
+from .model import (EmaState, FieldApproximator, OptimizerState, ema_update, loss_and_gradient,
+                    optimizer_step, save_weights)
 
 DEFAULT_HIDDEN_DIMS = (128, 128, 128)
 LEARNING_RATE = 2e-3
@@ -97,10 +97,10 @@ def draw_batch(field: EmpiricalField, cfg: CapacitorConfig, batch_size: int, str
 
 
 def update_net(net: FieldApproximator, optimizer: OptimizerState, ema: EmaState,
-               points, targets, buffers: FwdBwdBuffers | None = None) -> float:
+               points, targets) -> float:
     """The update half of a training step: one Adam step on the squared
     error against `targets`, then the EMA. Returns the batch loss."""
-    loss, grad = loss_and_gradient(net, points, targets, buffers)
+    loss, grad = loss_and_gradient(net, points, targets)
     optimizer_step(net, grad, optimizer)
     ema_update(ema, net)
     return loss
@@ -156,7 +156,6 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
     optimizer = OptimizerState.for_net(net, LEARNING_RATE)
     ema = EmaState.from_net(net, EMA_DECAY)
 
-    buffers = FwdBwdBuffers(net, batch_size)
     draw = partial(draw_batch, field, cfg, batch_size, seeded_stream(seed, "train/loop"),
                    mc_subsample)
     n_steps = int(n_steps)
@@ -171,8 +170,7 @@ def train(cfg: CapacitorConfig, data_pos, data_neg, n_steps: int, batch_size: in
             points, targets, dropped = ahead.result()
             if step + 1 < n_steps:
                 ahead = worker.submit(draw)
-            curve.append((step, update_net(net, optimizer, ema, points, targets, buffers),
-                          dropped))
+            curve.append((step, update_net(net, optimizer, ema, points, targets), dropped))
 
     ema_net = ema.shadow.copy()
     if out_dir is not None:

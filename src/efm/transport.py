@@ -114,6 +114,9 @@ RTOL, ATOL = 1e-4, 1e-4
 STALL_WINDOW = 50
 STALL_RADIUS = 100 * ATOL
 
+# A line still moving after this many step attempts ends as "step_limit".
+MAX_STEPS = 20_000
+
 
 # 2**-47 < 1e-14: the crossing parameter is known to below 1e-14 of the step.
 _BISECTIONS = 47
@@ -148,8 +151,7 @@ def _locate_crossings(y0, k0, y1, k1, h, plate):
     return s, _hermite(y0, k0, y1, k1, h[:, None], s[:, None])
 
 
-def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000,
-                  on_crossing=None) -> list:
+def trace_lines_t(starts, field_fn, *, plate_gap: float, on_crossing=None) -> list:
     """Adaptive trace of d(point)/dt = field(point) for a batch of lines
     starting at the rows of `starts` (m, D+1); returns m Trajectories.
 
@@ -166,7 +168,7 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
     there); by default a line stops at its first z=plate_gap arrival.
     A line farther than DOMAIN_RADIUS_FACTOR * (plate_gap + |start|) from
     its start ends as "left_domain", one that stops moving (STALL_WINDOW) as
-    "stalled", and one still moving after `max_steps` step attempts as
+    "stalled", and one still moving after MAX_STEPS step attempts as
     "step_limit". Double crossings of one plane inside a single accepted
     step are not detected; step sizes near the plates are small enough in
     practice that this never matters at the solver tolerance.
@@ -191,7 +193,7 @@ def trace_lines_t(starts, field_fn, *, plate_gap: float, max_steps: int = 20_000
     terms = np.full(m, "step_limit", dtype=object)
     terms[speed < TINY_FIELD_NORM] = "field_degenerate"
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         ids = np.flatnonzero(terms == "step_limit")
         if len(ids) == 0:
             break

@@ -82,6 +82,22 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: corrupt weight file") and "Traceback" not in err
 
+    @pytest.mark.parametrize("dims", [[-2, -3], "23"])
+    def test_bad_layer_dims_is_domain_error(self, tmp_path, toy_config_file, capsys, dims):
+        pos = tmp_path / "pos"
+        assert run("generate-data", "--kind", "gaussian", "--n", 8, "--out", pos) == 0
+        weights = tmp_path / "w.json"
+        save_weights(FieldApproximator([2, 3]), weights)
+        payload = json.loads(weights.read_text())
+        payload["layer_dims"] = dims
+        weights.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run("transport", "--weights", weights, "--config", toy_config_file,
+                   "--in", pos / "data.csv", "--out", tmp_path / "tr")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt weight file: layer_dims") and "Traceback" not in err
+
     @pytest.mark.parametrize("raw, field", [
         ({"dim_d": 2, "plate_gap": "6"}, "plate_gap"),
         ({"dim_d": 2, "plate_gap": 6.0, "noise_sigma": None}, "noise_sigma"),
@@ -298,6 +314,19 @@ class TestPipeline:
         assert lines[0] == "x_1,x_2,z,E_x_1,E_x_2,E_z,E_norm"
         assert len(lines) == 1 + 4 * 4 * 3
 
+    @pytest.mark.parametrize("spec", ["--grid-min=-2,-2", "--grid-max=2,2,5,5",
+                                      "--grid-shape=4,3"])
+    def test_field_grid_spec_of_wrong_length_rejected(self, tmp_path, toy_config_file,
+                                                      plates, capsys, spec):
+        pos, neg = plates
+        argv = {"--grid-min": "--grid-min=-2,-2,1", "--grid-max": "--grid-max=2,2,5",
+                "--grid-shape": "--grid-shape=4,4,3"}
+        argv[spec.split("=")[0]] = spec
+        capsys.readouterr()
+        assert run("field-grid", "--config", toy_config_file, "--data-pos", pos,
+                   "--data-neg", neg, *argv.values(), "--out", tmp_path / "grid") == 1
+        assert capsys.readouterr().err == "error: grid specs must have D+1 entries\n"
+
     def test_trace_lines(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
         out = tmp_path / "tl"
@@ -414,7 +443,7 @@ class TestPipeline:
 
 
 class TestRunPreset:
-    def test_matches_train_then_transport(self, tmp_path, monkeypatch):
+    def test_matches_train_then_transport(self, tmp_path, monkeypatch, capsys):
         # a 20-step preset at toy sizes; the full presets take minutes
         monkeypatch.setitem(cli.PRESETS, "tiny",
                             dict(target="two_gaussians", plate_gap=6.0, n_steps=20))
@@ -422,9 +451,10 @@ class TestRunPreset:
         monkeypatch.setattr(cli, "PRESET_N_MAP", 128)
         monkeypatch.setattr(cli, "PRESET_BATCH", 128)
         out = tmp_path / "preset"
-        payload = cli.run_experiment_preset("tiny", seed=0, out_dir=out)
-
-        assert json.loads((out / "metrics.json").read_text()) == payload
+        assert run("run-preset", "--name", "tiny", "--seed", 0, "--out", out) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert json.loads(capsys.readouterr().out) == metrics
+        assert metrics["preset"] == "tiny" and metrics["n_mapped"] == 128
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "run-preset/tiny"
         assert len(manifest["outputs"]) == 10

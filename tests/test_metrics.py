@@ -229,6 +229,11 @@ class TestSlicedW1:
         r2 = sliced_w1(a @ rot.T, b @ rot.T, 512, seeded_stream(15, "proj"))
         assert r1.statistic == pytest.approx(r2.statistic, rel=0.1)
 
+    def test_no_projections_rejected(self):
+        pts = seeded_stream(16, "s").standard_normal((8, 2))
+        with pytest.raises(DataError, match="n_projections must be >= 1"):
+            sliced_w1(pts, pts, 0, seeded_stream(17, "proj"))
+
 
 class TestPermutationNull:
     def test_matches_per_permutation_reference(self):

@@ -1,3 +1,4 @@
+import base64
 import math
 import os
 import threading
@@ -10,9 +11,9 @@ import pytest
 
 from efm import field, model
 from efm.core import EfmError, WeightFormatError, seeded_stream
-from efm.model import (EmaState, FieldApproximator, FwdBwdBuffers, OptimizerState, _act,
-                       _act_deriv, ema_update, load_weights, loss_and_gradient,
-                       optimizer_step, save_weights)
+from efm.model import (EmaState, FieldApproximator, OptimizerState, _act, _act_deriv,
+                       ema_update, load_weights, loss_and_gradient, optimizer_step,
+                       save_weights)
 
 
 def scalar_forward(net, x):
@@ -49,7 +50,7 @@ def finite_difference_grads(net, points, targets, h=1e-4):
 
 
 def reference_loss_and_gradient(net, x, t):
-    """The allocating forward/backward pass that the buffered one replaced:
+    """The allocating forward/backward pass that the workspace one replaced:
     fresh arrays for every activation and delta."""
     n, last = len(x), len(net.weights) - 1
     post, y = [x], x
@@ -278,35 +279,72 @@ class TestLossAndGradient:
         pts = stream.standard_normal((6, dims[0]))
         tgt = stream.standard_normal((6, dims[0]))
         tgt /= np.linalg.norm(tgt, axis=1, keepdims=True)
-        _, analytic = loss_and_gradient(net, pts, tgt)
+        # the finite differences call loss_and_gradient again, which
+        # overwrites this thread's grad: keep a copy
+        analytic = loss_and_gradient(net, pts, tgt)[1].copy()
         numeric = finite_difference_grads(net, pts, tgt)
         denom = max(np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-7
 
 
-class TestFwdBwdBuffers:
+class TestLossAndGradientWorkspace:
+    """loss_and_gradient keeps its intermediates and grad in this thread's
+    workspace; what an earlier call left there changes no bit."""
+
     NET = FieldApproximator.init_random([3, 16, 8, 3], seeded_stream(5, "buffered"))
     STREAM = seeded_stream(6, "batch")
     PTS = STREAM.standard_normal((40, 3))
     TGT = STREAM.standard_normal((40, 3))
 
+    def assert_reference(self, got, pts, tgt, net=NET):
+        want_loss, want_grad = reference_loss_and_gradient(net, pts, tgt)
+        assert got[0] == want_loss
+        np.testing.assert_array_equal(got[1], want_grad)
+
     @pytest.mark.parametrize("rows", [40, 37, 1])
-    def test_bit_identical_to_the_allocating_pass(self, rows):
-        # rows < 40: a batch with dropped targets uses the buffers' leading rows
+    def test_equals_reference_after_a_larger_call_dirtied_the_workspace(self, rows):
+        # a wider, deeper net on a larger batch leaves every slot grown and dirty;
+        # rows < 40: a batch with dropped targets
+        big = FieldApproximator.init_random([3, 32, 32, 16, 3], seeded_stream(7, "big"))
+        stream = seeded_stream(8, "big_batch")
+        loss_and_gradient(big, stream.standard_normal((300, 3)), stream.standard_normal((300, 3)))
         pts, tgt = self.PTS[:rows], self.TGT[:rows]
-        want_loss, want_grad = reference_loss_and_gradient(self.NET, pts, tgt)
-        buffers = FwdBwdBuffers(self.NET, 40)
-        loss_and_gradient(self.NET, self.PTS, self.TGT, buffers)  # leaves every row dirty
-        for got_loss, got_grad in (loss_and_gradient(self.NET, pts, tgt, buffers),
-                                   loss_and_gradient(self.NET, pts, tgt)):
+        self.assert_reference(loss_and_gradient(self.NET, pts, tgt), pts, tgt)
+
+    def test_two_threads_at_once_equal_one(self):
+        nets = [self.NET, FieldApproximator.init_random([3, 24, 3], seeded_stream(9, "other"))]
+        stream = seeded_stream(10, "batches")
+        jobs = [(nets[k % 2], stream.standard_normal((17 + k, 3)),
+                 stream.standard_normal((17 + k, 3))) for k in range(8)]
+
+        def run(job):
+            loss, grad = loss_and_gradient(*job)
+            return loss, grad.copy()  # this thread's next call overwrites grad
+
+        want = [run(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(run, jobs * 4))
+        for (got_loss, got_grad), (want_loss, want_grad) in zip(got, want * 4):
             assert got_loss == want_loss
             np.testing.assert_array_equal(got_grad, want_grad)
-        assert loss_and_gradient(self.NET, pts, tgt, buffers)[1] is buffers.grad
+        for job, (loss, grad) in zip(jobs, want):
+            self.assert_reference((loss, grad), *job[1:], net=job[0])
+
+    def test_forward_between_calls_changes_nothing(self):
+        # forward ping-pongs through the workspace's layer-0 pair of loss_and_gradient
+        net = FieldApproximator.init_random([3, 128, 128, 3], seeded_stream(11, "init"))
+        stream = seeded_stream(12, "batch")
+        pts, tgt = stream.standard_normal((64, 3)), stream.standard_normal((64, 3))
+        xs = multi_block_batch(net, 13)
+        before = net.forward(xs)
+        self.assert_reference(loss_and_gradient(net, pts, tgt), pts, tgt, net)
+        np.testing.assert_array_equal(net.forward(xs), before)
+        self.assert_reference(loss_and_gradient(net, pts, tgt), pts, tgt, net)
 
     def test_grad_aliases_no_params_or_moments(self):
         net = self.NET.copy()
         state = OptimizerState.for_net(net, 0.01)
-        _, grad = loss_and_gradient(net, self.PTS, self.TGT, FwdBwdBuffers(net, 40))
+        _, grad = loss_and_gradient(net, self.PTS, self.TGT)
         for other in (net.params, state.first_moment, state.second_moment):
             assert not np.shares_memory(grad, other)
         before = grad.copy()
@@ -315,13 +353,9 @@ class TestFwdBwdBuffers:
 
     def test_inputs_left_unmodified(self):
         pts, tgt = self.PTS.copy(), self.TGT.copy()
-        loss_and_gradient(self.NET, pts, tgt, FwdBwdBuffers(self.NET, 40))
+        loss_and_gradient(self.NET, pts, tgt)
         np.testing.assert_array_equal(pts, self.PTS)
         np.testing.assert_array_equal(tgt, self.TGT)
-
-    def test_batch_larger_than_buffers_rejected(self):
-        with pytest.raises(Exception, match="buffers hold 8 rows"):
-            loss_and_gradient(self.NET, self.PTS, self.TGT, FwdBwdBuffers(self.NET, 8))
 
 
 class TestOptimizer:
@@ -493,6 +527,42 @@ class TestPersistence:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(WeightFormatError, match="version"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("dims", [[-2, -3], "23", [2], [2, 3.0], [2, True], None],
+                             ids=["negative", "string", "one_entry", "float", "bool", "null"])
+    def test_layer_dims_not_positive_ints_rejected(self, tmp_path, dims):
+        # [-2, -3] once decoded its 48-byte weight and died in numpy's reshape;
+        # "23" once read as [2, 3]
+        import json
+        path = tmp_path / "w.json"
+        save_weights(FieldApproximator([2, 3]), path)
+        payload = json.loads(path.read_text())
+        assert len(base64.b64decode(payload["layers"][0]["weight"])) == 48
+        payload["layer_dims"] = dims
+        path.write_text(json.dumps(payload))
+        with pytest.raises(WeightFormatError, match="layer_dims must be a list of at least two"):
+            load_weights(path)
+
+    def test_layer_count_mismatch_rejected(self, tmp_path):
+        import json
+        path = tmp_path / "w.json"
+        save_weights(FieldApproximator([2, 3, 2]), path)
+        payload = json.loads(path.read_text())
+        payload["layers"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(WeightFormatError, match="layer count does not match dims"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("drop", ["activation", "layers"])
+    def test_missing_header_field_rejected(self, tmp_path, drop):
+        import json
+        path = tmp_path / "w.json"
+        save_weights(FieldApproximator([2, 2]), path)
+        payload = json.loads(path.read_text())
+        del payload[drop]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(WeightFormatError, match="bad header or layers"):
             load_weights(path)
 
 

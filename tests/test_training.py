@@ -203,6 +203,17 @@ class TestTrain:
         result = train(cfg, pos, neg, n_steps=3, batch_size=16, hidden_dims=(8,))
         assert len(result.loss_curve) == 3
 
+    def test_a_then_b_then_a_writes_the_same_files(self, tmp_path):
+        # B's deeper, wider net on a larger batch leaves every workspace slot
+        # of loss_and_gradient grown and dirty before A trains again
+        pos, neg = two_plates(19)
+        runs = [("a1", 3, 24, (8, 8)), ("b", 4, 48, (16, 32, 8)), ("a2", 3, 24, (8, 8))]
+        for name, seed, batch_size, hidden_dims in runs:
+            train(toy_config(seed=seed), pos, neg, n_steps=4, batch_size=batch_size,
+                  hidden_dims=hidden_dims, out_dir=tmp_path / name)
+        for name in ("weights.json", "weights_ema.json", "loss_curve.csv"):
+            assert (tmp_path / "a1" / name).read_bytes() == (tmp_path / "a2" / name).read_bytes()
+
 
 def two_plates(seed):
     stream = seeded_stream(seed, "d")

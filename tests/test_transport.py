@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import efm.field
+from efm import transport
 from efm.core import TransportError, seeded_stream
 from efm.field import EmpiricalField, PlateSet
 from efm.model import FieldApproximator
@@ -238,28 +239,30 @@ class TestTraceLineT:
         traj = trace_one([0.0, 0.5], zero_fn, plate_gap=6.0)
         assert traj.termination == "field_degenerate"
 
-    def test_runaway_line_leaves_domain(self):
+    def test_runaway_line_leaves_domain(self, monkeypatch):
         # a lateral field never reaches the plate, and its error-free steps
-        # grow 5x each, so the line leaves the domain long before max_steps
-        traj = trace_one([0.0, 3.0], sideways, plate_gap=6.0, max_steps=50)
+        # grow 5x each, so the line leaves the domain long before MAX_STEPS
+        monkeypatch.setattr(transport, "MAX_STEPS", 50)
+        traj = trace_one([0.0, 3.0], sideways, plate_gap=6.0)
         assert traj.termination == "left_domain"
         assert np.all(np.isfinite(traj.points))
         assert np.linalg.norm(traj.points[-1] - [0.0, 3.0]) > DOMAIN_RADIUS_FACTOR * 9.0
         assert traj.n_field_evals <= 1 + 6 * 12
 
-    def test_step_limit(self):
+    def test_step_limit(self, monkeypatch):
         # f = (-(z - 3), x) circles (0, 3) at radius 1: bounded, never at a plate
         def circulating(pts):
             pts = np.atleast_2d(pts)
             return np.stack([3.0 - pts[:, 1], pts[:, 0]], axis=1)
 
-        traj = trace_one([1.0, 3.0], circulating, plate_gap=6.0, max_steps=50)
+        monkeypatch.setattr(transport, "MAX_STEPS", 50)
+        traj = trace_one([1.0, 3.0], circulating, plate_gap=6.0)
         assert traj.termination == "step_limit"
         assert traj.n_field_evals <= 1 + 6 * 50
         radii = np.linalg.norm(traj.points - [0.0, 3.0], axis=1)
         np.testing.assert_allclose(radii, 1.0, atol=1e-2)
 
-    def test_zero_steps_leave_each_line_at_its_start(self):
+    def test_zero_steps_leave_each_line_at_its_start(self, monkeypatch):
         # the field vanishes left of x=0 and points straight up right of it
         def half_zero(pts):
             out = uniform_up_field(pts)
@@ -267,7 +270,8 @@ class TestTraceLineT:
             return out
 
         starts = np.array([[1.0, 0.5], [-1.0, 0.5], [2.0, 0.5]])
-        trajs = trace_lines_t(starts, half_zero, plate_gap=6.0, max_steps=0)
+        monkeypatch.setattr(transport, "MAX_STEPS", 0)
+        trajs = trace_lines_t(starts, half_zero, plate_gap=6.0)
         assert [t.termination for t in trajs] == ["step_limit", "field_degenerate",
                                                   "step_limit"]
         for traj, start in zip(trajs, starts):
@@ -290,20 +294,21 @@ class TestTraceLineT:
             returned = (d < 1e-6) & moved_away
             assert not returned.any()
 
-    def test_batch_equals_lines_traced_alone(self):
+    def test_batch_equals_lines_traced_alone(self, monkeypatch):
         # every way a line ends, in one batch: each line's arithmetic is its
         # own, so it equals the same line traced as a batch of one
         starts = np.array([[x0, label, z0]
                            for label, z0 in ((0, 0.01), (1, 3.0), (3, 1.0), (4, 0.01), (5, 0.5))
                            for x0 in (-0.7, 0.2, 1.1)]
                           + [[3.0 + 0.1 * x0, 2, 2.0] for x0 in (-0.7, 0.2, 1.1)])
-        batch = trace_lines_t(starts, mixed_field, plate_gap=6.0, max_steps=100)
+        monkeypatch.setattr(transport, "MAX_STEPS", 100)
+        batch = trace_lines_t(starts, mixed_field, plate_gap=6.0)
         assert [t.termination for t in batch] == (
             ["reached_target_plate"] * 3 + ["left_domain"] * 3 + ["stalled"] * 3
             + ["field_degenerate"] * 6 + ["step_limit"] * 3)
         assert all(len(t.crossings) > 2 for t in batch[-3:])  # z=0, crossed back and forth
         for start, traj in zip(starts, batch):
-            one = trace_one(start, mixed_field, plate_gap=6.0, max_steps=100)
+            one = trace_one(start, mixed_field, plate_gap=6.0)
             assert traj.termination == one.termination
             assert traj.crossings == one.crossings
             assert traj.n_field_evals == one.n_field_evals
@@ -318,8 +323,10 @@ class TestTraceLineT:
             return out
 
         starts = np.array([[0.0, -0.2], [10.0, 0.3]])
-        never = trace_lines_t(starts, field, plate_gap=0.1, max_steps=12,
-                              on_crossing=lambda idx, at, plate: np.zeros(len(idx), dtype=bool))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "MAX_STEPS", 12)
+            never = trace_lines_t(starts, field, plate_gap=0.1,
+                                  on_crossing=lambda idx, at, plate: np.zeros(len(idx), bool))
         assert [t.crossings for t in never] == [[(5, 0.0), (6, 0.1)], [(5, 0.1), (6, 0.0)]]
         assert never[0].points[5, 0] < never[0].points[6, 0]
         default = trace_lines_t(starts, field, plate_gap=0.1)
@@ -459,6 +466,11 @@ class TestMapBatch:
         with pytest.raises(TransportError, match="unknown transport policy"):
             map_batch([[0.0]], uniform_up_field, "forward_only", plate_gap=6.0)
 
+
+    @pytest.mark.parametrize("policy", ["practical", "adaptive", "theoretical"])
+    def test_empty_batch_rejected(self, policy):
+        with pytest.raises(TransportError, match="empty batch"):
+            map_batch(np.empty((0, 1)), uniform_up_field, policy, plate_gap=6.0)
 
 class TestLineShares:
     """`map_batch` cuts a batch of at least 2 * _SHARE_LINES lines into a
