@@ -61,6 +61,8 @@ class CapacitorConfig:
     one-sided limit at a plate, large enough to stay clear of the
     field_epsilon regularization scale. `map_batch` resolves it from the gap
     it transports with, so `dataclasses.replace` of plate_gap moves it too.
+    field_epsilon 0 is the exact field: a point on a charge then raises
+    FieldError.
     Construction runs `validate_config`, so `dataclasses.replace` and
     `from_json_file` raise ConfigError on an invalid value too.
     """
@@ -120,8 +122,8 @@ def validate_config(cfg: CapacitorConfig) -> None:
         raise ConfigError(f"noise_mean_mode must be one of {NOISE_MEAN_MODES}")
     if cfg.volume_mode not in VOLUME_MODES:
         raise ConfigError(f"volume_mode must be one of {VOLUME_MODES}")
-    if not _finite(cfg.field_epsilon) or cfg.field_epsilon <= 0:
-        raise ConfigError("field_epsilon must be positive")
+    if not _finite(cfg.field_epsilon) or cfg.field_epsilon < 0:
+        raise ConfigError("field_epsilon must be nonnegative")
     if cfg.limit_epsilon is not None and (not _finite(cfg.limit_epsilon)
                                           or not 0 < cfg.limit_epsilon < cfg.plate_gap / 10):
         raise ConfigError("limit_epsilon must lie in (0, plate_gap/10)")

@@ -117,6 +117,32 @@ def _split(fn, pieces, costs, min_cost=0) -> list:
         return lead + trail.result()
 
 
+def _squared_distances(points, sources, sources_sq, out, sums, near=None) -> None:
+    """Squared distances |p_i - s_j|^2 of the (m, d) `points` to the (n, d)
+    `sources`, written into `out` (m, n).
+
+    One BLAS product per call: out = (|p|^2 + |s|^2) - 2 p.s, in that order,
+    clamped at 0 because rounding can push a tiny value below it.
+    `sources_sq` holds the row norms |s_j|^2 and `sums` is an (m, n)
+    scratch block that is left holding |p_i|^2 + |s_j|^2. The expansion's
+    absolute error is a few ulps of that sum, so an entry is only accurate
+    to about eps * (|p_i|^2 + |s_j|^2): centre both sets of points first
+    when they sit far from the origin.
+
+    With an (m, n) bool `near` given, `sums` is scaled to the coincidence
+    floor 4 eps (|p_i|^2 + |s_j|^2) and `near` marks the entries of `out`
+    at or under it: pairs that coincide up to the expansion's rounding.
+    """
+    np.matmul(points, sources.T, out=out)
+    out *= 2.0
+    np.add(np.einsum("ij,ij->i", points, points)[:, None], sources_sq, out=sums)
+    np.subtract(sums, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    if near is not None:
+        sums *= 4.0 * np.finfo(float).eps
+        np.less_equal(out, sums, out=near)
+
+
 def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
                          sources_sq=None):
     """Direct-sum field of many charges, split as (vec, log_scale).
@@ -124,9 +150,10 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     The true field is vec * exp(log_scale)[:, None]. Every dimension uses
     one identity: with per-pair weights w_ij = c_j / r_ij^d,
     sum_j w_ij (p_i - s_j) = p_i * sum_j w_ij - (W @ S)_i, two BLAS-friendly
-    terms. For ambient dimension <= LOG_ACCUMULATION_DIM the weights are the
-    plain powers and log_scale = 0. Above it only the weights change: they
-    are formed in log space and shifted by their row maximum, which is
+    terms, over the squared distances r_ij^2 of `_squared_distances`. For
+    ambient dimension <= LOG_ACCUMULATION_DIM the weights are the plain
+    powers and log_scale = 0. Above it only the weights change: they are
+    formed in log space and shifted by their row maximum, which is
     returned as log_scale, so the direction stays representable even when
     the magnitude under- or overflows. Every (rows, n) temporary is written
     in place into this thread's workspace (`_workspace`): two float64
@@ -134,7 +161,7 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     between calls, so a warm call faults in no fresh pages whatever the
     dimension. `sources_sq` may carry precomputed row norms of `sources`
     for hot loops. With field_epsilon == 0 an evaluation point on a charge,
-    up to rounding, raises FieldError.
+    at or under `_squared_distances`' coincidence floor, raises FieldError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
@@ -160,20 +187,11 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
         blk = points[i0:i1]
         rows = i1 - i0
         r2, sums = r2_buf[:rows * n].reshape(rows, n), sum_buf[:rows * n].reshape(rows, n)
-        # pairwise squared distances via the quadratic expansion, in the
-        # order (|p|^2 + |s|^2) - 2 (p . s); rounding can push tiny values
-        # slightly negative, so clamp at zero
-        np.matmul(blk, sources.T, out=r2)
-        r2 *= 2.0
-        np.add(np.einsum("ij,ij->i", blk, blk)[:, None], s_sq, out=sums)
-        np.subtract(sums, r2, out=r2)
-        np.maximum(r2, 0.0, out=r2)
-        # an r2 within the expansion's rounding error of 0 is a point on a charge
-        if eps2 == 0.0:
-            sums *= 4.0 * np.finfo(float).eps
-            near = _workspace("kernel_near", size, bool)[:rows * n].reshape(rows, n)
-            if np.less_equal(r2, sums, out=near).any():
-                raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
+        # with field_epsilon 0, an r2 at or under the floor is a point on a charge
+        near = None if eps2 else _workspace("kernel_near", size, bool)[:rows * n].reshape(rows, n)
+        _squared_distances(blk, sources, s_sq, r2, sums, near)
+        if near is not None and near.any():
+            raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
         r2 += eps2
         # the weights c_j / r_ij^d, formed in place over r2
         w = r2

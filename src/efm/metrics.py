@@ -12,6 +12,22 @@ and the null is the same kernel with one label column per permutation.
 the (N, D) stack of both samples and `labels` an (N, n_perm) boolean matrix
 whose column j marks the rows of sample a in permutation j.
 
+Distances: below `_BLAS_MIN_DIM` coordinates (D alone, whatever the number
+of label columns) a block is one `cdist` call. From there on it is the field
+kernel's squared-distance block, `efm.field._squared_distances`: one BLAS
+product, then a square root, where `cdist` loops over the coordinates of
+each pair. The two cross between D=8 and D=12 on a 2-vCPU host
+(CHANGES.md); at D=33 the BLAS block takes half of `cdist`'s time on one
+CPU. The pool is centred on its mean first (`_pooled`), and every squared
+distance at or under the expansion's coincidence floor 4 eps (|p|^2 +
+|s|^2) is set to 0, so self-pairs and duplicated points give exactly 0, as
+with `cdist`. Accuracy: a squared distance is off by a few ulps of |p|^2 +
+|s|^2, measured from the pool's mean, so a pair's distance r has a relative
+error of about eps (|p|^2 + |s|^2) / r^2. Only pairs far closer together
+than they are to the mean lose digits, and they add little to the means:
+the statistic agrees with a difference-tensor reference to 1e-12 of its
+scale at D=16, 33 and 64, on data shifted by +100 too.
+
 `sliced_w1` projects both samples on a chunk of directions at a time, sorts
 each side, merges the two sorted runs with one stable argsort and reads both
 empirical CDFs from a running count of the merged rows that came from a.
@@ -22,14 +38,17 @@ through `efm.field._split`, and the caller reduces every piece's result in
 piece order, so each statistic is bit-identical to a one-thread run. Work
 too small or too fine-grained to gain (`_SPLIT_MIN_*`) starts no thread;
 at N=512, the size of the benchmark's trace workload, nothing does. The
-worker runs only numpy and `cdist`, never a function the benchmark's
-tracer wraps.
+worker runs only numpy, `cdist` and `efm.field._squared_distances`, never
+a function the benchmark's tracer wraps.
 
 Memory: the float temporaries stay bounded in bytes at any N, D and number
 of permutations. A distance block holds at most `_PAIR_BLOCK` entries (the
-field kernel's L2-sized block; a permutation null's, at most twice that)
-and is written into each thread's own workspace. Label columns are reduced
-in chunks of at most `_LABEL_BLOCK` entries per float temporary. The
+field kernel's L2-sized block; a `cdist` null's, at most twice that) and is
+written into each thread's own workspace. A BLAS block also takes its
+|p|^2 + |s|^2 block and its bool floor mask from there, so it gets no
+null's row floor: its floats already total twice `_PAIR_BLOCK`. The pool
+is centred in place, not copied. Label columns are reduced in chunks of
+at most `_LABEL_BLOCK` entries per float temporary. The
 partial sums of the row blocks that run at once are stored in rounds of at
 most `_PAIR_BLOCK` floats. Only the boolean label matrix grows with
 `n_perm`. A sliced-W1 chunk of directions holds at
@@ -48,7 +67,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import DataError
-from .field import _PAIR_BLOCK, _split, _workspace
+from .field import _PAIR_BLOCK, _split, _squared_distances, _workspace
 
 # Exact O(n^2) sums get expensive past this; larger inputs are subsampled.
 MAX_EXACT_SIDE = 4096
@@ -60,6 +79,12 @@ _LABEL_BLOCK = 500_000
 # within 2 * _PAIR_BLOCK entries: with several label columns, OpenBLAS runs
 # a 16-row block's products at about half the rate of a 128-row block's.
 _NULL_MIN_ROWS = 32
+
+# From this many coordinates on, a distance block is one BLAS product
+# (`efm.field._squared_distances`) instead of `cdist`. Measured on a 2-vCPU
+# host with one BLAS thread at N=2048 (CHANGES.md): `cdist` is faster at
+# D=8, the BLAS block from D=12 on.
+_BLAS_MIN_DIM = 12
 
 # When `efm.field._split` hands work to a second thread. Measured on a 2-vCPU
 # host with one BLAS thread (CHANGES.md): a thread's start costs 0.25-0.6 ms,
@@ -142,24 +167,29 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     Returns k V-statistics, clamped at 0.
 
     Each unordered pair's distance is computed once. Row block r0:r1 is
-    `cdist`-ed against rows r0: only, a (rows, N - r0) block of at most
-    `_PAIR_BLOCK` entries that fits in a core's L2 cache (with k > 1, at
+    measured against rows r0: only, a (rows, N - r0) block of at most
+    `_PAIR_BLOCK` entries that fits in a core's L2 cache. Below
+    `_BLAS_MIN_DIM` coordinates the block is `cdist`-ed (with k > 1, at
     least `_NULL_MIN_ROWS` rows while that stays within twice as many
-    entries). Its diagonal part is halved in place, so 2·x_rᵀ(block · x_r0:)
-    adds both orders of every pair the block holds. The statistic is
-    symmetric in a and b, so x marks each column's smaller sample and y its
-    larger one: with the full row sums r and S_xx = xᵀDx, S_xy = rᵀx - S_xx
-    and S_yy = Σr - S_xx - 2 S_xy, whose rounding is then divided by the
-    larger n_y². Label columns are taken in chunks of at most `_LABEL_BLOCK`
-    float entries; each chunk recomputes the distances.
+    entries). From there on `efm.field._squared_distances` forms it with
+    one BLAS product, next to its |p|^2 + |s|^2 block in the same workspace
+    buffer; entries at or under the coincidence floor are set to 0 and the
+    square root is taken in place. That path expects `pool` centred, as
+    `_pooled` stacks it. The block's diagonal part is halved in place, so
+    2·x_rᵀ(block · x_r0:) adds both orders of every pair the block holds.
+    The statistic is symmetric in a and b, so x marks each column's smaller
+    sample and y its larger one: with the full row sums r and S_xx = xᵀDx,
+    S_xy = rᵀx - S_xx and S_yy = Σr - S_xx - 2 S_xy, whose rounding is then
+    divided by the larger n_y². Label columns are taken in chunks of at
+    most `_LABEL_BLOCK` float entries; each chunk recomputes the distances.
 
     Threads: a block's partials (its row sums and column sums in the first
     chunk, and its S_xx term per label column) depend on that block alone,
     so the blocks go through `efm.field._split` in runs, the leading ones on
     the caller and the trailing ones on one worker thread. The caller then
     adds every block's partials in block order, so the result is
-    bit-identical to one thread's. Each thread `cdist`s into its own
-    workspace block, and a run's stored partials total at most
+    bit-identical to one thread's. Each thread forms its distances in its
+    own workspace block, and a run's stored partials total at most
     `_PAIR_BLOCK` floats. No thread starts when the worker's share of a run
     holds fewer than `_SPLIT_MIN_PAIRS` pairs, or when D plus the chunk's
     label columns is below `_SPLIT_MIN_WIDTH`.
@@ -172,8 +202,12 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     k = labels.shape[1]
     row_sum = np.zeros(n)
     s_xx, s_xy = np.zeros(k), np.zeros(k)
+    blas = pool.shape[1] >= _BLAS_MIN_DIM
+    if blas:
+        pool_sq = np.einsum("ij,ij->i", pool, pool)
     rows = max(1, _PAIR_BLOCK // n)
-    if k > 1:  # a null: its products are slow below _NULL_MIN_ROWS rows
+    # a cdist null: its products are slow below _NULL_MIN_ROWS rows
+    if k > 1 and not blas:
         rows = max(rows, min(_NULL_MIN_ROWS, 2 * _PAIR_BLOCK // n))
     cols = max(1, _LABEL_BLOCK // n)
     for c0 in range(0, k, cols):
@@ -184,8 +218,17 @@ def _energy_statistics(pool, labels) -> np.ndarray:
         def partials(r0):
             r1 = min(r0 + rows, n)
             shape = (r1 - r0, n - r0)
-            dist = cdist(pool[r0:r1], pool[r0:], out=_workspace(
-                "energy_dist", rows * n)[:shape[0] * shape[1]].reshape(shape))
+            size = shape[0] * shape[1]
+            buf = _workspace("energy_dist", (2 if blas else 1) * rows * n)
+            dist = buf[:size].reshape(shape)
+            if blas:
+                near = _workspace("energy_near", rows * n, bool)[:size].reshape(shape)
+                _squared_distances(pool[r0:r1], pool[r0:], pool_sq[r0:], dist,
+                                   buf[size:2 * size].reshape(shape), near)
+                np.copyto(dist, 0.0, where=near)
+                np.sqrt(dist, out=dist)
+            else:
+                cdist(pool[r0:r1], pool[r0:], out=dist)
             sums = (dist.sum(axis=1), dist[:, r1 - r0:].sum(axis=0)) if first else None
             dist[:, :r1 - r0] *= 0.5
             return sums, 2.0 * np.einsum("ij,ij->j", in_x[r0:r1], dist @ in_x[r0:])
@@ -206,12 +249,22 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     return np.maximum(stat, 0.0)
 
 
+def _pooled(pa, pb) -> np.ndarray:
+    """The (N, D) stack of both samples, centred on its mean from
+    `_BLAS_MIN_DIM` coordinates on, where `_energy_statistics` forms its
+    distances by the quadratic expansion, whose error grows with |p|^2."""
+    pool = np.vstack([pa, pb])
+    if pool.shape[1] >= _BLAS_MIN_DIM:
+        pool -= pool.mean(axis=0)
+    return pool
+
+
 def energy_distance(a, b) -> DistanceReport:
     """2 E|a-b| - E|a-a'| - E|b-b'| over all pairs (V-statistic)."""
     pa, pb = _subsampled_pair(a, b)
     labels = np.zeros((len(pa) + len(pb), 1), dtype=bool)
     labels[:len(pa)] = True
-    stat = _energy_statistics(np.vstack([pa, pb]), labels)[0]
+    stat = _energy_statistics(_pooled(pa, pb), labels)[0]
     return DistanceReport(float(stat), len(pa), len(pb))
 
 
@@ -274,7 +327,7 @@ def permutation_null(a, b, n_perm: int, stream) -> dict:
     if n_perm < 50:
         raise DataError("n_perm must be >= 50")
     pa, pb = _point_pair(a, b)
-    pool = np.vstack([pa, pb])
+    pool = _pooled(pa, pb)
     labels = np.zeros((len(pool), n_perm), dtype=bool)
     for j in range(n_perm):
         labels[stream.permutation(len(pool))[:len(pa)], j] = True

@@ -314,6 +314,21 @@ class TestPipeline:
         assert lines[0] == "x_1,x_2,z,E_x_1,E_x_2,E_z,E_norm"
         assert len(lines) == 1 + 4 * 4 * 3
 
+    def test_field_grid_on_a_charge_in_exact_mode(self, tmp_path, plates, capsys):
+        # field_epsilon 0 is the exact field; a grid point on a sample of
+        # the positive plate (at z=0) has no field there
+        pos, neg = plates
+        config = tmp_path / "exact.json"
+        config.write_text(json.dumps({"dim_d": 2, "plate_gap": 6.0, "field_epsilon": 0.0}))
+        assert CapacitorConfig.from_json_file(config).field_epsilon == 0.0
+        on_charge = ",".join(map(repr, load_csv(pos).points[5].tolist() + [0.0]))
+        capsys.readouterr()
+        assert run("field-grid", "--config", config, "--data-pos", pos, "--data-neg", neg,
+                   f"--grid-min={on_charge}", f"--grid-max={on_charge}", "--grid-shape", "1,1,1",
+                   "--out", tmp_path / "grid") == 1
+        err = capsys.readouterr().err
+        assert err == "error: evaluation point coincides with a charge and field_epsilon is 0\n"
+
     @pytest.mark.parametrize("spec", ["--grid-min=-2,-2", "--grid-max=2,2,5,5",
                                       "--grid-shape=4,3"])
     def test_field_grid_spec_of_wrong_length_rejected(self, tmp_path, toy_config_file,

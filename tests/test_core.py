@@ -33,6 +33,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="noise_sigma"):
             validate_config(toy_config(noise_sigma=-1.0))
 
+    def test_zero_field_epsilon_is_the_exact_mode(self):
+        validate_config(toy_config(field_epsilon=0.0))
+
+    @pytest.mark.parametrize("eps", [-1e-4, float("nan"), float("inf")])
+    def test_bad_field_epsilon_rejected(self, eps):
+        with pytest.raises(ConfigError, match="field_epsilon must be nonnegative"):
+            validate_config(toy_config(field_epsilon=eps))
+
     def test_limit_epsilon_range(self):
         with pytest.raises(ConfigError, match="limit_epsilon"):
             validate_config(toy_config(limit_epsilon=1.0))  # >= plate_gap/10

@@ -41,6 +41,35 @@ class TestEnergyDistance:
         ref, scale = _energy_reference(a, b)
         assert abs(energy_distance(a, b).statistic - ref) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("shift", [0.0, 100.0])
+    @pytest.mark.parametrize("dim", [16, 33, 64])
+    def test_blas_distances_match_three_mean_reference(self, monkeypatch, dim, shift):
+        # from _BLAS_MIN_DIM coordinates on the distances come from the
+        # quadratic expansion of centred points, in row blocks of 35;
+        # duplicated points must give zero distances there too
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 350 * 35)
+        stream = seeded_stream(70 + dim, "blas")
+        a = stream.standard_normal((200, dim)) + shift
+        b = stream.standard_normal((150, dim)) * 1.3 + 0.2 + shift
+        a[10:20] = a[0]
+        b[:5] = a[30:35]
+        ref, scale = _energy_reference(a, b)
+        assert abs(energy_distance(a, b).statistic - ref) <= 1e-12 * scale
+
+    def test_self_distance_at_high_dim_as_cdist_gives(self, monkeypatch):
+        # the coincidence floor zeroes the expansion's self-pairs and
+        # duplicates: without it their rounding reads about 1e-10 here. What
+        # is left is the rounding of the sums, the same size as cdist's
+        for seed in range(8):
+            a = seeded_stream(seed, "self").standard_normal((700, 33))
+            monkeypatch.setattr(metrics, "_BLAS_MIN_DIM", 10**9)
+            by_cdist = energy_distance(a, a).statistic
+            monkeypatch.setattr(metrics, "_BLAS_MIN_DIM", 12)
+            by_blas = energy_distance(a, a).statistic
+            assert by_blas <= 1e-13
+            if by_cdist == 0.0:
+                assert by_blas == 0.0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="empty"):
             energy_distance(np.zeros((0, 2)), np.ones((3, 2)))
@@ -236,10 +265,15 @@ class TestSlicedW1:
 
 
 class TestPermutationNull:
-    def test_matches_per_permutation_reference(self):
+    @pytest.mark.parametrize("dim,shift", [(3, 0.0), (33, 100.0)])
+    def test_matches_per_permutation_reference(self, monkeypatch, dim, shift):
+        # D=33 takes the expansion's distances of centred points, in row
+        # blocks of 8
+        if dim == 33:
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", 75 * 8)
         stream = seeded_stream(26, "p")
-        a = stream.standard_normal((30, 3))
-        b = stream.standard_normal((45, 3)) + 0.4
+        a = stream.standard_normal((30, dim)) + shift
+        b = stream.standard_normal((45, dim)) + 0.4 + shift
         pool = np.vstack([a, b])
         ref_stream = seeded_stream(27, "perm")
         refs, scales = [], []
@@ -371,10 +405,14 @@ class TestTwoThreads:
             assert abs(two[j] - ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("name,n,dim", [("energy_distance", 768, 32),
+                                            ("permutation_null", 768, 2),
                                             ("sliced_w1", 2048, 2)])
     def test_worker_exception_propagates(self, monkeypatch, name, n, dim):
+        # energy distances come from the BLAS expansion at D=32, from cdist at D=2
         caller = threading.current_thread()
-        target, attr = (metrics, "cdist") if name == "energy_distance" else (np, "argsort")
+        target, attr = {"energy_distance": (metrics, "_squared_distances"),
+                        "permutation_null": (metrics, "cdist"),
+                        "sliced_w1": (np, "argsort")}[name]
         inline = getattr(target, attr)
 
         def fail_off_caller(*args, **kwargs):
