@@ -6,13 +6,13 @@ oracle used both for training targets and for transport on small problems.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import FieldError
 
@@ -34,14 +34,24 @@ _WORKSPACE = threading.local()
 
 
 def sphere_surface_area(n: int) -> float:
-    """Surface area of the unit n-sphere embedded in R^(n+1).
+    """Surface area of the unit n-sphere embedded in R^(n+1),
+    S_n = 2 pi^((n+1)/2) / Gamma((n+1)/2).
 
-    S_n = 2 pi^((n+1)/2) / Gamma((n+1)/2); S_1 = 2 pi, S_2 = 4 pi.
+    Formed in stdlib floats by the recursion S_0 = 2, S_1 = 2 pi,
+    S_n = S_(n-2) * (2 pi / (n-1)), so S_1 = 2 pi and S_2 = 4 pi exactly.
+    For n <= 64 it is within 2 ulps of the closed forms 2 pi^k / (k-1)!
+    (n = 2k-1) and 2^(k+1) pi^k / (2k-1)!! (n = 2k) taken exactly in the
+    float pi, and within 10 ulps of the true value (the formula through
+    exp and log-gamma in floats is off by up to 154). S_n underflows to 0
+    from n = 455 on: the field kernel's high-D branch carries log S_n
+    instead.
     """
     if n < 0:
         raise ValueError("sphere dimension must be nonnegative")
-    half = (n + 1) / 2.0
-    return float(2.0 * np.exp(half * np.log(np.pi) - gammaln(half)))
+    area = 2.0 if n % 2 == 0 else 2.0 * math.pi
+    for m in range(n % 2 + 2, n + 1, 2):
+        area *= 2.0 * math.pi / (m - 1)
+    return area
 
 
 def point_charge_field(x, source, q: float, field_epsilon: float = 0.0) -> np.ndarray:
@@ -64,8 +74,11 @@ def _workspace(slot: str, size: int, dtype=float) -> np.ndarray:
 
     A buffer holds max(_PAIR_BLOCK, size) entries and is replaced only by a
     larger request, so a hot loop faults in its pages once per thread, not
-    once per call. Work that can be live at the same time on one thread
-    uses different slots. Work that cannot may share one: the net's
+    once per call. That saves pages only on a thread that lives across
+    calls: `_split` starts a fresh worker thread on every call, so the
+    worker's slots are allocated and faulted in again each time (the
+    caller's are kept). Work that can be live at the same time on one
+    thread uses different slots. Work that cannot may share one: the net's
     `FieldApproximator.forward` ping-pongs through the layer-0 pair
     `fwdbwd_pre0`/`fwdbwd_post0` of `efm.model.loss_and_gradient`. Neither
     calls the other or returns a view of that pair, so on one thread the two
@@ -152,11 +165,15 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     sum_j w_ij (p_i - s_j) = p_i * sum_j w_ij - (W @ S)_i, two BLAS-friendly
     terms, over the squared distances r_ij^2 of `_squared_distances`. For
     ambient dimension <= LOG_ACCUMULATION_DIM the weights are the plain
-    powers and log_scale = 0. Above it only the weights change: they are
-    formed in log space and shifted by their row maximum, which is
-    returned as log_scale, so the direction stays representable even when
-    the magnitude under- or overflows. Every (rows, n) temporary is written
-    in place into this thread's workspace (`_workspace`): two float64
+    powers, vec carries the factor 1/S_(d-1) and log_scale = 0. Above it
+    the weights are formed in log space and shifted by their row maximum,
+    and vec is left unscaled: log_scale is that maximum minus
+    log S_(d-1) (by `math.lgamma`), so the direction stays representable
+    even when the magnitude under- or overflows, and so does 1/S_(d-1)
+    itself: it passes 1e154, where a row norm's squares overflow, from
+    d = 262 on, and S_(d-1) underflows to 0 from d = 456 on. Every
+    (rows, n) temporary is written in place into this thread's workspace
+    (`_workspace`): two float64
     buffers and one bool buffer of max(_PAIR_BLOCK, n) entries each, kept
     between calls, so a warm call faults in no fresh pages whatever the
     dimension. `sources_sq` may carry precomputed row norms of `sources`
@@ -170,7 +187,6 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     if sources.shape[1] != d:
         raise FieldError("points and sources must share a dimension")
     n = sources.shape[0]
-    inv_area = 1.0 / sphere_surface_area(d - 1)
     eps2 = field_epsilon * field_epsilon
     vec = np.empty((m, d))
     log_scale = np.zeros(m)
@@ -182,6 +198,7 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
         with np.errstate(divide="ignore"):
             log_c = np.log(np.abs(charges))
         sign_c = np.sign(charges)
+        log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
     for i0 in range(0, m, block):
         i1 = min(i0 + block, m)
         blk = points[i0:i1]
@@ -203,6 +220,7 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
             shift = np.max(w, axis=1, out=log_scale[i0:i1])
             shift[~np.isfinite(shift)] = 0.0
             w -= shift[:, None]
+            shift -= log_area
             np.exp(w, out=w)
             w *= sign_c
         elif d % 2 == 0:
@@ -215,7 +233,9 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
                 w **= d // 2
             w *= root
             np.divide(charges, w, out=w)
-        vec[i0:i1] = inv_area * (blk * w.sum(axis=1)[:, None] - w @ sources)
+        vec[i0:i1] = blk * w.sum(axis=1)[:, None] - w @ sources
+    if d <= LOG_ACCUMULATION_DIM:
+        vec *= 1.0 / sphere_surface_area(d - 1)
     return vec, log_scale
 
 

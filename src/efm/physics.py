@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import betainc
 
 from .core import EfmError, seeded_stream
 from .field import (EmpiricalField, PlateSet, one_sided_ez, sphere_surface_area,
@@ -87,7 +86,10 @@ class CapSpec:
 
 def cap_solid_angle(dim: int, polar_angle: float) -> float:
     """Solid angle of a spherical cap in R^dim, via the regularized
-    incomplete beta closed form."""
+    incomplete beta closed form. scipy's `betainc` is imported here, not
+    with the module, so a process that checks no cap never loads scipy."""
+    from scipy.special import betainc
+
     full = sphere_surface_area(dim - 1)
     theta = float(polar_angle)
     if theta <= 0:

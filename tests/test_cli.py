@@ -2,6 +2,10 @@ import csv
 import json
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from efm import cli
 from efm.cli import dispatch
 from efm.core import CapacitorConfig, ConfigError, WeightFormatError, validate_config
 from efm.data import load_csv
+from efm.metrics import energy_distance
 from efm.model import FieldApproximator, load_weights, save_weights
 from efm.transport import Trajectory
 
@@ -455,6 +460,70 @@ class TestPipeline:
             "--data-pos", pos, "--data-neg", neg, "--nfe", 10,
             "--in", pos, "--out", tmp_path / "mut")
         assert pos.read_bytes() == before
+
+
+def run_python(script, *args):
+    """Run `script` in a fresh interpreter that imports this checkout's efm;
+    returns its stdout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestScipyOffTheImportPath:
+    """efm loads scipy only where it calls it: `cdist` on a low-D energy
+    distance and `betainc` in the cap checks."""
+
+    def test_high_dim_pipeline_runs_with_scipy_blocked(self, tmp_path):
+        # with sys.modules["scipy"] None, any import of scipy raises
+        out = run_python("""
+            import sys
+            sys.modules["scipy"] = None
+            import efm.cli
+            print(sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m]))
+            from efm.core import CapacitorConfig
+            d = sys.argv[1]
+            CapacitorConfig(dim_d=16, plate_gap=6.0, seed=1).to_json_file(f"{d}/cfg.json")
+            steps = [
+                ["generate-data", "--kind", "gaussian", "--dim", "16", "--n", "128",
+                 "--seed", "1", "--out", f"{d}/pos"],
+                ["generate-data", "--kind", "gaussian", "--dim", "16", "--n", "128",
+                 "--mean", "0.5", "--seed", "2", "--out", f"{d}/neg"],
+                ["train", "--config", f"{d}/cfg.json", "--data-pos", f"{d}/pos/data.csv",
+                 "--data-neg", f"{d}/neg/data.csv", "--steps", "3", "--batch-size", "32",
+                 "--hidden", "8,8", "--mc-subsample", "32", "--out", f"{d}/train"],
+                ["transport", "--weights", f"{d}/train/weights_ema.json", "--config",
+                 f"{d}/cfg.json", "--nfe", "10", "--in", f"{d}/pos/data.csv", "--out", f"{d}/tr"],
+                ["evaluate", "--a", f"{d}/tr/mapped.csv", "--b", f"{d}/neg/data.csv",
+                 "--n-perm", "50", "--out", f"{d}/ev"],
+            ]
+            print([efm.cli.dispatch(argv) for argv in steps])
+            """, tmp_path)
+        assert out.splitlines()[0] == "[]"
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+        assert (tmp_path / "ev" / "metrics.json").exists()
+
+    def test_low_dim_evaluate_loads_cdist(self, tmp_path):
+        for name, seed in (("a", 0), ("b", 1)):
+            assert run("generate-data", "--kind", "gaussian", "--n", 64, "--dim", 2,
+                       "--seed", seed, "--out", tmp_path / name) == 0
+        out = run_python("""
+            import sys
+            from efm.cli import dispatch
+            loaded = "scipy.spatial.distance" in sys.modules
+            code = dispatch(["evaluate", "--a", sys.argv[1], "--b", sys.argv[2],
+                             "--n-perm", "50", "--out", sys.argv[3]])
+            print(loaded, code, "scipy.spatial.distance" in sys.modules)
+            """, tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv", tmp_path / "ev")
+        assert out.splitlines()[-1].split() == ["False", "0", "True"]
+        payload = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        want = energy_distance(load_csv(tmp_path / "a" / "data.csv"),
+                               load_csv(tmp_path / "b" / "data.csv")).statistic
+        assert payload["energy_distance"]["statistic"] == want
 
 
 class TestRunPreset:

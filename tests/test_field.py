@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ def allocating_scaled_superposition(points, sources, charges, field_epsilon=0.0,
                                     sources_sq=None):
     """Frozen copy of `scaled_superposition` as it was before its temporaries
     moved into a per-thread workspace, with every (rows, n) temporary freshly
-    allocated: the bit-for-bit reference of the kernel tests."""
+    allocated: the bit-for-bit reference of the kernel tests. Like the
+    kernel, its log-accumulation branch leaves vec unscaled and puts
+    -log S_(d-1) into log_scale."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     charges = np.asarray(charges, dtype=float)
@@ -31,7 +34,11 @@ def allocating_scaled_superposition(points, sources, charges, field_epsilon=0.0,
     if sources.shape[1] != d:
         raise FieldError("points and sources must share a dimension")
     n = sources.shape[0]
-    inv_area = 1.0 / sphere_surface_area(d - 1)
+    if d > LOG_ACCUMULATION_DIM:
+        inv_area = 1.0
+        log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
+    else:
+        inv_area = 1.0 / sphere_surface_area(d - 1)
     eps2 = field_epsilon * field_epsilon
     vec = np.empty((m, d))
     log_scale = np.zeros(m)
@@ -52,7 +59,7 @@ def allocating_scaled_superposition(points, sources, charges, field_epsilon=0.0,
             shift = np.max(logw, axis=1)
             shift[~np.isfinite(shift)] = 0.0
             w = np.sign(charges)[None, :] * np.exp(logw - shift[:, None])
-            log_scale[i0:i1] = shift
+            log_scale[i0:i1] = shift - log_area
         elif d % 2 == 0:
             w = charges[None, :] / r2 ** (d // 2)
         else:
@@ -79,16 +86,30 @@ def two_point_capacitor(gap=6.0, field_epsilon=0.0):
 
 class TestSphereSurfaceArea:
     def test_circle(self):
-        assert sphere_surface_area(1) == pytest.approx(2 * math.pi)
+        assert sphere_surface_area(1) == 2 * math.pi
 
     def test_two_sphere(self):
-        assert sphere_surface_area(2) == pytest.approx(4 * math.pi)
+        assert sphere_surface_area(2) == 4 * math.pi
 
     def test_three_sphere(self):
         assert sphere_surface_area(3) == pytest.approx(2 * math.pi ** 2)
 
     def test_zero_sphere_two_points(self):
         assert sphere_surface_area(0) == pytest.approx(2.0)
+
+    def test_within_16_ulps_of_closed_forms(self):
+        # S_(2k-1) = 2 pi^k / (k-1)! and S_(2k) = 2^(k+1) pi^k / (2k-1)!!,
+        # exact in the float pi and integer factorials, rounded once
+        pi = Fraction(math.pi)
+        ulps = {}
+        for n in range(65):
+            k = (n + 1) // 2
+            if n % 2:
+                exact = 2 * pi ** k / math.factorial(k - 1)
+            else:
+                exact = 2 ** (k + 1) * pi ** k / math.prod(range(1, 2 * k, 2))
+            ulps[n] = abs(sphere_surface_area(n) - float(exact)) / math.ulp(float(exact))
+        assert max(ulps.values()) <= 16, ulps
 
 
 class TestPointChargeField:
@@ -315,6 +336,35 @@ class TestHighDimensionalStability:
         unit, degenerate = normalize_rows(vec)
         assert not degenerate[0]
         np.testing.assert_allclose(unit[0, 0], 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [300, 500])
+    def test_unit_rows_where_the_area_leaves_float_range(self, dim):
+        # 1/S_dim passes 1e154 at dim 300 (a row norm's squares would
+        # overflow) and S_dim underflows to 0 at dim 500
+        stream = seeded_stream(6, f"area-range/{dim}")
+        field = EmpiricalField(PlateSet(stream.standard_normal((20, dim))),
+                               PlateSet(stream.standard_normal((20, dim)) + 1.0), 6.0)
+        pts = np.column_stack([stream.standard_normal((4, dim)), np.full(4, 3.0)])
+        unit, degenerate = field.normalized(pts)
+        np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=1e-14)
+        assert not degenerate.any()
+
+    def test_evaluate_matches_direct_formula_on_the_log_branch(self):
+        # D=33: vec * exp(log_scale), with log_scale carrying -log S_33, is the
+        # direct sum of c_j (p - s_j) / (S_33 r^34) with S_33 from log-gamma
+        dim = 33
+        stream = seeded_stream(7, "log-branch-area")
+        field = EmpiricalField(PlateSet(stream.standard_normal((40, dim))),
+                               PlateSet(stream.standard_normal((40, dim)) + 0.5), 6.0)
+        pts = np.column_stack([stream.standard_normal((8, dim)), stream.uniform(1.0, 5.0, 8)])
+        half = 0.5 * (dim + 1)
+        area = 2.0 * math.exp(half * math.log(math.pi) - math.lgamma(half))
+        diff = pts[:, None, :] - field.sources[None, :, :]
+        r2 = np.einsum("ijk,ijk->ij", diff, diff) + field.field_epsilon ** 2
+        ref = np.einsum("ij,ijk->ik", field.charges / r2 ** half, diff) / area
+        got = field.evaluate(pts)
+        err = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert err.max() <= 1e-13
 
 
 class TestKernelWorkspace:
