@@ -13,8 +13,9 @@ calls it:
   field only). `trace-lines` is an alias of `transport --policy adaptive
   --dump-trajectories`. Every policy moves all of its lines as one batch,
   one field call per step or Cash-Karp stage;
-- `_evaluate`: energy distance (with a permutation null when `n_perm` > 0)
-  and sliced W1, from a stream the caller passes in.
+- `_evaluate`: one `energy_distance` call, which with `n_perm` > 0 also
+  gives the permutation null from the same pooled pass, and sliced W1 over
+  `SLICED_PROJECTIONS` directions, both from a stream the caller passes in.
 
 A subcommand body returns a `_Run`. `_recorded` times it, creates its output
 directory (and removes it again, if still empty, when the body fails) and
@@ -44,7 +45,7 @@ from .core import (VOLUME_MODES, CapacitorConfig, DataError, EfmError, Transport
 from .data import (Dataset, gen_gaussian, gen_swiss_roll, gen_two_gaussians,
                    load_csv, save_csv)
 from .field import EmpiricalField, PlateSet
-from .metrics import energy_distance, energy_distance_with_null, sliced_w1
+from .metrics import energy_distance, sliced_w1
 from .model import load_weights
 from .physics import run_verification_suite
 from .training import DEFAULT_HIDDEN_DIMS, train
@@ -64,6 +65,8 @@ PRESET_NFE = 20
 PRESET_SWISS_NOISE = 0.05
 PRESET_TWO_GAUSS_SEPARATION = 8.0
 PRESET_SELF_DISTANCE_PAIRS = 9
+# Directions of every sliced-W1 estimate (`evaluate` and `run-preset`).
+SLICED_PROJECTIONS = 64
 # The files train(..., out_dir=out) writes into out.
 TRAIN_OUTPUTS = ("weights.json", "weights_ema.json", "loss_curve.csv")
 
@@ -211,11 +214,10 @@ def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int,
     return result, mapped, outputs
 
 
-def _evaluate(a, b, n_perm: int, n_projections: int, stream) -> dict:
+def _evaluate(a, b, n_perm: int, stream) -> dict:
     """Energy distance (with an n_perm permutation null if n_perm > 0) and sliced W1."""
-    rep = energy_distance_with_null(a, b, n_perm, stream) if n_perm else energy_distance(a, b)
-    return {"energy_distance": rep.to_dict(),
-            "sliced_w1": sliced_w1(a, b, n_projections, stream).to_dict()}
+    return {"energy_distance": energy_distance(a, b, n_perm, stream).to_dict(),
+            "sliced_w1": sliced_w1(a, b, SLICED_PROJECTIONS, stream).to_dict()}
 
 
 @_recorded
@@ -306,8 +308,7 @@ def _cmd_verify_physics(out, args) -> _Run:
 def _cmd_evaluate(out, args) -> _Run:
     a = load_csv(args.a)
     b = load_csv(args.b)
-    payload = _evaluate(a, b, args.n_perm, args.sliced_projections,
-                        seeded_stream(args.seed, "evaluate"))
+    payload = _evaluate(a, b, args.n_perm, seeded_stream(args.seed, "evaluate"))
     path = out / "metrics.json"
     _dump_json(payload, path)
     return _Run("evaluate", None, args.seed, [args.a, args.b], [path], payload)
@@ -352,7 +353,7 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
     payload = {
         "preset": name,
         "volume_mode": volume_mode,
-        **_evaluate(mapped, holdout, 200, 64, seeded_stream(seed, "preset/metrics")),
+        **_evaluate(mapped, holdout, 200, seeded_stream(seed, "preset/metrics")),
         "target_self_median": float(np.median(self_ds)),
         "n_mapped": mapped.n,
         "n_failed": len(result.failures),
@@ -379,6 +380,14 @@ def _at_least(lo):
             raise argparse.ArgumentTypeError(f"must be >= {lo}: {text!r}")
         return value
     return parse
+
+
+def _finite(text) -> float:
+    """A finite float; NaN and infinities raise ValueError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _comma_list(parse_one):
@@ -449,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     fg = command("field-grid", "evaluate the exact field on a grid", _cmd_field_grid)
     fg.add_argument("--data-pos", required=True)
     fg.add_argument("--data-neg", required=True)
-    fg.add_argument("--grid-min", type=_comma_list(float), required=True)
-    fg.add_argument("--grid-max", type=_comma_list(float), required=True)
+    fg.add_argument("--grid-min", type=_comma_list(_finite), required=True)
+    fg.add_argument("--grid-max", type=_comma_list(_finite), required=True)
     fg.add_argument("--grid-shape", type=_comma_list(_at_least(1)), required=True)
 
     command("verify-physics", "run the electrostatics check suite", _cmd_verify_physics,
@@ -460,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                  config=False, seed=0)
     ev.add_argument("--a", required=True)
     ev.add_argument("--b", required=True)
-    ev.add_argument("--sliced-projections", type=_at_least(1), default=64)
     ev.add_argument("--n-perm", type=_at_least(0), default=200)
 
     rp = command("run-preset", "end-to-end toy experiment",

@@ -223,15 +223,13 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
             shift -= log_area
             np.exp(w, out=w)
             w *= sign_c
-        elif d % 2 == 0:
-            if d > 2:  # pow(x, 1) is x: skip that pass
-                w **= d // 2
-            np.divide(charges, w, out=w)
         else:
-            root = np.sqrt(w, out=sums)
-            if d > 3:
+            if d % 2:
+                root = np.sqrt(w, out=sums)
+            if d > 3:  # pow(x, 1) is x: skip that pass
                 w **= d // 2
-            w *= root
+            if d % 2:
+                w *= root
             np.divide(charges, w, out=w)
         vec[i0:i1] = blk * w.sum(axis=1)[:, None] - w @ sources
     if d <= LOG_ACCUMULATION_DIM:

@@ -1,16 +1,16 @@
 """Two-sample distances used to test distribution transport quantitatively.
 
 The energy distance and its permutation null come from one pooled pass.
-`_energy_statistics(pool, labels)` computes each unordered pair of the
-pooled N×N Euclidean distance matrix once, in row blocks sized to a core's
-L2 cache, and reads every labelling's E|a-b|, E|a-a'| and E|b-b'| from the
-row sums and one indicator product per label column (Székely & Rizzo,
-energy statistics). `energy_distance` is that kernel with one labelling,
-and the null is the same kernel with one label column per permutation.
-
-`permutation_null` runs `_energy_statistics(pool, labels)` once: `pool` is
-the (N, D) stack of both samples and `labels` an (N, n_perm) boolean matrix
-whose column j marks the rows of sample a in permutation j.
+`energy_distance(a, b, n_perm, stream)` subsamples each side once, stacks
+both into the pooled (N, D) `pool` once (`_pooled`) and runs
+`_energy_statistics(pool, labels)` once, where `labels` is an
+(N, 1 + n_perm) boolean matrix: column 0 marks the rows of sample a, and
+column j > 0 those of a in permutation j. The kernel computes each
+unordered pair of the pooled N×N Euclidean distance matrix once per chunk
+of label columns, in row blocks sized to a core's L2 cache, and reads
+every labelling's E|a-b|, E|a-a'| and E|b-b'| from the row sums and one
+indicator product per label column (Székely & Rizzo, energy statistics).
+Column 0 is the statistic; the other columns give the null quantiles.
 
 Distances: below `_BLAS_MIN_DIM` coordinates (D alone, whatever the number
 of label columns) a block is one `cdist` call. From there on it is the field
@@ -159,11 +159,6 @@ def _maybe_subsample(pts):
     return pts
 
 
-def _subsampled_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    pa, pb = _point_pair(a, b)
-    return _maybe_subsample(pa), _maybe_subsample(pb)
-
-
 def _row_rounds(n, rows, floats):
     """Starts of the row blocks of n rows, `rows` each, in runs whose stored
     partials, `floats(r0)` floats per block, total at most `_PAIR_BLOCK`
@@ -279,13 +274,32 @@ def _pooled(pa, pb) -> np.ndarray:
     return pool
 
 
-def energy_distance(a, b) -> DistanceReport:
-    """2 E|a-b| - E|a-a'| - E|b-b'| over all pairs (V-statistic)."""
-    pa, pb = _subsampled_pair(a, b)
-    labels = np.zeros((len(pa) + len(pb), 1), dtype=bool)
-    labels[:len(pa)] = True
-    stat = _energy_statistics(_pooled(pa, pb), labels)[0]
-    return DistanceReport(float(stat), len(pa), len(pb))
+def energy_distance(a, b, n_perm: int = 0, stream=None) -> DistanceReport:
+    """2 E|a-b| - E|a-a'| - E|b-b'| over all pairs (V-statistic); with
+    n_perm > 0 (at least 50), also the quantiles of its permutation null.
+
+    One pass (see the module docstring); label column j > 0 takes the j-th
+    stream.permutation(N). OpenBLAS rounds the label product by its column
+    count, so a statistic with a null can differ from the n_perm=0 one in
+    its last bits.
+    """
+    if n_perm and n_perm < 50:
+        raise DataError("n_perm must be >= 50")
+    if n_perm and stream is None:
+        raise DataError("a permutation null needs a stream")
+    pa, pb = _point_pair(a, b)
+    pa, pb = _maybe_subsample(pa), _maybe_subsample(pb)
+    pool = _pooled(pa, pb)
+    labels = np.zeros((len(pool), 1 + n_perm), dtype=bool)
+    labels[:len(pa), 0] = True
+    for j in range(1, 1 + n_perm):
+        labels[stream.permutation(len(pool))[:len(pa)], j] = True
+    stats = _energy_statistics(pool, labels)
+    rep = DistanceReport(float(stats[0]), len(pa), len(pb))
+    if n_perm:
+        qs = np.quantile(stats[1:], NULL_QUANTILES)
+        rep.null_quantiles = {f"{int(q * 100)}%": float(v) for q, v in zip(NULL_QUANTILES, qs)}
+    return rep
 
 
 def sliced_w1(a, b, n_projections: int, stream) -> DistanceReport:
@@ -335,29 +349,3 @@ def sliced_w1(a, b, n_projections: int, stream) -> DistanceReport:
     min_cost = _SPLIT_MIN_PROJECTIONS if chunk > 1 else math.inf
     vals = np.concatenate(_split(chunk_w1, starts, costs, min_cost))
     return DistanceReport(float(np.mean(vals)), n_a, n_b)
-
-
-def permutation_null(a, b, n_perm: int, stream) -> dict:
-    """Null quantiles of the energy distance under pooled-relabel permutations.
-
-    Draws stream.permutation(N) once per permutation; its first len(a)
-    entries are the rows of sample a. One `_energy_statistics` pass then
-    gives all n_perm statistics.
-    """
-    if n_perm < 50:
-        raise DataError("n_perm must be >= 50")
-    pa, pb = _point_pair(a, b)
-    pool = _pooled(pa, pb)
-    labels = np.zeros((len(pool), n_perm), dtype=bool)
-    for j in range(n_perm):
-        labels[stream.permutation(len(pool))[:len(pa)], j] = True
-    qs = np.quantile(_energy_statistics(pool, labels), NULL_QUANTILES)
-    return {f"{int(q * 100)}%": float(v) for q, v in zip(NULL_QUANTILES, qs)}
-
-
-def energy_distance_with_null(a, b, n_perm: int, stream) -> DistanceReport:
-    """Energy distance plus its permutation null, both on one subsample per side."""
-    pa, pb = _subsampled_pair(a, b)
-    rep = energy_distance(pa, pb)
-    rep.null_quantiles = permutation_null(pa, pb, n_perm=n_perm, stream=stream)
-    return rep

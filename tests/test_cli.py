@@ -13,7 +13,8 @@ import pytest
 
 from efm import cli
 from efm.cli import dispatch
-from efm.core import CapacitorConfig, ConfigError, WeightFormatError, validate_config
+from efm.core import (CapacitorConfig, ConfigError, WeightFormatError, seeded_stream,
+                      validate_config)
 from efm.data import load_csv
 from efm.metrics import energy_distance
 from efm.model import FieldApproximator, load_weights, save_weights
@@ -244,11 +245,13 @@ class TestPipeline:
         ("train", "--batch-size", "0"),
         ("transport", "--nfe", "0"),
         ("field-grid", "--grid-min", "0,0,x"),
+        # a non-finite bound would write NaN rows to grid.csv
+        ("field-grid", "--grid-min", "nan,0,1"),
+        ("field-grid", "--grid-max", "inf,1,2"),
         ("field-grid", "--grid-shape", "2,2,0"),
         ("generate-data", "--kind", "gaussian", "--std", "-2"),
         ("generate-data", "--kind", "swiss_roll", "--noise-std", "-0.5"),
         ("train", "--mc-subsample", "0"),
-        ("evaluate", "--sliced-projections", "0"),
         ("evaluate", "--n-perm", "-1"),
     ])
     def test_malformed_number_is_usage_error(self, tmp_path, toy_config_file, plates,
@@ -261,10 +264,12 @@ class TestPipeline:
         ("train", "--weight-decay", "0"),
         ("train", "--ema-decay", "0.99"),
         ("train", "--activation", "smooth_relu"),
+        ("evaluate", "--sliced-projections", "64"),
     ])
     def test_removed_option_is_usage_error(self, tmp_path, toy_config_file, plates,
                                            capsys, removed):
-        # a network's field or the exact sum, trained with one fixed recipe
+        # a network's field or the exact sum, trained with one fixed recipe and
+        # scored with one sliced-W1 direction count
         self.assert_usage_error(tmp_path, toy_config_file, plates, capsys, *removed)
 
     @staticmethod
@@ -521,8 +526,10 @@ class TestScipyOffTheImportPath:
             """, tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv", tmp_path / "ev")
         assert out.splitlines()[-1].split() == ["False", "0", "True"]
         payload = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        # the library call that evaluate makes
         want = energy_distance(load_csv(tmp_path / "a" / "data.csv"),
-                               load_csv(tmp_path / "b" / "data.csv")).statistic
+                               load_csv(tmp_path / "b" / "data.csv"), 50,
+                               seeded_stream(0, "evaluate")).statistic
         assert payload["energy_distance"]["statistic"] == want
 
 

@@ -11,8 +11,7 @@ from scipy.stats import wasserstein_distance
 
 from efm import field, metrics
 from efm.core import DataError, seeded_stream
-from efm.metrics import (NULL_QUANTILES, _energy_statistics, energy_distance,
-                         energy_distance_with_null, permutation_null, sliced_w1)
+from efm.metrics import NULL_QUANTILES, _energy_statistics, energy_distance, sliced_w1
 
 
 def _pairwise_mean_reference(a, b):
@@ -86,7 +85,7 @@ class TestEnergyDistance:
         b = stream.standard_normal((100, 1))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = energy_distance_with_null(a, b, 50, seeded_stream(23, "perm"))
+            rep = energy_distance(a, b, 50, seeded_stream(23, "perm"))
         assert [w.category for w in caught] == [UserWarning]
         assert rep.n_a == 4096
         assert np.isfinite(list(rep.null_quantiles.values())).all()
@@ -134,7 +133,7 @@ class TestEnergyDistance:
         a = stream.standard_normal((70, 2))
         b = stream.standard_normal((45, 2))
         used, ref = seeded_stream(30, "perm"), seeded_stream(30, "perm")
-        energy_distance_with_null(a, b, 60, used)
+        energy_distance(a, b, 60, used)
         for _ in range(60):
             ref.permutation(len(a) + len(b))
         assert used.random() == ref.random()
@@ -149,7 +148,7 @@ class TestEnergyDistance:
         b = stream.standard_normal((n_side, dim))
         tracemalloc.start()
         try:
-            energy_distance_with_null(a, b, n_perm, seeded_stream(25, "perm"))
+            energy_distance(a, b, n_perm, seeded_stream(25, "perm"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,14 +175,14 @@ class TestEnergyDistance:
         stream = seeded_stream(2, "e")
         a = stream.standard_normal((128, 2))
         b = stream.standard_normal((128, 2))
-        rep = energy_distance_with_null(a, b, 200, seeded_stream(3, "perm"))
+        rep = energy_distance(a, b, 200, seeded_stream(3, "perm"))
         assert rep.statistic < rep.null_quantiles["95%"]
 
     def test_shifted_distribution_above_null(self):
         stream = seeded_stream(4, "e")
         a = stream.standard_normal((128, 2))
         b = stream.standard_normal((128, 2)) + 2.0
-        rep = energy_distance_with_null(a, b, 200, seeded_stream(5, "perm"))
+        rep = energy_distance(a, b, 200, seeded_stream(5, "perm"))
         assert rep.statistic > rep.null_quantiles["99%"]
 
     def test_dim_mismatch_rejected(self):
@@ -284,7 +283,7 @@ class TestPermutationNull:
             scales.append(scale)
         expected = np.quantile(refs, NULL_QUANTILES)
         new_stream = seeded_stream(27, "perm")
-        q = permutation_null(a, b, 60, new_stream)
+        q = energy_distance(a, b, 60, new_stream).null_quantiles
         assert np.abs(np.array(list(q.values())) - expected).max() <= 1e-12 * max(scales)
         assert new_stream.random() == ref_stream.random()
 
@@ -313,13 +312,43 @@ class TestPermutationNull:
         stream = seeded_stream(16, "p")
         a = stream.standard_normal((32, 2))
         b = stream.standard_normal((32, 2))
-        q1 = permutation_null(a, b, 60, seeded_stream(17, "perm"))
-        q2 = permutation_null(a, b, 60, seeded_stream(17, "perm"))
-        assert q1 == q2
+        r1 = energy_distance(a, b, 60, seeded_stream(17, "perm"))
+        r2 = energy_distance(a, b, 60, seeded_stream(17, "perm"))
+        assert r1 == r2
 
     def test_min_permutations_enforced(self):
         with pytest.raises(DataError, match="n_perm"):
-            permutation_null(np.zeros((4, 1)), np.zeros((4, 1)), 10, seeded_stream(19, "perm"))
+            energy_distance(np.zeros((4, 1)), np.zeros((4, 1)), 10, seeded_stream(19, "perm"))
+
+    def test_null_without_stream_rejected(self):
+        with pytest.raises(DataError, match="stream"):
+            energy_distance(np.zeros((4, 1)), np.ones((4, 1)), 50)
+
+    @pytest.mark.parametrize("dim", [2, 33])
+    def test_statistic_with_null_matches_without(self, dim):
+        # column 0 of the null's pass rounds its label product with the
+        # other columns, so it may differ from the one-column pass in its
+        # last bits only
+        stream = seeded_stream(33, "p")
+        a = stream.standard_normal((256, dim))
+        b = stream.standard_normal((256, dim)) + 0.2
+        _, scale = _energy_reference(a, b)
+        with_null = energy_distance(a, b, 200, seeded_stream(34, "perm")).statistic
+        assert abs(with_null - energy_distance(a, b).statistic) <= 1e-12 * scale
+
+    def test_null_computes_each_distance_once(self, monkeypatch):
+        # 256 + 256 points, D=2 and 200 permutations, as the benchmark's trace
+        # workload evaluates: the statistic and the null share one pass, whose
+        # 201 label columns fit one chunk, so the cdist blocks cover each
+        # pooled row once
+        rows = []
+        monkeypatch.setattr(metrics, "cdist", lambda x, y, out: rows.append(len(x)) or cdist(
+            x, y, out=out))
+        stream = seeded_stream(35, "p")
+        a = stream.standard_normal((256, 2))
+        b = stream.standard_normal((256, 2)) + 0.2
+        energy_distance(a, b, 200, seeded_stream(36, "perm"))
+        assert sum(rows) == 512
 
     def test_coverage_calibration(self):
         # oracle: repeated same-distribution draws fall under the 95%
@@ -329,8 +358,8 @@ class TestPermutationNull:
             stream = seeded_stream(k, "cov")
             a = stream.standard_normal((48, 1))
             b = stream.standard_normal((48, 1))
-            q = permutation_null(a, b, 99, seeded_stream(k, "cov-perm"))
-            hits += energy_distance(a, b).statistic < q["95%"]
+            rep = energy_distance(a, b, 99, seeded_stream(k, "cov-perm"))
+            hits += rep.statistic < rep.null_quantiles["95%"]
         assert hits >= 32  # binomial(40, 0.95) has P(X < 32) ~ 2e-5
 
 
@@ -364,7 +393,7 @@ class TestTwoThreads:
         a = stream.standard_normal((n // 2, dim))
         b = stream.standard_normal((n - n // 2, dim)) * 1.2 + 0.3
         return {"energy_distance": lambda: energy_distance(a, b).statistic,
-                "permutation_null": lambda: permutation_null(a, b, n_perm, seeded_stream(seed, "p")),
+                "permutation_null": lambda: energy_distance(a, b, n_perm, seeded_stream(seed, "p")),
                 "sliced_w1": lambda: sliced_w1(a, b, 64, seeded_stream(seed, "proj")).statistic}
 
     @pytest.mark.parametrize("name,n,dim", [("energy_distance", 768, 32),
