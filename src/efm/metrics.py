@@ -13,28 +13,30 @@ indicator product per label column (Székely & Rizzo, energy statistics).
 Column 0 is the statistic; the other columns give the null quantiles.
 
 Distances: below `_BLAS_MIN_DIM` coordinates (D alone, whatever the number
-of label columns) a block is one `cdist` call. From there on it is the field
-kernel's squared-distance block, `efm.field._squared_distances`: one BLAS
-product, then a square root, where `cdist` loops over the coordinates of
-each pair. The two cross between D=8 and D=12 on a 2-vCPU host
+of label columns) a block is exact (`_exact_distances`): each coordinate's
+differences x_i - x_j come from one exact two-term BLAS product of factors
+built once per call (`_difference_factors`), are squared and added in
+coordinate order, and the square root is taken, so every distance equals
+scipy's `cdist` bit for bit. From there on a block is the field kernel's
+squared-distance block, `efm.field._squared_distances`: one BLAS product,
+then a square root, where the exact block makes three passes over the
+block per coordinate. The two cross between D=3 and D=4 on a 2-vCPU host
 (CHANGES.md); at D=33 the BLAS block takes half of `cdist`'s time on one
-CPU. The pool is centred on its mean first (`_pooled`), and every squared
-distance at or under the expansion's coincidence floor 4 eps (|p|^2 +
-|s|^2) is set to 0, so self-pairs and duplicated points give exactly 0, as
-with `cdist`. Accuracy: a squared distance is off by a few ulps of |p|^2 +
-|s|^2, measured from the pool's mean, so a pair's distance r has a relative
-error of about eps (|p|^2 + |s|^2) / r^2. Only pairs far closer together
-than they are to the mean lose digits, and they add little to the means:
-the statistic agrees with a difference-tensor reference to 1e-12 of its
-scale at D=16, 33 and 64, on data shifted by +100 too.
+CPU. For the BLAS block the pool is centred on its mean first
+(`_pooled`), and every squared distance at or under the expansion's
+coincidence floor 4 eps (|p|^2 + |s|^2) is set to 0, so self-pairs and
+duplicated points give exactly 0, as with the exact block. Accuracy: a squared distance is off by a few ulps of
+|p|^2 + |s|^2, measured from the pool's mean, so a pair's distance r has a
+relative error of about eps (|p|^2 + |s|^2) / r^2. Only pairs far closer
+together than they are to the mean lose digits, and they add little to the
+means: the statistic agrees with a difference-tensor reference to 1e-12 of
+its scale at D=16, 33 and 64, on data shifted by +100 too.
 
-scipy: `cdist` here is this module's own function, which imports scipy's
-`cdist` on its first call in a process. Only a distance block below
-`_BLAS_MIN_DIM` coordinates calls it, so a process that scores only
-high-D samples never loads scipy, and importing efm loads none of it
-(`efm.physics` imports `betainc` the same way, inside
-`cap_solid_angle`). scipy's import is most of `import efm.cli`'s footprint:
-on a 2-vCPU host it takes the process from 34 to 67 MB of resident memory.
+scipy: this module imports none. Importing efm loads no scipy, and neither
+does any energy distance or sliced W1; only `efm.physics.cap_solid_angle`
+imports scipy's `betainc`, inside the function. scipy's
+`scipy.spatial.distance` would be most of a scoring process's footprint: on
+a 2-vCPU host it adds about 28 MB of resident memory and 0.28 s of start-up.
 
 `sliced_w1` projects both samples on a chunk of directions at a time, sorts
 each side, merges the two sorted runs with one stable argsort and reads both
@@ -46,28 +48,30 @@ through `efm.field._split`, and the caller reduces every piece's result in
 piece order, so each statistic is bit-identical to a one-thread run. Work
 too small or too fine-grained to gain (`_SPLIT_MIN_*`) starts no thread;
 at N=512, the size of the benchmark's trace workload, nothing does. The
-worker runs only numpy, `cdist` and `efm.field._squared_distances`, never
-a function the benchmark's tracer wraps.
+worker runs only numpy, `_exact_distances` and
+`efm.field._squared_distances`, never a function the benchmark's tracer
+wraps.
 
 Memory: the float temporaries stay bounded in bytes at any N, D and number
 of permutations. A distance block holds at most `_PAIR_BLOCK` entries (the
-field kernel's L2-sized block; a `cdist` null's, at most twice that) and is
-written into each thread's own workspace. A BLAS block also takes its
-|p|^2 + |s|^2 block and its bool floor mask from there, so it gets no
-null's row floor: its floats already total twice `_PAIR_BLOCK`. The pool
-is centred in place, not copied. Label columns are reduced in chunks of
-at most `_LABEL_BLOCK` entries per float temporary. The
-partial sums of the row blocks that run at once are stored in rounds of at
-most `_PAIR_BLOCK` floats. Only the boolean label matrix grows with
-`n_perm`. A sliced-W1 chunk of directions holds at
-most `_PAIR_BLOCK` projections, or one direction's N when N is larger, so
-its temporaries stay O(N) whatever the number of directions; one-direction
-chunks run on the caller alone, so two of them are never alive at once.
+field kernel's L2-sized block; an exact null's, at most twice that) and is
+written into each thread's own workspace, next to a scratch block of the
+same size: the exact block's squared differences, or the BLAS block's
+|p|^2 + |s|^2. A BLAS block also takes its bool floor mask from there, so
+it gets no null's row floor. The pool is centred in place, not copied; the
+exact block's difference factors hold 4 N D floats. Label columns are
+reduced in chunks of at most `_LABEL_BLOCK` entries per float temporary
+(the first chunk's ones column aside). The partial sums of the row blocks
+that run at once are stored in rounds of at most `_PAIR_BLOCK` floats.
+Only the boolean label matrix grows with `n_perm`. A sliced-W1 chunk of
+directions holds at most `_PAIR_BLOCK` projections, or one direction's N
+when N is larger, so its temporaries stay O(N) whatever the number of
+directions; one-direction chunks run on the caller alone, so two of them
+are never alive at once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,16 +87,18 @@ MAX_EXACT_SIDE = 4096
 # Float entries per chunk of label columns (4 MB of float64).
 _LABEL_BLOCK = 500_000
 
-# Fewest rows per distance block of a permutation null, while a block stays
-# within 2 * _PAIR_BLOCK entries: with several label columns, OpenBLAS runs
+# Fewest rows per exact distance block of a permutation null, while the
+# block stays within 2 * _PAIR_BLOCK entries (so its dist and scratch pair
+# within 4 * _PAIR_BLOCK floats): with several label columns, OpenBLAS runs
 # a 16-row block's products at about half the rate of a 128-row block's.
 _NULL_MIN_ROWS = 32
 
 # From this many coordinates on, a distance block is one BLAS product
-# (`efm.field._squared_distances`) instead of `cdist`. Measured on a 2-vCPU
-# host with one BLAS thread at N=2048 (CHANGES.md): `cdist` is faster at
-# D=8, the BLAS block from D=12 on.
-_BLAS_MIN_DIM = 12
+# (`efm.field._squared_distances`) instead of the exact block
+# (`_exact_distances`). Measured on a 2-vCPU host with one BLAS thread
+# (CHANGES.md): the exact block is faster at D=2 and 3 (a tie at D=3 with
+# 2048 + 2048 points), the BLAS block from D=4 on.
+_BLAS_MIN_DIM = 4
 
 # When `efm.field._split` hands work to a second thread. Measured on a 2-vCPU
 # host with one BLAS thread (CHANGES.md): a thread's start costs 0.25-0.6 ms,
@@ -122,16 +128,34 @@ class DistanceReport:
         return d
 
 
-@functools.cache
-def _scipy_cdist():
-    from scipy.spatial.distance import cdist as scipy_cdist
-    return scipy_cdist
+def _exact_distances(diffs, r0, r1, out, scratch) -> None:
+    """Euclidean distances of points r0:r1 to points r0: of the pool that
+    `diffs` holds, written into `out` (r1 - r0, N - r0), with `scratch` of
+    the same shape.
+
+    `diffs` holds, per coordinate x, the (N, 2) [x | 1] and the (2, N)
+    [1 ; -x] (`_difference_factors`), whose product x_i - x_j is exact: both
+    terms are exact products, so BLAS rounds their sum once, as a
+    subtraction does, and forms it at twice the rate of numpy's broadcast
+    subtraction. Each pair's squared differences are added in coordinate
+    order before the square root, as scipy's `cdist` adds them, so the block
+    equals `cdist`'s bit for bit."""
+    lefts, rights = diffs
+    for k in range(len(lefts)):
+        term = scratch if k else out
+        np.matmul(lefts[k, r0:r1], rights[k, :, r0:], out=term)
+        np.multiply(term, term, out=term)
+        if k:
+            out += term
+    np.sqrt(out, out=out)
 
 
-def cdist(x, y, out) -> None:
-    """Euclidean distances of the rows of `x` to the rows of `y`, written
-    into `out`: scipy's `cdist`, imported on the first call in a process."""
-    _scipy_cdist()(x, y, out=out)
+def _difference_factors(pool):
+    """Per coordinate x of the (N, D) `pool`, the factors [x | 1] (D, N, 2)
+    and [1 ; -x] (D, 2, N) of `_exact_distances`."""
+    coords = pool.T
+    ones = np.ones_like(coords)
+    return np.stack([coords, ones], axis=2), np.stack([ones, -coords], axis=1)
 
 
 def _as_points(x) -> np.ndarray:
@@ -184,14 +208,20 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     Each unordered pair's distance is computed once. Row block r0:r1 is
     measured against rows r0: only, a (rows, N - r0) block of at most
     `_PAIR_BLOCK` entries that fits in a core's L2 cache. Below
-    `_BLAS_MIN_DIM` coordinates the block is `cdist`-ed (with k > 1, at
-    least `_NULL_MIN_ROWS` rows while that stays within twice as many
-    entries). From there on `efm.field._squared_distances` forms it with
-    one BLAS product, next to its |p|^2 + |s|^2 block in the same workspace
-    buffer; entries at or under the coincidence floor are set to 0 and the
-    square root is taken in place. That path expects `pool` centred, as
-    `_pooled` stacks it. The block's diagonal part is halved in place, so
-    2·x_rᵀ(block · x_r0:) adds both orders of every pair the block holds.
+    `_BLAS_MIN_DIM` coordinates `_exact_distances` builds the block from
+    `pool`'s difference factors, next to its scratch block in the same
+    workspace buffer (with k > 1, at least `_NULL_MIN_ROWS` rows while that
+    stays within twice as many entries). From there on
+    `efm.field._squared_distances` forms it with one BLAS product, next to
+    its |p|^2 + |s|^2 block in that buffer; entries at or under the
+    coincidence floor are set to 0 and the square root is taken in place.
+    That path expects `pool` centred, as `_pooled` stacks it. The block's
+    diagonal part is halved in place, so 2·x_rᵀ(block · x_r0:) adds both
+    orders of every pair the block holds. The same halved block gives the
+    row sums: its row sums over its rows and its column sums over its
+    columns. In the first chunk a ones column leads the label matrix, so
+    one BLAS product gives the block's row sums and label products, and one
+    vector product its column sums.
     The statistic is symmetric in a and b, so x marks each column's smaller
     sample and y its larger one: with the full row sums r and S_xx = xᵀDx,
     S_xy = rᵀx - S_xx and S_yy = Σr - S_xx - 2 S_xy, whose rounding is then
@@ -220,43 +250,50 @@ def _energy_statistics(pool, labels) -> np.ndarray:
     blas = pool.shape[1] >= _BLAS_MIN_DIM
     if blas:
         pool_sq = np.einsum("ij,ij->i", pool, pool)
+    else:
+        diffs = _difference_factors(pool)
     rows = max(1, _PAIR_BLOCK // n)
-    # a cdist null: its products are slow below _NULL_MIN_ROWS rows
+    # an exact null: its products are slow below _NULL_MIN_ROWS rows
     if k > 1 and not blas:
         rows = max(rows, min(_NULL_MIN_ROWS, 2 * _PAIR_BLOCK // n))
+    ones = np.ones(rows)
     cols = max(1, _LABEL_BLOCK // n)
     for c0 in range(0, k, cols):
         c = slice(c0, c0 + cols)
-        in_x = (labels[:, c] != flip[c]).astype(float)
-        first = c0 == 0  # the first chunk also collects the row sums
+        # the first chunk also collects the row sums: a ones column leads its
+        # labels, so the label product gives each block's row sums too
+        first = int(c0 == 0)
+        lab = np.empty((n, first + len(flip[c])))
+        lab[:, :first] = 1.0
+        in_x = lab[:, first:]
+        np.not_equal(labels[:, c], flip[c], out=in_x)
 
         def partials(r0):
             r1 = min(r0 + rows, n)
             shape = (r1 - r0, n - r0)
             size = shape[0] * shape[1]
-            buf = _workspace("energy_dist", (2 if blas else 1) * rows * n)
-            dist = buf[:size].reshape(shape)
+            buf = _workspace("energy_dist", 2 * rows * n)
+            dist, scratch = buf[:size].reshape(shape), buf[size:2 * size].reshape(shape)
             if blas:
                 near = _workspace("energy_near", rows * n, bool)[:size].reshape(shape)
-                _squared_distances(pool[r0:r1], pool[r0:], pool_sq[r0:], dist,
-                                   buf[size:2 * size].reshape(shape), near)
+                _squared_distances(pool[r0:r1], pool[r0:], pool_sq[r0:], dist, scratch, near)
                 np.copyto(dist, 0.0, where=near)
                 np.sqrt(dist, out=dist)
             else:
-                cdist(pool[r0:r1], pool[r0:], out=dist)
-            sums = (dist.sum(axis=1), dist[:, r1 - r0:].sum(axis=0)) if first else None
+                _exact_distances(diffs, r0, r1, dist, scratch)
             dist[:, :r1 - r0] *= 0.5
-            return sums, 2.0 * np.einsum("ij,ij->j", in_x[r0:r1], dist @ in_x[r0:])
+            prod = dist @ lab[r0:]
+            sxx = 2.0 * np.einsum("ij,ij->j", in_x[r0:r1], prod[:, first:])
+            return (prod[:, 0].copy(), ones[:r1 - r0] @ dist) if first else None, sxx
 
         width = pool.shape[1] + in_x.shape[1]
         min_pairs = _SPLIT_MIN_PAIRS if width >= _SPLIT_MIN_WIDTH else math.inf
-        for run in _row_rounds(n, rows, lambda r0: (n - r0 if first else 0) + in_x.shape[1]):
+        for run in _row_rounds(n, rows, lambda r0: (rows + n - r0 if first else 0) + in_x.shape[1]):
             costs = [min(rows, n - r0) * (n - r0) for r0 in run]
             for r0, (sums, sxx) in zip(run, _split(partials, run, costs, min_pairs)):
                 if first:
-                    r1 = min(r0 + rows, n)
-                    row_sum[r0:r1] += sums[0]
-                    row_sum[r1:] += sums[1]
+                    row_sum[r0:r0 + rows] += sums[0]
+                    row_sum[r0:] += sums[1]
                 s_xx[c] += sxx
         s_xy[c] = row_sum @ in_x - s_xx[c]
     s_yy = row_sum.sum() - s_xx - 2.0 * s_xy

@@ -480,10 +480,11 @@ def run_python(script, *args):
 
 
 class TestScipyOffTheImportPath:
-    """efm loads scipy only where it calls it: `cdist` on a low-D energy
-    distance and `betainc` in the cap checks."""
+    """efm loads scipy only where it calls it: `betainc` in the cap checks.
+    The energy distance builds its distance blocks in numpy at any D."""
 
-    def test_high_dim_pipeline_runs_with_scipy_blocked(self, tmp_path):
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_pipeline_runs_with_scipy_blocked(self, tmp_path, dim):
         # with sys.modules["scipy"] None, any import of scipy raises
         out = run_python("""
             import sys
@@ -491,44 +492,32 @@ class TestScipyOffTheImportPath:
             import efm.cli
             print(sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m]))
             from efm.core import CapacitorConfig
-            d = sys.argv[1]
-            CapacitorConfig(dim_d=16, plate_gap=6.0, seed=1).to_json_file(f"{d}/cfg.json")
+            d, dim = sys.argv[1], sys.argv[2]
+            CapacitorConfig(dim_d=int(dim), plate_gap=6.0, seed=1).to_json_file(f"{d}/cfg.json")
             steps = [
-                ["generate-data", "--kind", "gaussian", "--dim", "16", "--n", "128",
+                ["generate-data", "--kind", "gaussian", "--dim", dim, "--n", "128",
                  "--seed", "1", "--out", f"{d}/pos"],
-                ["generate-data", "--kind", "gaussian", "--dim", "16", "--n", "128",
+                ["generate-data", "--kind", "gaussian", "--dim", dim, "--n", "128",
                  "--mean", "0.5", "--seed", "2", "--out", f"{d}/neg"],
                 ["train", "--config", f"{d}/cfg.json", "--data-pos", f"{d}/pos/data.csv",
                  "--data-neg", f"{d}/neg/data.csv", "--steps", "3", "--batch-size", "32",
                  "--hidden", "8,8", "--mc-subsample", "32", "--out", f"{d}/train"],
                 ["transport", "--weights", f"{d}/train/weights_ema.json", "--config",
                  f"{d}/cfg.json", "--nfe", "10", "--in", f"{d}/pos/data.csv", "--out", f"{d}/tr"],
+                ["trace-lines", "--weights", f"{d}/train/weights_ema.json", "--config",
+                 f"{d}/cfg.json", "--in", f"{d}/pos/data.csv", "--out", f"{d}/tl"],
                 ["evaluate", "--a", f"{d}/tr/mapped.csv", "--b", f"{d}/neg/data.csv",
                  "--n-perm", "50", "--out", f"{d}/ev"],
             ]
             print([efm.cli.dispatch(argv) for argv in steps])
-            """, tmp_path)
+            """, tmp_path, dim)
         assert out.splitlines()[0] == "[]"
-        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0]"
-        assert (tmp_path / "ev" / "metrics.json").exists()
-
-    def test_low_dim_evaluate_loads_cdist(self, tmp_path):
-        for name, seed in (("a", 0), ("b", 1)):
-            assert run("generate-data", "--kind", "gaussian", "--n", 64, "--dim", 2,
-                       "--seed", seed, "--out", tmp_path / name) == 0
-        out = run_python("""
-            import sys
-            from efm.cli import dispatch
-            loaded = "scipy.spatial.distance" in sys.modules
-            code = dispatch(["evaluate", "--a", sys.argv[1], "--b", sys.argv[2],
-                             "--n-perm", "50", "--out", sys.argv[3]])
-            print(loaded, code, "scipy.spatial.distance" in sys.modules)
-            """, tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv", tmp_path / "ev")
-        assert out.splitlines()[-1].split() == ["False", "0", "True"]
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+        assert (tmp_path / "tl" / "trajectories.csv").exists()
         payload = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         # the library call that evaluate makes
-        want = energy_distance(load_csv(tmp_path / "a" / "data.csv"),
-                               load_csv(tmp_path / "b" / "data.csv"), 50,
+        want = energy_distance(load_csv(tmp_path / "tr" / "mapped.csv"),
+                               load_csv(tmp_path / "neg" / "data.csv"), 50,
                                seeded_stream(0, "evaluate")).statistic
         assert payload["energy_distance"]["statistic"] == want
 

@@ -69,6 +69,31 @@ class TestEnergyDistance:
             if by_cdist == 0.0:
                 assert by_blas == 0.0
 
+    @pytest.mark.parametrize("dim", range(1, 12))
+    def test_exact_block_equals_cdist(self, monkeypatch, dim):
+        # below _BLAS_MIN_DIM (raised here to reach D=11) each distance block
+        # is built in numpy: it must equal scipy's cdist bit for bit, on
+        # duplicated rows and 1e6 from the origin too; 115 pooled rows give
+        # row blocks of 40, 40 and 35
+        monkeypatch.setattr(metrics, "_BLAS_MIN_DIM", 12)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 115 * 40)
+        block, equal = metrics._exact_distances, []
+
+        def checked(diffs, r0, r1, out, scratch):
+            block(diffs, r0, r1, out, scratch)
+            pts = diffs[0][:, :, 0].T
+            equal.append(np.array_equal(out, cdist(pts[r0:r1], pts[r0:])))
+
+        monkeypatch.setattr(metrics, "_exact_distances", checked)
+        stream = seeded_stream(80 + dim, "exact")
+        for shift in (0.0, 1e6):
+            a = stream.standard_normal((70, dim)) * stream.uniform(0.1, 10.0, dim) + shift
+            b = stream.standard_normal((45, dim)) + 0.2 + shift
+            a[10:20] = a[0]
+            b[:5] = a[30:35]
+            energy_distance(a, b)
+        assert equal == [True] * 6
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="empty"):
             energy_distance(np.zeros((0, 2)), np.ones((3, 2)))
@@ -295,8 +320,10 @@ class TestPermutationNull:
         monkeypatch.setattr(metrics, "_PAIR_BLOCK", n * 4)
         monkeypatch.setattr(metrics, "_NULL_MIN_ROWS", min_rows)
         seen = []
-        monkeypatch.setattr(metrics, "cdist", lambda x, y, out: seen.append(len(x)) or cdist(
-            x, y, out=out))
+        block = metrics._exact_distances
+        monkeypatch.setattr(metrics, "_exact_distances",
+                            lambda diffs, r0, r1, *out: seen.append(r1 - r0) or block(
+                                diffs, r0, r1, *out))
         stream = seeded_stream(32, "p")
         pool = stream.standard_normal((n, 2))
         labels = np.zeros((n, 3), dtype=bool)
@@ -339,11 +366,13 @@ class TestPermutationNull:
     def test_null_computes_each_distance_once(self, monkeypatch):
         # 256 + 256 points, D=2 and 200 permutations, as the benchmark's trace
         # workload evaluates: the statistic and the null share one pass, whose
-        # 201 label columns fit one chunk, so the cdist blocks cover each
+        # 201 label columns fit one chunk, so the exact blocks cover each
         # pooled row once
         rows = []
-        monkeypatch.setattr(metrics, "cdist", lambda x, y, out: rows.append(len(x)) or cdist(
-            x, y, out=out))
+        block = metrics._exact_distances
+        monkeypatch.setattr(metrics, "_exact_distances",
+                            lambda diffs, r0, r1, *out: rows.append(r1 - r0) or block(
+                                diffs, r0, r1, *out))
         stream = seeded_stream(35, "p")
         a = stream.standard_normal((256, 2))
         b = stream.standard_normal((256, 2)) + 0.2
@@ -437,10 +466,11 @@ class TestTwoThreads:
                                             ("permutation_null", 768, 2),
                                             ("sliced_w1", 2048, 2)])
     def test_worker_exception_propagates(self, monkeypatch, name, n, dim):
-        # energy distances come from the BLAS expansion at D=32, from cdist at D=2
+        # energy distances come from the BLAS expansion at D=32, from the
+        # exact block at D=2
         caller = threading.current_thread()
         target, attr = {"energy_distance": (metrics, "_squared_distances"),
-                        "permutation_null": (metrics, "cdist"),
+                        "permutation_null": (metrics, "_exact_distances"),
                         "sliced_w1": (np, "argsort")}[name]
         inline = getattr(target, attr)
 
