@@ -32,12 +32,6 @@ together than they are to the mean lose digits, and they add little to the
 means: the statistic agrees with a difference-tensor reference to 1e-12 of
 its scale at D=16, 33 and 64, on data shifted by +100 too.
 
-scipy: this module imports none. Importing efm loads no scipy, and neither
-does any energy distance or sliced W1; only `efm.physics.cap_solid_angle`
-imports scipy's `betainc`, inside the function. scipy's
-`scipy.spatial.distance` would be most of a scoring process's footprint: on
-a 2-vCPU host it adds about 28 MB of resident memory and 0.28 s of start-up.
-
 `sliced_w1` projects both samples on a chunk of directions at a time, sorts
 each side, merges the two sorted runs with one stable argsort and reads both
 empirical CDFs from a running count of the merged rows that came from a.

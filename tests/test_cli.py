@@ -480,8 +480,8 @@ def run_python(script, *args):
 
 
 class TestScipyOffTheImportPath:
-    """efm loads scipy only where it calls it: `betainc` in the cap checks.
-    The energy distance builds its distance blocks in numpy at any D."""
+    """efm imports no scipy anywhere: the whole pipeline, the physics
+    checks and exact-field transport run on numpy alone."""
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_pipeline_runs_with_scipy_blocked(self, tmp_path, dim):
@@ -508,12 +508,20 @@ class TestScipyOffTheImportPath:
                  f"{d}/cfg.json", "--in", f"{d}/pos/data.csv", "--out", f"{d}/tl"],
                 ["evaluate", "--a", f"{d}/tr/mapped.csv", "--b", f"{d}/neg/data.csv",
                  "--n-perm", "50", "--out", f"{d}/ev"],
+                ["verify-physics", "--config", f"{d}/cfg.json", "--out", f"{d}/vp"],
+                ["transport", "--exact-field", "--policy", "theoretical", "--config",
+                 f"{d}/cfg.json", "--data-pos", f"{d}/pos/data.csv", "--data-neg",
+                 f"{d}/neg/data.csv", "--in", f"{d}/pos/data.csv", "--out", f"{d}/ex"],
             ]
             print([efm.cli.dispatch(argv) for argv in steps])
             """, tmp_path, dim)
         assert out.splitlines()[0] == "[]"
-        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0]"
         assert (tmp_path / "tl" / "trajectories.csv").exists()
+        assert (tmp_path / "ex" / "mapped.csv").exists()
+        report = json.loads((tmp_path / "vp" / "physics_report.json").read_text())
+        assert {"hemisphere_flux", "quarter_cap_flux"} <= {c["check_name"] for c in report}
+        assert [c["check_name"] for c in report if not c["pass"]] == []
         payload = json.loads((tmp_path / "ev" / "metrics.json").read_text())
         # the library call that evaluate makes
         want = energy_distance(load_csv(tmp_path / "tr" / "mapped.csv"),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from efm.core import CapacitorConfig, EfmError, seeded_stream
-from efm.field import EmpiricalField, PlateSet, one_sided_ez, superposition_field
+from efm.field import (EmpiricalField, PlateSet, one_sided_ez, sphere_surface_area,
+                       superposition_field)
 from efm.physics import (CapSpec, cap_solid_angle, circulation, flux_through_sphere,
                          plate_enclosure_checks, plate_system, solid_angle_flux)
 
@@ -140,16 +141,36 @@ class TestSolidAngle:
                 dirs = stream.standard_normal((n_mc, dim))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
                 frac = float(np.mean(dirs[:, -1] >= math.cos(theta)))
-                from efm.field import sphere_surface_area
                 area = sphere_surface_area(dim - 1)
                 p = cap_solid_angle(dim, theta) / area
                 sigma = math.sqrt(p * (1 - p) / n_mc)
                 assert abs(frac - p) < 4 * sigma + 1e-12
 
     def test_known_3d_values(self):
-        assert cap_solid_angle(3, math.pi / 2) == pytest.approx(2 * math.pi)
+        assert cap_solid_angle(3, math.pi / 2) == 2 * math.pi  # exactly half of S_2 = 4 pi
         assert cap_solid_angle(3, math.pi / 3) == pytest.approx(math.pi)
         assert cap_solid_angle(3, math.pi) == pytest.approx(4 * math.pi)
+        # closed forms: an arc of half-angle theta, and 2 pi (1 - cos theta),
+        # taken as 4 pi sin^2(theta / 2) so that small caps keep their digits
+        for theta in (1e-6, 0.3, math.pi / 4, math.pi / 2, 2.0, math.pi - 1e-6):
+            assert cap_solid_angle(2, theta) == pytest.approx(2 * theta, rel=1e-13)
+            assert cap_solid_angle(3, theta) == pytest.approx(
+                4 * math.pi * math.sin(theta / 2) ** 2, rel=1e-13)
+
+    def test_matches_incomplete_beta_closed_form(self):
+        # oracle: scipy's regularized incomplete beta, the cap's closed form
+        # 0.5 S_(dim-1) I_(sin^2 theta)((dim-1)/2, 1/2) for theta <= pi/2
+        from scipy.special import betainc
+        small = np.geomspace(1e-6, math.pi / 2, 12)
+        for dim in range(2, 65):
+            full = sphere_surface_area(dim - 1)
+            for theta in np.concatenate([small, math.pi - small]):
+                half = 0.5 * full * betainc((dim - 1) / 2, 0.5,
+                                            math.sin(min(theta, math.pi - theta)) ** 2)
+                want = half if theta <= math.pi / 2 else full - half
+                # caps that underflow to subnormals carry no relative precision
+                assert cap_solid_angle(dim, theta) == pytest.approx(want, rel=1e-13,
+                                                                    abs=1e-300)
 
     def test_hemisphere_flux_is_half(self):
         cap = CapSpec(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]), math.pi / 2)
@@ -171,9 +192,25 @@ class TestSolidAngle:
         assert rep.estimate == 0.0
         assert rep.target == 0.0
 
-    def test_polar_angle_out_of_range_rejected(self):
-        with pytest.raises(EfmError, match="polar_angle"):
-            CapSpec(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]), 1.5 * math.pi)
+    @pytest.mark.parametrize("make, match", [
+        (lambda: CapSpec(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]), 1.5 * math.pi),
+         "polar_angle"),
+        (lambda: CapSpec(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]), math.nan),
+         "polar_angle"),
+        (lambda: CapSpec(np.zeros(3), 1.0, np.zeros(3), 1.0), "axis"),
+        (lambda: CapSpec(np.zeros(3), 1.0, np.array([0.0, 1.0]), 1.0), "axis"),
+        (lambda: CapSpec(np.zeros(3), 0.0, np.array([0.0, 0.0, 1.0]), 1.0), "radius"),
+        (lambda: CapSpec(np.zeros(3), -1.0, np.array([0.0, 0.0, 1.0]), 1.0), "radius"),
+        (lambda: cap_solid_angle(3, math.nan), "polar_angle"),
+        (lambda: cap_solid_angle(3, 4.0), "polar_angle"),
+        (lambda: cap_solid_angle(3, -1.0), "polar_angle"),
+        (lambda: cap_solid_angle(1, 1.0), "dimension"),
+    ], ids=["polar_angle_above_pi", "polar_angle_nan", "zero_axis", "axis_shape",
+            "zero_radius", "negative_radius", "solid_angle_nan", "solid_angle_above_pi",
+            "solid_angle_negative", "solid_angle_dim_1"])
+    def test_invalid_cap_rejected(self, make, match):
+        with pytest.raises(EfmError, match=match):
+            make()
 
 
 class TestPlateJump:
