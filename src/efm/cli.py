@@ -1,5 +1,15 @@
 """Command-line pipeline with file-based interchange.
 
+Stages pass points to each other as CSVs of `%.17g` decimals, written by
+`efm.data.save_csv` and read by `efm.data.load_csv`. Next to each such CSV
+`save_csv` writes a binary shadow `<csv>.f8` holding the same doubles and
+the SHA-256 of the CSV's bytes. Like a checked hash-based `.pyc`, a shadow
+is trusted only while that digest (and its shape) matches the CSV beside
+it; otherwise, or when it is missing, the CSV is parsed. Since `%.17g`
+round-trips every finite double, both paths give the same points, so a
+shadow is a cache: manifests do not list it, and deleting it costs only
+speed.
+
 Each stage of the method exists once, and every subcommand that needs it
 calls it:
 

@@ -1,7 +1,16 @@
-"""Toy distribution generators and CSV persistence."""
+"""Toy distribution generators and CSV persistence.
+
+`save_csv` writes a binary shadow `<path>.f8` next to each CSV, and
+`load_csv` reads the points from it instead of parsing the CSV, but only
+while the shadow still describes that CSV's bytes (see `load_csv`).
+"""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +23,15 @@ from .core import DataError
 SWISS_ROLL_THETA_MIN = 1.5 * np.pi
 SWISS_ROLL_THETA_MAX = 4.5 * np.pi
 SWISS_ROLL_SCALE = 2.5
+
+# Binary shadow of a CSV: an 8-byte magic and version, the SHA-256 of the
+# CSV's bytes, n and D as little-endian int64, then the n*D float64 values
+# row-major, little-endian. The 56-byte header keeps the payload 8-aligned.
+_SHADOW_SUFFIX = ".f8"
+_SHADOW_MAGIC = b"efm.f8\x00\x01"
+_SHADOW_HEADER = struct.Struct("<8s32sqq")
+# Bytes of CSV text formed or hashed at once, so no file is held in memory.
+_CSV_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,11 +98,72 @@ def gen_two_gaussians(n: int, separation: float, stream, std: float = 1.0) -> Da
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write header x_1..x_D then one sample per line at 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x_{i + 1}" for i in range(dataset.dim)) + "\n")
-        row = ",".join(["%.17g"] * dataset.dim) + "\n"
-        fh.writelines(row % tuple(values) for values in dataset.points.tolist())
+    """Write header x_1..x_D then one sample per line at 17 significant
+    digits, and the CSV's binary shadow `<path>.f8`.
+
+    The rows are formatted and hashed a chunk at a time, so neither the
+    text nor a list of every value is held at once. The shadow carries
+    the SHA-256 of the CSV bytes just written: it is a cache that
+    `load_csv` trusts only while that digest still matches the CSV, so
+    deleting it costs only speed.
+    """
+    points = dataset.points
+    digest = hashlib.sha256()
+    header = ",".join(f"x_{i + 1}" for i in range(dataset.dim)) + "\n"
+    row = ",".join(["%.17g"] * dataset.dim) + "\n"
+    step = max(1, _CSV_CHUNK // (24 * dataset.dim))  # a %.17g cell takes <= 24 bytes
+    chunks = ("".join(row % tuple(v) for v in points[i0:i0 + step].tolist())
+              for i0 in range(0, dataset.n, step))
+    with open(path, "wb") as fh:
+        for text in itertools.chain([header], chunks):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    with open(os.fspath(path) + _SHADOW_SUFFIX, "wb") as fh:
+        fh.write(_SHADOW_HEADER.pack(_SHADOW_MAGIC, digest.digest(), dataset.n, dataset.dim))
+        fh.write(np.ascontiguousarray(points, dtype="<f8"))
+
+
+def _csv_digest(path, n: int, dim: int):
+    """SHA-256 of the file at `path`, hashed a chunk at a time, or None
+    when it cannot be read or is not n rows under a D-wide header
+    (n + 1 newlines)."""
+    digest = hashlib.sha256()
+    buf = bytearray(_CSV_CHUNK)
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            if header.count(b",") + 1 != dim:
+                return None
+            digest.update(header)
+            newlines = header.count(b"\n")
+            while size := fh.readinto(buf):
+                digest.update(memoryview(buf)[:size])
+                newlines += buf.count(b"\n", 0, size)
+    except OSError:
+        return None
+    return digest.digest() if newlines == n + 1 else None
+
+
+def _read_shadow(path):
+    """The (n, D) points of the shadow `<path>.f8`, or None unless its
+    magic, length, shape and digest all match the CSV at `path`. With no
+    shadow there, the CSV is not opened."""
+    try:
+        fh = open(os.fspath(path) + _SHADOW_SUFFIX, "rb")
+    except OSError:
+        return None
+    with fh:
+        head = fh.read(_SHADOW_HEADER.size)
+        if len(head) < _SHADOW_HEADER.size:
+            return None
+        magic, digest, n, dim = _SHADOW_HEADER.unpack(head)
+        if (magic != _SHADOW_MAGIC or n < 1 or dim < 1
+                or os.fstat(fh.fileno()).st_size != _SHADOW_HEADER.size + 8 * n * dim
+                or _csv_digest(path, n, dim) != digest):
+            return None
+        points = np.fromfile(fh, dtype="<f8", count=n * dim)
+    return points.reshape(n, dim) if points.size == n * dim else None
 
 
 def _parse_rows(rows) -> np.ndarray:
@@ -94,8 +173,25 @@ def _parse_rows(rows) -> np.ndarray:
 
 
 def load_csv(path) -> Dataset:
+    """The points of a CSV written by `save_csv`, or by hand in its format.
+
+    When `<path>.f8` is a current shadow of the CSV (magic, file length,
+    n and D against the CSV's newline count and header width, and the
+    SHA-256 of the CSV's bytes all match), its float64 payload is
+    returned as is: `%.17g` round-trips every finite double, so these are
+    exactly the values a parse would give. In every other case (no shadow,
+    a shadow of other bytes, a damaged one) the CSV is parsed; without a
+    shadow it is not hashed at all. The parse raises DataError naming the
+    first bad line: a non-numeric cell (bytes that are not UTF-8 count as
+    one) or a ragged row.
+    """
+    points = _read_shadow(path)
+    if points is not None:
+        return Dataset(points)
     try:
-        with open(path) as fh:
+        # a byte that is not UTF-8 decodes to a lone surrogate, which no
+        # number or header contains, so the bad line is named below
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -103,11 +199,12 @@ def load_csv(path) -> Dataset:
     lines = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
     if not lines:
         raise DataError(f"empty dataset: {path} has no header")
-    header = lines[0][1].split(",")
+    header_line, header = lines[0][0], lines[0][1].split(",")
     dim = len(header)
     expect = [f"x_{i + 1}" for i in range(dim)]
     if header != expect:
-        raise DataError(f"bad header in {path}: expected {','.join(expect)}")
+        raise DataError(f"bad header at line {header_line} of {path}: "
+                        f"expected {','.join(expect)}")
     body = lines[1:]
     if not body:
         raise DataError(f"empty dataset: {path} has a header but no rows")

@@ -25,6 +25,10 @@ TINY_FIELD_NORM = 1e-30
 # powers stay in range and are cheaper to form.
 LOG_ACCUMULATION_DIM = 32
 
+# Natural log of the largest float64: at ambient dimension d, a squared
+# distance above exp(2 * _LOG_FLOAT_MAX / d) overflows when raised to d/2.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 # Max pairwise entries materialized at once. A (rows, n) float64 temporary
 # then takes 512 KiB, so a block's temporaries stay in a core's L2 cache.
 _PAIR_BLOCK = 65_536
@@ -171,7 +175,11 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     log S_(d-1) (by `math.lgamma`), so the direction stays representable
     even when the magnitude under- or overflows, and so does 1/S_(d-1)
     itself: it passes 1e154, where a row norm's squares overflow, from
-    d = 262 on, and S_(d-1) underflows to 0 from d = 456 on. Every
+    d = 262 on, and S_(d-1) underflows to 0 from d = 456 on. A block at
+    or below LOG_ACCUMULATION_DIM takes the log branch too when its bound
+    ((max|p| + max|s|)^2 + eps^2)^(d/2) on r^d would overflow, so a far
+    point keeps its direction; every other block's bytes are those of the
+    plain powers. Every
     (rows, n) temporary is written in place into this thread's workspace
     (`_workspace`): two float64
     buffers and one bool buffer of max(_PAIR_BLOCK, n) entries each, kept
@@ -194,11 +202,14 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
     s_sq = sources_sq if sources_sq is not None else np.einsum("ij,ij->i", sources, sources)
     size = min(block, m) * n
     r2_buf, sum_buf = _workspace("kernel_r2", size), _workspace("kernel_sum", size)
-    if d > LOG_ACCUMULATION_DIM:
-        with np.errstate(divide="ignore"):
-            log_c = np.log(np.abs(charges))
-        sign_c = np.sign(charges)
-        log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
+    if d <= LOG_ACCUMULATION_DIM:
+        # a block's r2 is at most (max|p| + max|s|)^2 + eps^2; above
+        # r2_max, r2^(d/2) could overflow
+        p_sq = np.einsum("ij,ij->i", points, points)
+        s_norm = math.sqrt(float(s_sq.max(initial=0.0)))
+        r2_max = math.exp(2.0 * _LOG_FLOAT_MAX / d)
+        inv_area = 1.0 / sphere_surface_area(d - 1)
+    log_c = None
     for i0 in range(0, m, block):
         i1 = min(i0 + block, m)
         blk = points[i0:i1]
@@ -210,9 +221,18 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
         if near is not None and near.any():
             raise FieldError("evaluation point coincides with a charge and field_epsilon is 0")
         r2 += eps2
+        in_log = d > LOG_ACCUMULATION_DIM
+        if not in_log:
+            reach = math.sqrt(float(p_sq[i0:i1].max())) + s_norm
+            in_log = reach * reach + eps2 > r2_max
         # the weights c_j / r_ij^d, formed in place over r2
         w = r2
-        if d > LOG_ACCUMULATION_DIM:
+        if in_log:
+            if log_c is None:
+                with np.errstate(divide="ignore"):
+                    log_c = np.log(np.abs(charges))
+                sign_c = np.sign(charges)
+                log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
             with np.errstate(divide="ignore"):
                 np.log(w, out=w)
             w *= 0.5 * d
@@ -232,8 +252,8 @@ def scaled_superposition(points, sources, charges, field_epsilon: float = 0.0,
                 w *= root
             np.divide(charges, w, out=w)
         vec[i0:i1] = blk * w.sum(axis=1)[:, None] - w @ sources
-    if d <= LOG_ACCUMULATION_DIM:
-        vec *= 1.0 / sphere_surface_area(d - 1)
+        if not in_log:
+            vec[i0:i1] *= inv_area
     return vec, log_scale
 
 

@@ -449,6 +449,16 @@ class TestPipeline:
         assert payload["energy_distance"]["statistic"] >= 0
         assert "null_quantiles" in payload["energy_distance"]
 
+    def test_undecodable_csv_is_domain_error(self, tmp_path, plates, capsys):
+        pos, _ = plates
+        bad = tmp_path / "bad.csv"
+        lines = pos.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        bad.write_bytes(b"".join(lines))
+        assert run("evaluate", "--a", bad, "--b", pos, "--out", tmp_path / "ev") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: non-numeric cell at line 3 of {bad}\n"
+
     def test_manifest_hashes_recomputable(self, tmp_path, toy_config_file, plates):
         pos, neg = plates
         out = tmp_path / "ev2"
@@ -465,6 +475,45 @@ class TestPipeline:
             "--data-pos", pos, "--data-neg", neg, "--nfe", 10,
             "--in", pos, "--out", tmp_path / "mut")
         assert pos.read_bytes() == before
+
+
+class TestCsvShadows:
+    """Reading a CSV through its binary shadow `<csv>.f8` changes no output."""
+
+    def stages(self, d):
+        common = ["--config", d / "cfg.json"]
+        return [
+            ["generate-data", "--kind", "gaussian", "--dim", 32, "--n", 96, "--seed", 1,
+             "--out", d / "pos"],
+            ["generate-data", "--kind", "gaussian", "--dim", 32, "--n", 96, "--mean", 2,
+             "--std", 0.5, "--seed", 2, "--out", d / "neg"],
+            ["train", *common, "--data-pos", d / "pos" / "data.csv", "--data-neg",
+             d / "neg" / "data.csv", "--steps", 3, "--batch-size", 64, "--mc-subsample", 32,
+             "--hidden", "16,16", "--seed", 1, "--out", d / "train"],
+            ["transport", "--weights", d / "train" / "weights_ema.json", *common, "--nfe", 10,
+             "--in", d / "pos" / "data.csv", "--out", d / "tr"],
+            ["evaluate", "--a", d / "tr" / "mapped.csv", "--b", d / "neg" / "data.csv",
+             "--n-perm", 50, "--seed", 1, "--out", d / "ev"],
+        ]
+
+    def test_d32_pipeline_outputs_equal_with_and_without_shadows(self, tmp_path, monkeypatch):
+        runs = {"shadowed": tmp_path / "shadowed", "parsed": tmp_path / "parsed"}
+        for d in runs.values():
+            d.mkdir()
+            CapacitorConfig(dim_d=32, plate_gap=6.0, seed=1).to_json_file(d / "cfg.json")
+        # every read of the first run comes from a shadow: the parse would raise
+        with monkeypatch.context() as m:
+            m.setattr("efm.data._parse_rows", lambda rows: pytest.fail("parsed a CSV"))
+            for argv in self.stages(runs["shadowed"]):
+                assert run(*argv) == 0
+        assert (runs["shadowed"] / "tr" / "mapped.csv.f8").exists()
+        for argv in self.stages(runs["parsed"]):
+            for f8 in runs["parsed"].rglob("*.f8"):
+                f8.unlink()
+            assert run(*argv) == 0
+        for name in ("tr/mapped.csv", "train/weights.json", "train/weights_ema.json",
+                     "ev/metrics.json"):
+            assert (runs["shadowed"] / name).read_bytes() == (runs["parsed"] / name).read_bytes()
 
 
 def run_python(script, *args):

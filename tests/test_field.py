@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -336,6 +337,49 @@ class TestHighDimensionalStability:
         unit, degenerate = normalize_rows(vec)
         assert not degenerate[0]
         np.testing.assert_allclose(unit[0, 0], 1.0, rtol=1e-12)
+
+    def test_far_point_on_the_power_branch_keeps_a_unit_direction(self):
+        # D+1=17 is below LOG_ACCUMULATION_DIM, and r^16 of a point at
+        # x_1 = 1e20 overflows float64: its block takes the log branch
+        stream = seeded_stream(8, "far/17")
+        field = EmpiricalField(PlateSet(stream.standard_normal((128, 16))),
+                               PlateSet(stream.standard_normal((128, 16)) + 0.5), 6.0)
+        pt = np.zeros((1, 17))
+        pt[0, 0] = 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, degenerate = field.normalized(pt)
+        assert not degenerate[0]
+        assert np.all(np.isfinite(unit))
+        assert np.linalg.norm(unit[0]) == pytest.approx(1.0, rel=1e-14)
+
+    def test_far_block_matches_exact_differences(self):
+        # D+1=32: r^32 overflows from r of about 7e9. The far point's block,
+        # and the near point that shares it, equal a log-space sum over exact
+        # differences, up to the squared-distance expansion's rounding
+        dim = 32
+        stream = seeded_stream(8, "far/32")
+        sources = stream.standard_normal((64, dim))
+        sources[32:, -1] += 6.0
+        charges = np.repeat([1 / 32, -1 / 32], 32)
+        u = stream.standard_normal(dim)
+        pts = np.vstack([1e10 * u / np.linalg.norm(u), stream.standard_normal(dim)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec, log_scale = scaled_superposition(pts, sources, charges, 1e-4)
+        diff = pts[:, None, :] - sources[None, :, :]
+        log_w = (np.log(np.abs(charges))
+                 - 0.5 * dim * np.log(np.einsum("ijk,ijk->ij", diff, diff) + 1e-8))
+        shift = log_w.max(axis=1, keepdims=True)
+        ref = np.einsum("ij,ijk->ik", np.sign(charges) * np.exp(log_w - shift), diff)
+        got, _ = normalize_rows(vec)
+        want, _ = normalize_rows(ref)
+        np.testing.assert_allclose(got[0], want[0], atol=1e-5)
+        np.testing.assert_allclose(got[1], want[1], atol=1e-13)
+        # log_scale carries the shift and -log S_31, so vec is unscaled
+        np.testing.assert_allclose(vec[1] * np.exp(log_scale[1]),
+                                   ref[1] * np.exp(shift[1, 0]) / sphere_surface_area(dim - 1),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("dim", [300, 500])
     def test_unit_rows_where_the_area_leaves_float_range(self, dim):
