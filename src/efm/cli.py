@@ -30,16 +30,24 @@ calls it:
 A subcommand body returns a `_Run`. `_recorded` times it, creates its output
 directory (and removes it again, if still empty, when the body fails) and
 writes `manifest.json`: `subcommand`, `config`, `seed`, `inputs`
-(path -> SHA-256), `outputs`, `duration_seconds`. `transport` and its alias
-add `nfe`, `policy` and `n_failed` to `config`; `run-preset` adds `n_steps`,
-`nfe` and `train_seconds`. `dispatch` prints the run's report; domain and OS
+(path -> SHA-256; a CSV's is the digest `load_csv` checked its shadow
+against, when it did), `outputs`, `duration_seconds`. `transport` and its
+alias add `nfe`, `policy` and `n_failed` to `config`; `run-preset` adds
+`n_steps`, `nfe` and `train_seconds`. `dispatch` prints the run's report; domain and OS
 errors exit 1.
+
+`dispatch` parses with one parser per process, built on its first call
+(`build_parser` still returns a fresh one). So whatever the parser takes
+from module state it reads at parse time, not when it is built: today
+that is `run-preset --name`, checked against `PRESETS` as it stands when
+the command line is parsed.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -91,13 +99,15 @@ def _sha256_file(path) -> str:
 
 def write_manifest(out_dir, subcommand: str, config: dict | None, seed,
                    inputs, outputs, started: float) -> Path:
-    """Atomically record what a run consumed and produced."""
+    """Atomically record what a run consumed and produced. `inputs` maps
+    each input path to its hex SHA-256 when a load already hashed it
+    (`Dataset.sha256`), else to None: that file is hashed here."""
     out_dir = Path(out_dir)
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": {str(p): digest or _sha256_file(p) for p, digest in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "duration_seconds": time.time() - started,
     }
@@ -143,7 +153,7 @@ class _Run:
     subcommand: str
     config: dict | None
     seed: int | None
-    inputs: list
+    inputs: dict  # path -> hex SHA-256 or None (`write_manifest`)
     outputs: list
     report: object  # printed as is when a str, else as indented JSON
     code: int = 0
@@ -182,8 +192,8 @@ def _check_dim(cfg, dim: int, what: str) -> None:
 
 
 def _field_source(cfg, args):
-    """(field_fn(pts), input paths) of `--weights` or, without it, of the
-    exact field of `--data-pos`/`--data-neg`."""
+    """(field_fn(pts), inputs as `write_manifest` takes them) of `--weights`
+    or, without it, of the exact field of `--data-pos`/`--data-neg`."""
     weights = getattr(args, "weights", None)
     if weights:
         if args.data_pos or args.data_neg:
@@ -191,7 +201,7 @@ def _field_source(cfg, args):
         net = load_weights(weights)
         _check_dim(cfg, net.layer_dims[0] - 1, "the --weights network's input")
         _check_dim(cfg, net.layer_dims[-1] - 1, "the --weights network's output")
-        return net.forward, [weights]
+        return net.forward, {weights: None}
     if not (args.data_pos and args.data_neg):
         raise EfmError("the field needs --weights, or --data-pos and --data-neg")
     pos = load_csv(args.data_pos)
@@ -199,7 +209,7 @@ def _field_source(cfg, args):
     field = EmpiricalField(PlateSet(pos.points), PlateSet(neg.points), cfg.plate_gap,
                            cfg.field_epsilon)
     _check_dim(cfg, field.dim, "the --data-pos/--data-neg plates")
-    return field.evaluate, [args.data_pos, args.data_neg]
+    return field.evaluate, {args.data_pos: pos.sha256, args.data_neg: neg.sha256}
 
 
 def _transport(out, cfg, points, field_fn, policy: str, *, nfe: int,
@@ -244,7 +254,7 @@ def _cmd_generate_data(out, args) -> _Run:
     path = out / "data.csv"
     save_csv(ds, path)
     resolved = {k: v for k, v in vars(args).items() if k != "handler"}
-    return _Run("generate-data", resolved, args.seed, [], [path],
+    return _Run("generate-data", resolved, args.seed, {}, [path],
                 f"wrote {path} ({ds.n} x {ds.dim})")
 
 
@@ -255,8 +265,9 @@ def _cmd_train(out, args) -> _Run:
     neg = load_csv(args.data_neg)
     train(cfg, pos.points, neg.points, n_steps=args.steps, batch_size=args.batch_size,
           hidden_dims=args.hidden, mc_subsample=args.mc_subsample, out_dir=out)
-    return _Run("train", cfg.to_dict(), cfg.seed, [args.config, args.data_pos, args.data_neg],
-                [out / n for n in TRAIN_OUTPUTS], f"trained {args.steps} steps -> {out}")
+    inputs = {args.config: None, args.data_pos: pos.sha256, args.data_neg: neg.sha256}
+    return _Run("train", cfg.to_dict(), cfg.seed, inputs, [out / n for n in TRAIN_OUTPUTS],
+                f"trained {args.steps} steps -> {out}")
 
 
 @_recorded
@@ -272,8 +283,9 @@ def _cmd_transport(out, args) -> _Run:
                                          nfe=args.nfe, dump_trajectories=args.dump_trajectories)
     config = cfg.to_dict() | {"nfe": args.nfe, "policy": args.policy,
                               "n_failed": len(result.failures)}
-    return _Run(args.command, config, cfg.seed, [args.config, args.infile, *field_inputs],
-                outputs, f"mapped {mapped.n}/{len(result.ok)} points -> {outputs[0]}")
+    inputs = {args.config: None, args.infile: points.sha256, **field_inputs}
+    return _Run(args.command, config, cfg.seed, inputs, outputs,
+                f"mapped {mapped.n}/{len(result.ok)} points -> {outputs[0]}")
 
 
 @_recorded
@@ -297,7 +309,7 @@ def _cmd_field_grid(out, args) -> _Run:
         for p, v, nv in zip(pts, vals, norms):
             row = list(p) + list(v) + [nv]
             fh.write(",".join("%.17g" % u for u in row) + "\n")
-    return _Run("field-grid", cfg.to_dict(), cfg.seed, [args.config, *field_inputs],
+    return _Run("field-grid", cfg.to_dict(), cfg.seed, {args.config: None, **field_inputs},
                 [grid_path], f"wrote {grid_path} ({len(pts)} points)")
 
 
@@ -310,7 +322,7 @@ def _cmd_verify_physics(out, args) -> _Run:
     if out is not None:
         outputs.append(out / "physics_report.json")
         _dump_json(report, outputs[0])
-    return _Run("verify-physics", cfg.to_dict(), cfg.seed, [args.config], outputs, report,
+    return _Run("verify-physics", cfg.to_dict(), cfg.seed, {args.config: None}, outputs, report,
                 0 if all(c.passed for c in checks) else 1)
 
 
@@ -321,7 +333,8 @@ def _cmd_evaluate(out, args) -> _Run:
     payload = _evaluate(a, b, args.n_perm, seeded_stream(args.seed, "evaluate"))
     path = out / "metrics.json"
     _dump_json(payload, path)
-    return _Run("evaluate", None, args.seed, [args.a, args.b], [path], payload)
+    return _Run("evaluate", None, args.seed, {args.a: a.sha256, args.b: b.sha256}, [path],
+                payload)
 
 
 @_recorded
@@ -372,7 +385,7 @@ def _run_preset(out, name: str, seed: int, volume_mode: str) -> _Run:
     _dump_json(payload, outputs[-1])
     config = cfg.to_dict() | {"n_steps": spec["n_steps"], "nfe": PRESET_NFE,
                               "train_seconds": train_seconds}
-    return _Run(f"run-preset/{name}", config, seed, [], outputs, payload)
+    return _Run(f"run-preset/{name}", config, seed, {}, outputs, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +421,17 @@ def _comma_list(parse_one):
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a comma-separated list: {text!r}") from None
     return parse
+
+
+class _PresetNames:
+    """`run-preset --name` choices: the names in `PRESETS` when argparse
+    reads them, sorted, so a parser built earlier sees presets added since."""
+
+    def __contains__(self, name) -> bool:
+        return name in PRESETS
+
+    def __iter__(self):
+        return iter(sorted(PRESETS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,16 +508,21 @@ def build_parser() -> argparse.ArgumentParser:
     rp = command("run-preset", "end-to-end toy experiment",
                  lambda out, a: _run_preset(out, a.name, a.seed, a.volume_mode),
                  config=False, seed=0)
-    rp.add_argument("--name", required=True, choices=sorted(PRESETS))
+    rp.add_argument("--name", required=True, choices=_PresetNames())
     rp.add_argument("--volume-mode", choices=VOLUME_MODES, default="interpolant")
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `dispatch` reuses for the life of the process."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

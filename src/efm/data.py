@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,14 @@ _CSV_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class Dataset:
+    """Finite (n, D) sample points, read-only.
+
+    `sha256` is the hex SHA-256 of the CSV bytes `load_csv` read the points
+    from, when it hashed them to trust the CSV's shadow; otherwise None.
+    """
+
     points: np.ndarray
+    sha256: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -146,9 +153,9 @@ def _csv_digest(path, n: int, dim: int):
 
 
 def _read_shadow(path):
-    """The (n, D) points of the shadow `<path>.f8`, or None unless its
-    magic, length, shape and digest all match the CSV at `path`. With no
-    shadow there, the CSV is not opened."""
+    """(the (n, D) points of the shadow `<path>.f8`, the CSV's SHA-256), or
+    None unless its magic, length, shape and digest all match the CSV at
+    `path`. With no shadow there, the CSV is not opened."""
     try:
         fh = open(os.fspath(path) + _SHADOW_SUFFIX, "rb")
     except OSError:
@@ -163,7 +170,7 @@ def _read_shadow(path):
                 or _csv_digest(path, n, dim) != digest):
             return None
         points = np.fromfile(fh, dtype="<f8", count=n * dim)
-    return points.reshape(n, dim) if points.size == n * dim else None
+    return (points.reshape(n, dim), digest) if points.size == n * dim else None
 
 
 def _parse_rows(rows) -> np.ndarray:
@@ -179,15 +186,15 @@ def load_csv(path) -> Dataset:
     n and D against the CSV's newline count and header width, and the
     SHA-256 of the CSV's bytes all match), its float64 payload is
     returned as is: `%.17g` round-trips every finite double, so these are
-    exactly the values a parse would give. In every other case (no shadow,
-    a shadow of other bytes, a damaged one) the CSV is parsed; without a
-    shadow it is not hashed at all. The parse raises DataError naming the
-    first bad line: a non-numeric cell (bytes that are not UTF-8 count as
-    one) or a ragged row.
+    exactly the values a parse would give, with the digest just checked as
+    `Dataset.sha256`. In every other case (no shadow, a shadow of other
+    bytes, a damaged one) the CSV is parsed; without a shadow it is not
+    hashed at all. The parse raises DataError naming the first bad line: a
+    non-numeric cell (bytes that are not UTF-8 count as one) or a ragged row.
     """
-    points = _read_shadow(path)
-    if points is not None:
-        return Dataset(points)
+    shadow = _read_shadow(path)
+    if shadow is not None:
+        return Dataset(shadow[0], shadow[1].hex())
     try:
         # a byte that is not UTF-8 decodes to a lone surrogate, which no
         # number or header contains, so the bad line is named below

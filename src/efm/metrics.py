@@ -310,9 +310,13 @@ def energy_distance(a, b, n_perm: int = 0, stream=None) -> DistanceReport:
     n_perm > 0 (at least 50), also the quantiles of its permutation null.
 
     One pass (see the module docstring); label column j > 0 takes the j-th
-    stream.permutation(N). OpenBLAS rounds the label product by its column
-    count, so a statistic with a null can differ from the n_perm=0 one in
-    its last bits.
+    permutation of N drawn from `stream`. They are drawn in chunks of at
+    most `_PAIR_BLOCK` int64 entries, one `stream.permuted` call per chunk,
+    which shuffles each row with the Fisher-Yates draws of
+    `stream.permutation(N)`: the labels, and the stream position left for
+    the caller, are those of one `permutation` call per column. OpenBLAS
+    rounds the label product by its column count, so a statistic with a
+    null can differ from the n_perm=0 one in its last bits.
     """
     if n_perm and n_perm < 50:
         raise DataError("n_perm must be >= 50")
@@ -321,10 +325,14 @@ def energy_distance(a, b, n_perm: int = 0, stream=None) -> DistanceReport:
     pa, pb = _point_pair(a, b)
     pa, pb = _maybe_subsample(pa), _maybe_subsample(pb)
     pool = _pooled(pa, pb)
-    labels = np.zeros((len(pool), 1 + n_perm), dtype=bool)
+    n = len(pool)
+    labels = np.zeros((n, 1 + n_perm), dtype=bool)
     labels[:len(pa), 0] = True
-    for j in range(1, 1 + n_perm):
-        labels[stream.permutation(len(pool))[:len(pa)], j] = True
+    rows = max(1, _PAIR_BLOCK // n)
+    for j0 in range(1, 1 + n_perm, rows):
+        j = np.arange(j0, min(j0 + rows, 1 + n_perm))
+        perms = stream.permuted(np.broadcast_to(np.arange(n), (len(j), n)), axis=1)
+        labels[perms[:, :len(pa)], j[:, None]] = True
     stats = _energy_statistics(pool, labels)
     rep = DistanceReport(float(stats[0]), len(pa), len(pb))
     if n_perm:

@@ -612,6 +612,63 @@ class TestRunPreset:
             assert got.read_bytes() == want.read_bytes()
 
 
+class TestRepeatedDispatch:
+    """`dispatch` reuses one parser per process: many stages with different
+    arguments in one process write what each writes in a process of its own."""
+
+    TINY = dict(target="two_gaussians", plate_gap=6.0, n_steps=10)
+    # a fresh interpreter that runs one stage, with the toy preset defined
+    FRESH = """
+        import sys
+        from efm import cli
+        cli.PRESETS["tiny"] = dict(target="two_gaussians", plate_gap=6.0, n_steps=10)
+        cli.PRESET_N_TRAIN, cli.PRESET_N_MAP, cli.PRESET_BATCH = 128, 64, 64
+        sys.exit(cli.dispatch(sys.argv[1:]))
+        """
+
+    def test_outputs_equal_fresh_processes(self, tmp_path, monkeypatch, toy_config_file):
+        pos, neg = tmp_path / "pos" / "data.csv", tmp_path / "neg" / "data.csv"
+        assert run("generate-data", "--kind", "gaussian", "--n", 64, "--seed", 0,
+                   "--out", pos.parent) == 0
+        assert run("generate-data", "--kind", "swiss_roll", "--n", 64, "--seed", 1,
+                   "--out", neg.parent) == 0
+        assert run("train", "--config", toy_config_file, "--data-pos", pos, "--data-neg", neg,
+                   "--steps", 3, "--batch-size", 32, "--hidden", "8,8",
+                   "--out", tmp_path / "train") == 0
+        weights = tmp_path / "train" / "weights_ema.json"
+        # the parser exists now; presets added since must still parse
+        monkeypatch.setitem(cli.PRESETS, "tiny", self.TINY)
+        monkeypatch.setattr(cli, "PRESET_N_TRAIN", 128)
+        monkeypatch.setattr(cli, "PRESET_N_MAP", 64)
+        monkeypatch.setattr(cli, "PRESET_BATCH", 64)
+        stages = {
+            "ev0": (["evaluate", "--a", pos, "--b", neg, "--n-perm", 0], ["metrics.json"]),
+            "tr": (["transport", "--weights", weights, "--config", toy_config_file,
+                    "--nfe", 10, "--in", pos], ["mapped.csv"]),
+            "ev50": (["evaluate", "--a", pos, "--b", neg, "--n-perm", 50, "--seed", 3],
+                     ["metrics.json"]),
+            "preset0": (["run-preset", "--name", "tiny", "--seed", 0],
+                        ["metrics.json", "weights_ema.json", "trajectories.csv"]),
+            "ev60": (["evaluate", "--a", neg, "--b", pos, "--n-perm", 60, "--seed", 4],
+                     ["metrics.json"]),
+            "tl": (["trace-lines", "--weights", weights, "--config", toy_config_file,
+                    "--in", neg], ["mapped.csv", "trajectories.csv"]),
+            "preset1": (["run-preset", "--name", "tiny", "--seed", 1], ["metrics.json"]),
+        }
+        for name, (argv, _) in stages.items():
+            assert run(*argv, "--out", tmp_path / "in" / name) == 0
+        assert run("run-preset", "--name", "nope", "--out", tmp_path / "nope") == 2
+        assert not (tmp_path / "nope").exists()
+        for name, (argv, files) in stages.items():
+            run_python(self.FRESH, *argv, "--out", tmp_path / "fresh" / name)
+            for f in files:
+                got, want = (tmp_path / side / name / f for side in ("in", "fresh"))
+                assert got.read_bytes() == want.read_bytes(), f"{name}/{f}"
+            inputs = [json.loads((tmp_path / side / name / "manifest.json").read_text())["inputs"]
+                      for side in ("in", "fresh")]
+            assert inputs[0] == inputs[1]
+
+
 class TestBenchmarkContract:
     """The argv shapes the benchmark issues, at toy sizes, with its checks."""
 

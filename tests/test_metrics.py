@@ -153,15 +153,25 @@ class TestEnergyDistance:
         for x, y in ((a, b), (b, a)):
             assert abs(energy_distance(x, y).statistic - ref) <= 1e-12 * scale
 
-    def test_null_draws_one_permutation_each(self):
+    def test_null_draws_one_permutation_each(self, monkeypatch):
+        # in one chunk of draws, then in nine: eight of 7 permutations and
+        # one of 4; the reference labels each column with its own permutation
         stream = seeded_stream(29, "e")
         a = stream.standard_normal((70, 2))
         b = stream.standard_normal((45, 2))
-        used, ref = seeded_stream(30, "perm"), seeded_stream(30, "perm")
-        energy_distance(a, b, 60, used)
-        for _ in range(60):
-            ref.permutation(len(a) + len(b))
-        assert used.random() == ref.random()
+        labels = np.zeros((115, 61), dtype=bool)
+        labels[:70, 0] = True
+        ref = seeded_stream(30, "perm")
+        for j in range(1, 61):
+            labels[ref.permutation(115)[:70], j] = True
+        ref_next = ref.random()
+        for block in (metrics._PAIR_BLOCK, 115 * 7):
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+            used = seeded_stream(30, "perm")
+            got = energy_distance(a, b, 60, used).null_quantiles
+            assert used.random() == ref_next
+            stats = _energy_statistics(metrics._pooled(a, b), labels)
+            assert list(got.values()) == list(np.quantile(stats[1:], NULL_QUANTILES))
 
     @pytest.mark.parametrize("n_side,dim,n_perm,mib", [(2000, 33, 50, 6), (100, 2, 20000, 16)])
     def test_memory_bounded(self, n_side, dim, n_perm, mib):
@@ -292,9 +302,8 @@ class TestPermutationNull:
     @pytest.mark.parametrize("dim,shift", [(3, 0.0), (33, 100.0)])
     def test_matches_per_permutation_reference(self, monkeypatch, dim, shift):
         # D=33 takes the expansion's distances of centred points, in row
-        # blocks of 8
-        if dim == 33:
-            monkeypatch.setattr(metrics, "_PAIR_BLOCK", 75 * 8)
+        # blocks of 8, and draws its null in chunks of 8 permutations; D=3
+        # draws it in one chunk, then again in chunks of 7
         stream = seeded_stream(26, "p")
         a = stream.standard_normal((30, dim)) + shift
         b = stream.standard_normal((45, dim)) + 0.4 + shift
@@ -307,10 +316,13 @@ class TestPermutationNull:
             refs.append(ref)
             scales.append(scale)
         expected = np.quantile(refs, NULL_QUANTILES)
-        new_stream = seeded_stream(27, "perm")
-        q = energy_distance(a, b, 60, new_stream).null_quantiles
-        assert np.abs(np.array(list(q.values())) - expected).max() <= 1e-12 * max(scales)
-        assert new_stream.random() == ref_stream.random()
+        ref_next = ref_stream.random()
+        for block in ([75 * 8] if dim == 33 else [metrics._PAIR_BLOCK, 75 * 7]):
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+            new_stream = seeded_stream(27, "perm")
+            q = energy_distance(a, b, 60, new_stream).null_quantiles
+            assert np.abs(np.array(list(q.values())) - expected).max() <= 1e-12 * max(scales)
+            assert new_stream.random() == ref_next
 
     @pytest.mark.parametrize("min_rows,rows", [(6, 6), (20, 8)])
     def test_null_row_floor_matches_reference(self, monkeypatch, min_rows, rows):
