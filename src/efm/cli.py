@@ -1,14 +1,17 @@
 """Command-line pipeline with file-based interchange.
 
 Stages pass points to each other as CSVs of `%.17g` decimals, written by
-`efm.data.save_csv` and read by `efm.data.load_csv`. Next to each such CSV
-`save_csv` writes a binary shadow `<csv>.f8` holding the same doubles and
-the SHA-256 of the CSV's bytes. Like a checked hash-based `.pyc`, a shadow
-is trusted only while that digest (and its shape) matches the CSV beside
-it; otherwise, or when it is missing, the CSV is parsed. Since `%.17g`
-round-trips every finite double, both paths give the same points, so a
-shadow is a cache: manifests do not list it, and deleting it costs only
-speed.
+`efm.data.save_csv` and read by `efm.data.load_csv`. These CSVs,
+`trajectories.csv` and `field-grid`'s `grid.csv` take their text from
+`efm.data.format_rows`, which formats a block of cells in bulk and gives
+the bytes Python's `'%.17g'` gives, cell for cell. Next to each CSV it
+writes, `save_csv` writes a binary shadow `<csv>.f8` holding the same
+doubles and the SHA-256 of the CSV's bytes. Like a checked hash-based
+`.pyc`, a shadow is trusted only while that digest (and its shape) matches
+the CSV beside it; otherwise, or when it is missing, the CSV is parsed.
+Since `%.17g` round-trips every finite double, both paths give the same
+points, so a shadow is a cache: manifests do not list it, and deleting it
+costs only speed.
 
 Each stage of the method exists once, and every subcommand that needs it
 calls it:
@@ -49,6 +52,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -60,8 +64,8 @@ import numpy as np
 
 from .core import (VOLUME_MODES, CapacitorConfig, DataError, EfmError, TransportError,
                    seeded_stream)
-from .data import (Dataset, gen_gaussian, gen_swiss_roll, gen_two_gaussians,
-                   load_csv, save_csv)
+from .data import (Dataset, csv_chunk_rows, csv_chunks, format_rows, gen_gaussian,
+                   gen_swiss_roll, gen_two_gaussians, load_csv, save_csv)
 from .field import EmpiricalField, PlateSet
 from .metrics import energy_distance, sliced_w1
 from .model import load_weights
@@ -125,18 +129,36 @@ def _dump_json(obj, path) -> None:
 
 
 def write_trajectories_csv(trajectories, path) -> None:
-    """line_id, step, z, x_1..x_D, termination (set on each line's last row)."""
+    """line_id, step, z, x_1..x_D, termination (set on each line's last row).
+
+    Lines go through `format_rows` a group of about `csv_chunk_rows` rows at
+    a time. The line_id and step columns are whole floats there: below 2**53
+    the `%.17g` text of an integer is its `%d` text.
+    """
     dim = trajectories[0].points.shape[1] - 1
     cols = ["line_id", "step", "z"] + [f"x_{i + 1}" for i in range(dim)] + ["termination"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        row = "%d,%d," + ",".join(["%.17g"] * (dim + 1)) + ",%s\n"
-        z_first = [dim, *range(dim)]  # points hold x_1..x_D, z
-        for i, traj in enumerate(trajectories):
-            last = len(traj.points) - 1
-            for k, values in enumerate(traj.points[:, z_first].tolist()):
-                term = traj.termination if k == last else ""
-                fh.write(row % (i, k, *values, term))
+    z_first = [dim, *range(dim)]  # points hold x_1..x_D, z
+    group_rows = csv_chunk_rows(dim + 3)
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        stop = 0
+        while stop < len(trajectories):
+            start, rows = stop, 0
+            while stop < len(trajectories) and rows < group_rows:
+                rows += len(trajectories[stop].points)
+                stop += 1
+            group = trajectories[start:stop]
+            lengths = [len(traj.points) for traj in group]
+            block = np.empty((rows, dim + 3))
+            block[:, 0] = np.repeat(np.arange(start, stop), lengths)
+            block[:, 1] = np.arange(rows) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            block[:, 2:] = np.concatenate([traj.points for traj in group])[:, z_first]
+            ends = []
+            for traj, n in zip(group, lengths):
+                if n:
+                    ends += [b",\n"] * (n - 1) + [b",%s\n" % traj.termination.encode()]
+            lines = format_rows(block).split(b"\n")
+            fh.write(b"".join(itertools.chain.from_iterable(zip(lines, ends))))
 
 
 def _load_config(args) -> CapacitorConfig:
@@ -304,11 +326,9 @@ def _cmd_field_grid(out, args) -> _Run:
     d = cfg.dim_d
     cols = ([f"x_{i + 1}" for i in range(d)] + ["z"]
             + [f"E_x_{i + 1}" for i in range(d)] + ["E_z", "E_norm"])
-    with open(grid_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p, v, nv in zip(pts, vals, norms):
-            row = list(p) + list(v) + [nv]
-            fh.write(",".join("%.17g" % u for u in row) + "\n")
+    with open(grid_path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        fh.writelines(csv_chunks(np.column_stack([pts, vals, norms])))
     return _Run("field-grid", cfg.to_dict(), cfg.seed, {args.config: None, **field_inputs},
                 [grid_path], f"wrote {grid_path} ({len(pts)} points)")
 

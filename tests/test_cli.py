@@ -324,6 +324,31 @@ class TestPipeline:
         assert lines[0] == "x_1,x_2,z,E_x_1,E_x_2,E_z,E_norm"
         assert len(lines) == 1 + 4 * 4 * 3
 
+    def test_field_grid_bytes_equal_the_per_value_loop(self, tmp_path, toy_config_file, plates,
+                                                       monkeypatch):
+        # an inf component gives an inf norm, and zeros, a subnormal and a
+        # huge value take format_rows' fallback too
+        def field_fn(pts):
+            x, y, z = pts.T
+            return np.column_stack([np.where(x > 1.5, np.inf, x * 1e-310), -y / 3.0,
+                                    np.where(z > 4.0, 1e100, z ** 3)])
+
+        monkeypatch.setattr(cli, "_field_source", lambda cfg, args: (field_fn, {}))
+        pos, neg = plates
+        out = tmp_path / "grid"
+        assert run("field-grid", "--config", toy_config_file, "--data-pos", pos,
+                   "--data-neg", neg, "--grid-min=-2,-2,0", "--grid-max", "2,2,5",
+                   "--grid-shape", "5,4,3", "--out", out) == 0
+        axes = [np.linspace(-2, 2, 5), np.linspace(-2, 2, 4), np.linspace(0, 5, 3)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        vals = field_fn(pts)
+        norms = np.linalg.norm(vals, axis=1)
+        assert np.isinf(norms).any()
+        want = "x_1,x_2,z,E_x_1,E_x_2,E_z,E_norm\n" + "".join(
+            ",".join("%.17g" % u for u in list(p) + list(v) + [nv]) + "\n"
+            for p, v, nv in zip(pts, vals, norms))
+        assert (out / "grid.csv").read_bytes() == want.encode()
+
     def test_field_grid_on_a_charge_in_exact_mode(self, tmp_path, plates, capsys):
         # field_epsilon 0 is the exact field; a grid point on a sample of
         # the positive plate (at z=0) has no field there
@@ -375,6 +400,29 @@ class TestPipeline:
                                     "0,1,3,0.10000000000000001,1.0000000000000001e-17,\n"
                                     "0,2,6,2,0.25,reached_target_plate\n"
                                     "1,0,0,0.33333333333333331,2,stalled\n")
+
+    @pytest.mark.parametrize("dim", [1, 2, 32])
+    def test_trajectories_csv_equals_the_per_row_writer(self, tmp_path, dim):
+        # enough rows for several format_rows groups; line ids and steps are
+        # written as %d, a zero z takes the fallback, and an empty line
+        # writes no row
+        rng = np.random.default_rng(dim)
+        terms = ["reached_target_plate", "stalled", "left_domain"]
+        lines = []
+        for i in range(400):
+            n = 0 if i == 17 else int(rng.integers(1, 12))
+            points = rng.standard_normal((n, dim + 1)) * 10.0 ** rng.integers(-6, 6, (n, dim + 1))
+            points[:1, -1] = 0.0
+            lines.append(Trajectory(points, terms[i % 3]))
+        path = tmp_path / "trajectories.csv"
+        cli.write_trajectories_csv(lines, path)
+        row = "%d,%d," + ",".join(["%.17g"] * (dim + 1)) + ",%s\n"
+        want = ",".join(["line_id", "step", "z"] + [f"x_{i + 1}" for i in range(dim)]
+                        + ["termination"]) + "\n"
+        for i, traj in enumerate(lines):
+            for k, values in enumerate(traj.points[:, [dim, *range(dim)]].tolist()):
+                want += row % (i, k, *values, traj.termination if k == len(traj.points) - 1 else "")
+        assert path.read_bytes() == want.encode()
 
     def test_trace_lines_is_adaptive_transport(self, tmp_path, toy_config_file, plates):
         # trace-lines is transport --policy adaptive --dump-trajectories

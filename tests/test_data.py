@@ -2,6 +2,7 @@ import hashlib
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from efm import data
 from efm.core import seeded_stream
-from efm.data import (DataError, Dataset, gen_gaussian, gen_swiss_roll,
+from efm.data import (DataError, Dataset, format_rows, gen_gaussian, gen_swiss_roll,
                       gen_two_gaussians, load_csv, save_csv, swiss_roll_curve,
                       SWISS_ROLL_SCALE, SWISS_ROLL_THETA_MAX, SWISS_ROLL_THETA_MIN)
 
@@ -163,6 +164,94 @@ class TestCsv:
         path.write_bytes(b"\nx_1,x_\xff\n1,2\n")
         with pytest.raises(DataError, match=re.escape(f"bad header at line 2 of {path}")):
             load_csv(path)
+
+
+def percent_rows(block) -> bytes:
+    """The reference: each cell formatted by Python's `'%.17g'`."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(block).tolist()).encode()
+
+
+def powers_of_ten_and_neighbours():
+    """10**k for k in -20..20 (as parsed from "1e<k>"), and the doubles on
+    either side of each."""
+    out = []
+    for k in range(-20, 21):
+        p = float(f"1e{k}")
+        out += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    return np.array(out)
+
+
+class TestFormatRows:
+    """format_rows is `'%.17g'` byte for byte, in bulk and in its fallback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([1, 2, 3, 33]))
+    def test_equals_percent_formatting(self, data, width):
+        # any finite double, subnormals included, plus the bulk domain
+        # 2**-36 <= |x| < 2**53 drawn on its own so that it dominates
+        elements = (st.floats(allow_nan=False, allow_infinity=False)
+                    | st.floats(-2.0 ** 53, 2.0 ** 53, allow_subnormal=False))
+        block = data.draw(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(width)),
+                                 elements=elements))
+        assert format_rows(block) == percent_rows(block)
+
+    def test_random_bit_patterns_and_ties(self):
+        rng = np.random.default_rng(20)
+        patterns = rng.integers(0, 2 ** 64, size=60_000, dtype=np.uint64).view(np.float64)
+        decades = 10.0 ** rng.uniform(-12.0, 16.0, size=60_000)
+        # m * 2**-k with up to 53 bits: many exact decimal ties at the 17th digit
+        dyadic = (rng.integers(1, 2 ** 53, size=60_000).astype(float)
+                  * 2.0 ** -rng.integers(0, 90, size=60_000).astype(float))
+        for values in (patterns[np.isfinite(patterns)], decades, -dyadic, np.round(decades, 3)):
+            block = values[:len(values) // 3 * 3].reshape(-1, 3)
+            assert format_rows(block) == percent_rows(block)
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0"), (-0.0, "-0"),
+        # a half-even tie: 2**-25 = 2.98023223876953125e-08 exactly
+        (2.0 ** -25, "2.9802322387695312e-08"),
+        # the fixed/exponent notation switches at 1e-4 and 1e17
+        (1e-4, "0.0001"), (np.nextafter(1e-4, 0.0), "9.9999999999999991e-05"),
+        (1e16, "10000000000000000"), (1e17, "1e+17"),
+        (np.nextafter(1e17, 0.0), "99999999999999984"),
+        (5e-324, "4.9406564584124654e-324"), (1.7976931348623157e308, "1.7976931348623157e+308"),
+        # the widest cell, 24 bytes as _CSV_CHUNK's comment assumes
+        (-1.2345678901234567e-308, "-1.2345678901234567e-308"),
+        # the edges of the bulk domain
+        (2.0 ** -36, "1.4551915228366852e-11"),
+        (np.nextafter(2.0 ** -36, 0.0), "1.455191522836685e-11"),
+        (np.nextafter(2.0 ** 53, 0.0), "9007199254740991"), (2.0 ** 53, "9007199254740992"),
+        (2.0 ** 51 + 0.5, "2251799813685248.5"),
+        (np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan"),
+    ])
+    def test_edge_cases(self, value, text):
+        assert "%.17g" % value == text
+        for width in (1, 2):
+            row = ",".join([text] * width) + "\n"
+            assert format_rows(np.full((2, width), value)) == (row * 2).encode()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 33])
+    def test_next_to_every_power_of_ten(self, width):
+        values = powers_of_ten_and_neighbours()
+        values = np.concatenate([values, -values])
+        block = np.resize(values, (len(values) // width + 1, width))
+        assert format_rows(block) == percent_rows(block)
+
+    def test_save_csv_memory_does_not_grow_with_rows(self, tmp_path):
+        save_csv(gen_gaussian(10, 32, stream=seeded_stream(0, "warm")), tmp_path / "warm.csv")
+        peaks = []
+        for n in (2048, 8192):
+            ds = gen_gaussian(n, 32, stream=seeded_stream(1, "memory"))
+            tracemalloc.start()
+            try:
+                save_csv(ds, tmp_path / f"d{n}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the peak is one chunk's working set, whatever the number of rows
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024
+        assert max(peaks) < 2 * 1024 * 1024
 
 
 def shadow(path) -> Path:
